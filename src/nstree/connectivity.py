@@ -4,11 +4,12 @@ Everything here reduces to unit-vertex-capacity maximum flow. A graph
 vertex splits into an in-node and an out-node joined by a through-arc
 whose capacity is 1 when the vertex may be consumed or cut, effectively
 unbounded otherwise. Augmenting paths are found breadth-first over
-ascending node ids and the final flow is decomposed choosing the least
-next node, so every result is a deterministic function of the graph
-alone. That determinism is load-bearing: the construction algorithms
-select paths by index out of these families, and reruns must pick the
-same paths.
+ascending node ids, source and sink last, and the final flow is
+decomposed choosing the least next node, so every result is a
+deterministic function of the graph alone. That determinism is
+load-bearing: the construction algorithms select paths by index out of
+these families, and reruns must pick the same paths. The network of a
+graph is built once (FlowNetwork) and answers any number of queries.
 """
 
 from __future__ import annotations
@@ -99,137 +100,175 @@ class InseparableError(ValueError):
     """No separator disjoint from both sides exists (an edge joins them directly)."""
 
 
-class _FlowNet:
-    """Split-vertex unit-capacity network over a graph.
+class FlowNetwork:
+    """Split-vertex network of a graph, built once and queried many times.
 
-    The vertex with ascending-order rank k becomes in-node 2k and
-    out-node 2k+1; the source and sink are the two node ids after that.
-    Vertices in `unit` get a capacity-1 through-arc, all others an
-    unbounded one. Edge arcs run out(u)->in(v) both ways with the given
-    capacity: 1 for path counting (a bare edge is one path, never two),
-    unbounded for separator extraction (so minimum cuts consist of
-    through-arcs only).
+    The vertex of ascending rank k becomes in-node 2k and out-node 2k+1,
+    joined by the through-arc 2k; every edge u-v gives the arcs
+    out(u)->in(v) and out(v)->in(u). Arcs come in pairs: a forward arc
+    a (even) and its residual a ^ 1. Each node lists its arcs by
+    ascending head node, the tie-break of the breadth-first search.
+
+    A query copies a base capacity list (through-arcs 1, edge arcs 1 for
+    path counting or unbounded for cuts), raises the through-arcs its
+    endpoints or sides may not be cut at, and augments. Source and sink
+    are implicit: the search starts from the sources' in-nodes in
+    ascending order and stops at the first sink-side out-node it
+    discovers. That is exactly the augmenting path an explicit source
+    and sink carrying the two largest node ids would give, so results
+    match the canonical order defined by that network.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        sources: frozenset[int],
-        sinks: frozenset[int],
-        unit: frozenset[int],
-        edge_cap: int,
-    ) -> None:
-        self.vertex = g.vertices
-        rank = {v: i for i, v in enumerate(g.vertices)}
-        n = len(g.vertices)
-        self.source = 2 * n
-        self.sink = 2 * n + 1
-        self.cap: dict[tuple[int, int], int] = {}
-        self.adj: dict[int, list[int]] = {x: [] for x in range(2 * n + 2)}
-        for v in g.vertices:
-            self._arc(2 * rank[v], 2 * rank[v] + 1, 1 if v in unit else _INF)
-        for u, v in g.edges:
-            self._arc(2 * rank[u] + 1, 2 * rank[v], edge_cap)
-            self._arc(2 * rank[v] + 1, 2 * rank[u], edge_cap)
-        for v in sorted(sources):
-            self._arc(self.source, 2 * rank[v], _INF)
-        for v in sorted(sinks):
-            self._arc(2 * rank[v] + 1, self.sink, _INF)
-        for x in self.adj:
-            self.adj[x].sort()
-        self.orig = dict(self.cap)
+    __slots__ = ("graph", "_rank", "_head", "_arcs")
 
-    def _arc(self, x: int, y: int, c: int) -> None:
-        self.cap[(x, y)] = c
-        self.cap.setdefault((y, x), 0)
-        self.adj[x].append(y)
-        self.adj[y].append(x)
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        vs = g.vertices
+        n = len(vs)
+        rank = {v: k for k, v in enumerate(vs)}
+        head = [0] * (2 * n)
+        head[0::2] = range(1, 2 * n, 2)
+        head[1::2] = range(0, 2 * n, 2)
+        ins: list[list[int]] = [[] for _ in range(n)]
+        outs: list[list[int]] = []
+        # visiting vertices in ascending order appends every in-node's
+        # arcs in ascending head order too
+        for k, v in enumerate(vs):
+            below = len(ins[k])  # one arc per lower neighbor so far
+            ins[k].append(2 * k)
+            out = []
+            for x in g.neighbors(v):
+                j = rank[x]
+                out.append(len(head))
+                ins[j].append(len(head) + 1)
+                head += (2 * j, 2 * k + 1)
+            out.insert(below, 2 * k + 1)
+            outs.append(out)
+        self._rank = rank
+        self._head = head
+        self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
 
-    def max_flow(self, limit: int | None = None) -> int:
-        total = 0
-        while limit is None or total < limit:
-            prev = self._augmenting_path()
-            if prev is None:
-                break
-            x = self.sink
-            while x != self.source:
-                p = prev[x]
-                self.cap[(p, x)] -= 1
-                self.cap[(x, p)] += 1
-                x = p
-            total += 1
-        return total
+    def kappa(self, v: int, w: int) -> int:
+        """Largest number of independent v-w paths."""
+        _check_pair(self.graph, v, w)
+        return self._pair_flow(v, w, None)[0]
 
-    def _augmenting_path(self) -> dict[int, int] | None:
-        prev = {self.source: self.source}
-        frontier = [self.source]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.adj[x]:
-                    if y not in prev and self.cap[(x, y)] > 0:
-                        prev[y] = x
-                        if y == self.sink:
-                            return prev
-                        nxt.append(y)
-            frontier = nxt
-        return None
+    def family(self, v: int, w: int, limit: int | None = None) -> PathFamily | None:
+        """Canonical maximum family of independent v-w paths.
 
-    def paths(self) -> list[tuple[int, ...]]:
-        """Decompose the flow into vertex-id paths, one per unit.
-
-        Walks from the source choosing the least next node with
-        remaining flow; conservation guarantees each walk ends at the
-        sink. Any flow cycle the walk wanders through is spliced out,
-        so results are simple paths.
+        With a limit, stops once `limit` paths are found and returns
+        None instead of a family, skipping the decomposition.
         """
-        flow = {arc: c0 - self.cap[arc] for arc, c0 in self.orig.items() if c0 > self.cap[arc]}
-        out: list[tuple[int, ...]] = []
-        while True:
-            starts = sorted(y for y in self.adj[self.source] if flow.get((self.source, y), 0) > 0)
-            if not starts:
-                return out
-            x = starts[0]
-            flow[(self.source, x)] -= 1
-            nodes = [x]
-            while x != self.sink:
-                y = min(y for y in self.adj[x] if flow.get((x, y), 0) > 0)
-                flow[(x, y)] -= 1
-                nodes.append(y)
-                x = y
-            verts: list[int] = []
-            for nd in nodes[:-1]:
-                v = self.vertex[nd // 2]
-                if not verts or verts[-1] != v:
-                    if v in verts:
-                        del verts[verts.index(v) + 1 :]
-                    else:
-                        verts.append(v)
-            out.append(tuple(verts))
+        _check_pair(self.graph, v, w)
+        total, cap = self._pair_flow(v, w, limit)
+        if limit is not None and total >= limit:
+            return None
+        # least-next decomposition: the flow on forward arc a is cap[a ^ 1]
+        vs = self.graph.vertices
+        head, arcs = self._head, self._arcs
+        kv, kw = self._rank[v], self._rank[w]
+        seqs = []
+        for _ in range(total):
+            seq = [v]
+            k = kv
+            while k != kw:
+                a = next(a for a in arcs[2 * k + 1] if not a & 1 and cap[a ^ 1])
+                cap[a ^ 1] -= 1
+                k = head[a] // 2
+                seq.append(vs[k])
+            seqs.append(tuple(seq))
+        return PathFamily(v, w, tuple(Path(seq) for seq in sorted(seqs)))
 
-    def cut_vertices(self) -> frozenset[int]:
-        """Vertices whose through-arcs form the sink-side minimum cut.
+    def _pair_flow(self, v: int, w: int, limit: int | None) -> tuple[int, list[int]]:
+        kv, kw = self._rank[v], self._rank[w]
+        cap = [1, 0] * (len(self._head) // 2)
+        cap[2 * kv] = cap[2 * kw] = _INF
+        # every path leaves v and enters w by an edge of its own, so a
+        # flow of the smaller degree is maximum without a failing search
+        bound = min(self.graph.degree(v), self.graph.degree(w))
+        if limit is not None:
+            bound = min(bound, limit)
+        return self._max_flow(cap, [2 * kv], {2 * kw + 1}, bound), cap
 
-        Run only after max_flow with unbounded edge arcs; asserts every
-        crossing arc is a through-arc.
+    def _cut(self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool) -> frozenset[int]:
+        """Vertices whose through-arcs form the sink-side minimum a-b cut.
+
+        Edge arcs are unbounded, so the cut consists of through-arcs;
+        those of a and b are unbounded too unless sides_cuttable.
         """
-        side = {self.sink}
-        frontier = [self.sink]
+        rank = self._rank
+        cap = [1, 0] * len(rank) + [_INF, 0] * (len(self._head) // 2 - len(rank))
+        if not sides_cuttable:
+            for x in a | b:
+                cap[2 * rank[x]] = _INF
+        sinks = {2 * rank[x] + 1 for x in b}
+        self._max_flow(cap, sorted(2 * rank[x] for x in a), sinks, _INF)
+        # nodes that still reach a sink-side out-node in the residual network
+        head, arcs = self._head, self._arcs
+        side = bytearray(len(arcs))
+        for y in sinks:
+            side[y] = 1
+        frontier = list(sinks)
         while frontier:
             nxt = []
             for y in frontier:
-                for x in self.adj[y]:
-                    if x not in side and self.cap[(x, y)] > 0:
-                        side.add(x)
+                for r in arcs[y]:
+                    x = head[r]
+                    if not side[x] and cap[r ^ 1]:
+                        side[x] = 1
                         nxt.append(x)
             frontier = nxt
-        cut: set[int] = set()
-        for (x, y), c0 in self.orig.items():
-            if c0 > 0 and x not in side and y in side:
-                if y != x + 1 or x % 2 != 0:
-                    raise AssertionError(f"minimum cut crosses non-through arc {(x, y)}")
-                cut.add(self.vertex[x // 2])
-        return frozenset(cut)
+        for e in range(len(rank) * 2, len(head), 2):
+            if side[head[e]] and not side[head[e ^ 1]]:
+                raise AssertionError(f"minimum cut crosses edge arc {e}")
+        vs = self.graph.vertices
+        return frozenset(vs[k] for k in range(len(vs)) if side[2 * k + 1] and not side[2 * k])
+
+    def _max_flow(self, cap: list[int], starts: list[int], sinks: set[int], limit: int) -> int:
+        """Augment along breadth-first paths until none is left or `limit`
+        are found; cap holds the residual capacities afterwards."""
+        head, arcs = self._head, self._arcs
+        size = len(arcs)
+        total = 0
+        while total < limit:
+            prev = [-1] * size
+            for s in starts:
+                prev[s] = -2
+            end = _bfs(head, arcs, cap, prev, starts, sinks)
+            if end < 0:
+                return total
+            a = prev[end]
+            while a >= 0:
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                a = prev[head[a ^ 1]]
+            total += 1
+        return total
+
+
+def _bfs(
+    head: list[int],
+    arcs: list[list[int]],
+    cap: list[int],
+    prev: list[int],
+    frontier: list[int],
+    sinks: set[int],
+) -> int:
+    """First sink-side node discovered breadth-first, recording in prev
+    the arc that reached each node; -1 when no sink is reachable."""
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in arcs[x]:
+                if cap[a]:
+                    y = head[a]
+                    if prev[y] == -1:
+                        prev[y] = a
+                        if y in sinks:
+                            return y
+                        nxt.append(y)
+        frontier = nxt
+    return -1
 
 
 def _check_pair(g: Graph, v: int, w: int) -> None:
@@ -246,7 +285,7 @@ def kappa(g: Graph, v: int, w: int) -> int:
     Paths are independent when they share no vertex other than v and w;
     a direct v-w edge counts as one member of the family.
     """
-    return len(max_independent_paths(g, v, w))
+    return FlowNetwork(g).kappa(v, w)
 
 
 def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
@@ -257,10 +296,9 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
     by vertex sequence. Index 1 is the lexicographically least path.
     Returns the empty family when v and w are in different components.
     """
-    _check_pair(g, v, w)
-    net = _FlowNet(g, frozenset({v}), frozenset({w}), g.vertex_set - {v, w}, edge_cap=1)
-    net.max_flow()
-    return PathFamily(v, w, tuple(Path(seq) for seq in sorted(net.paths())))
+    fam = FlowNetwork(g).family(v, w)
+    assert fam is not None  # no limit given
+    return fam
 
 
 def _check_sides(g: Graph, a: frozenset[int], b: frozenset[int]) -> None:
@@ -288,9 +326,7 @@ def min_separator(
         for x in g.neighbors(u):
             if x in b:
                 raise InseparableError(f"edge {u}-{x} joins the two sides directly")
-    net = _FlowNet(g, a, b, g.vertex_set - a - b, edge_cap=_INF)
-    net.max_flow()
-    return Separator(net.cut_vertices(), a, b)
+    return Separator(FlowNetwork(g)._cut(a, b, sides_cuttable=False), a, b)
 
 
 def min_blocking_set(
@@ -308,6 +344,4 @@ def min_blocking_set(
     a = frozenset(a)
     b = frozenset(b)
     _check_sides(g, a, b)
-    net = _FlowNet(g, a, b, g.vertex_set, edge_cap=_INF)
-    net.max_flow()
-    return Separator(net.cut_vertices(), a, b)
+    return Separator(FlowNetwork(g)._cut(a, b, sides_cuttable=True), a, b)

@@ -18,7 +18,7 @@ import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .connectivity import PathFamily, max_independent_paths
+from .connectivity import FlowNetwork, PathFamily
 from .graph import Graph, components, induced_subgraph, is_connected, neighborhood
 from .tree import RootedTree, down_closure, is_chain
 
@@ -304,6 +304,9 @@ def _run(
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
 
+    net = FlowNetwork(g)
+    # a pair above kappa_small is discarded as soon as it shows one path too many
+    limit = None if kappa_small is None else kappa_small + 1
     families: dict[tuple[int, int], PathFamily | None] = {}
 
     def family(v: int, w: int) -> PathFamily | None:
@@ -311,8 +314,7 @@ def _run(
         # to this enumeration
         key = (v, w)
         if key not in families:
-            fam = max_independent_paths(g, v, w)
-            families[key] = None if kappa_small is not None and len(fam) > kappa_small else fam
+            families[key] = net.family(v, w, limit)
         return families[key]
 
     t = RootedTree(r)
@@ -344,10 +346,11 @@ def _run(
                         if inside:
                             selections.append(((v, w), k))
                             targets |= inside
-                            logger.debug(
-                                "sweep %d: pair (%d,%d) path %d meets component %s",
-                                sweep, v, w, k, sorted(d),
-                            )
+                            if logger.isEnabledFor(logging.DEBUG):
+                                logger.debug(
+                                    "sweep %d: pair (%d,%d) path %d meets component %s",
+                                    sweep, v, w, k, sorted(d),
+                                )
                             break
             if extra_target is not None:
                 targets.add(extra_target(d))
@@ -368,8 +371,9 @@ def _run(
                     added=added,
                 )
             )
-            logger.info(
-                "sweep %d: extended at %d into component %s, entry %d, %d targets",
-                sweep, t_d, sorted(d), r_d, len(targets),
-            )
+            if logger.isEnabledFor(logging.INFO):
+                logger.info(
+                    "sweep %d: extended at %d into component %s, entry %d, %d targets",
+                    sweep, t_d, sorted(d), r_d, len(targets),
+                )
         sweep += 1

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .connectivity import kappa, max_independent_paths, min_blocking_set, min_separator
+from .connectivity import FlowNetwork, max_independent_paths, min_blocking_set, min_separator
 from .graph import Graph, induced_subgraph
 
 
@@ -234,7 +234,8 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    return all(kappa(g, a, b) >= m for a, b in combinations(branch, 2))
+    net = FlowNetwork(g)
+    return all(net.kappa(a, b) >= m for a, b in combinations(branch, 2))
 
 
 def is_dispersed(
@@ -262,9 +263,17 @@ def is_dispersed(
         raise ValueError(f"need n >= 2, m >= 1, s >= 0, got n={n}, m={m}, s={s}")
     if search_budget < 1:
         raise ValueError(f"search budget must be positive, got {search_budget}")
+    net = FlowNetwork(g)
+    kappas: dict[tuple[int, int], int] = {}
+
+    def pair_kappa(a: int, b: int) -> int:
+        if (a, b) not in kappas:
+            kappas[a, b] = net.kappa(a, b)
+        return kappas[a, b]
+
     scored: list[tuple[int, tuple[int, ...]]] = []
     for cand in combinations(g.vertices, n):
-        score = min(kappa(g, a, b) for a, b in combinations(cand, 2))
+        score = min(pair_kappa(a, b) for a, b in combinations(cand, 2))
         if score >= m:
             scored.append((score, cand))
     scored.sort(key=lambda it: (-it[0], it[1]))

@@ -94,7 +94,7 @@ class Graph:
 
 
 def _check_vertex(v: int) -> int:
-    if not isinstance(v, int):
+    if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError(f"vertex ids must be integers, got {type(v).__name__}")
     return v
 

@@ -15,6 +15,11 @@ from .graph import Graph
 from .tree import RootedTree
 
 
+def _is_id(x: Any) -> bool:
+    # JSON true/false parse as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_to_obj(g: Graph) -> dict[str, Any]:
     return {
         "vertices": list(g.vertices),
@@ -27,13 +32,13 @@ def graph_from_obj(obj: Any) -> Graph:
         raise ValueError('graph JSON must be an object with "vertices" and "edges"')
     vertices = obj["vertices"]
     edges = obj["edges"]
-    if not isinstance(vertices, list) or not all(isinstance(v, int) for v in vertices):
+    if not isinstance(vertices, list) or not all(_is_id(v) for v in vertices):
         raise ValueError("graph vertices must be a list of integers")
     if not isinstance(edges, list):
         raise ValueError("graph edges must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_id(x) for x in e)):
             raise ValueError(f"bad edge entry {e!r}; expected [u, v]")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
@@ -102,7 +107,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
     if not isinstance(obj, dict) or "root" not in obj or "parent" not in obj:
         raise ValueError('tree JSON must be an object with "root" and "parent"')
     root = obj["root"]
-    if not isinstance(root, int):
+    if not _is_id(root):
         raise ValueError("tree root must be an integer")
     parent_obj = obj["parent"]
     if not isinstance(parent_obj, dict):
@@ -113,7 +118,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
             child = int(k)
         except ValueError:
             raise ValueError(f"bad child id {k!r} in parent map") from None
-        if not isinstance(p, int):
+        if not _is_id(p):
             raise ValueError(f"bad parent {p!r} for child {k}")
         parent[child] = p
     return RootedTree(root, parent)
@@ -180,9 +185,9 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError('certificate JSON needs "branch", "m" and "paths"')
     branch = obj["branch"]
     m = obj["m"]
-    if not isinstance(branch, list) or not all(isinstance(v, int) for v in branch):
+    if not isinstance(branch, list) or not all(_is_id(v) for v in branch):
         raise ValueError("certificate branch must be a list of integers")
-    if not isinstance(m, int):
+    if not _is_id(m):
         raise ValueError("certificate m must be an integer")
     paths: dict[tuple[int, int], list[list[int]]] = {}
     if not isinstance(obj["paths"], dict):
@@ -193,7 +198,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
         if not isinstance(plist, list) or not all(
-            isinstance(p, list) and all(isinstance(x, int) for x in p) for p in plist
+            isinstance(p, list) and all(_is_id(x) for x in p) for p in plist
         ):
             raise ValueError(f"paths for {key} must be lists of integer lists")
         paths[(a, b)] = plist
@@ -229,11 +234,12 @@ def verdict_to_obj(verdict: DispersednessVerdict) -> dict[str, Any]:
 
 
 def cover_from_obj(obj: Any) -> DispersedCover:
-    """Accept either a bare list of vertex lists or {"cover": [...]}."""
+    """Accept a bare list of vertex lists, {"cover": [...]}, or the
+    {"levels": [...]} that cover_to_obj writes."""
     if isinstance(obj, dict):
-        obj = obj.get("cover")
+        obj = obj.get("cover", obj.get("levels"))
     if not isinstance(obj, list) or not all(
-        isinstance(s, list) and all(isinstance(v, int) for v in s) for s in obj
+        isinstance(s, list) and all(_is_id(v) for v in s) for s in obj
     ):
         raise ValueError("cover must be a list of integer lists")
     return DispersedCover(tuple(frozenset(s) for s in obj))

@@ -11,6 +11,8 @@ from itertools import combinations
 
 from nstree import Graph, RootedTree, is_connected, tree_leq
 
+_INF = 1 << 30
+
 
 def connected_graphs(n: int):
     """Every connected labeled graph on vertices 0..n-1, by edge bitmask."""
@@ -212,3 +214,160 @@ def brute_fat_tk_exists(g: Graph, u: tuple[int, ...], m: int) -> bool:
         return pick(0, 0, frozenset(), 0)
 
     return assign(0, frozenset())
+
+
+# The dict-keyed flow network the library used before its flat-array
+# engine, kept verbatim as the reference for the differential tests.
+# Its tie-breaks (BFS over ascending node ids with source and sink
+# last, least-next decomposition) define the canonical path order.
+
+
+class _FlowNet:
+    """Split-vertex unit-capacity network over a graph.
+
+    The vertex with ascending-order rank k becomes in-node 2k and
+    out-node 2k+1; the source and sink are the two node ids after that.
+    Vertices in `unit` get a capacity-1 through-arc, all others an
+    unbounded one. Edge arcs run out(u)->in(v) both ways with the given
+    capacity: 1 for path counting (a bare edge is one path, never two),
+    unbounded for separator extraction (so minimum cuts consist of
+    through-arcs only).
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        sources: frozenset[int],
+        sinks: frozenset[int],
+        unit: frozenset[int],
+        edge_cap: int,
+    ) -> None:
+        self.vertex = g.vertices
+        rank = {v: i for i, v in enumerate(g.vertices)}
+        n = len(g.vertices)
+        self.source = 2 * n
+        self.sink = 2 * n + 1
+        self.cap: dict[tuple[int, int], int] = {}
+        self.adj: dict[int, list[int]] = {x: [] for x in range(2 * n + 2)}
+        for v in g.vertices:
+            self._arc(2 * rank[v], 2 * rank[v] + 1, 1 if v in unit else _INF)
+        for u, v in g.edges:
+            self._arc(2 * rank[u] + 1, 2 * rank[v], edge_cap)
+            self._arc(2 * rank[v] + 1, 2 * rank[u], edge_cap)
+        for v in sorted(sources):
+            self._arc(self.source, 2 * rank[v], _INF)
+        for v in sorted(sinks):
+            self._arc(2 * rank[v] + 1, self.sink, _INF)
+        for x in self.adj:
+            self.adj[x].sort()
+        self.orig = dict(self.cap)
+
+    def _arc(self, x: int, y: int, c: int) -> None:
+        self.cap[(x, y)] = c
+        self.cap.setdefault((y, x), 0)
+        self.adj[x].append(y)
+        self.adj[y].append(x)
+
+    def max_flow(self, limit: int | None = None) -> int:
+        total = 0
+        while limit is None or total < limit:
+            prev = self._augmenting_path()
+            if prev is None:
+                break
+            x = self.sink
+            while x != self.source:
+                p = prev[x]
+                self.cap[(p, x)] -= 1
+                self.cap[(x, p)] += 1
+                x = p
+            total += 1
+        return total
+
+    def _augmenting_path(self) -> dict[int, int] | None:
+        prev = {self.source: self.source}
+        frontier = [self.source]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in self.adj[x]:
+                    if y not in prev and self.cap[(x, y)] > 0:
+                        prev[y] = x
+                        if y == self.sink:
+                            return prev
+                        nxt.append(y)
+            frontier = nxt
+        return None
+
+    def paths(self) -> list[tuple[int, ...]]:
+        """Decompose the flow into vertex-id paths, one per unit.
+
+        Walks from the source choosing the least next node with
+        remaining flow; conservation guarantees each walk ends at the
+        sink. Any flow cycle the walk wanders through is spliced out,
+        so results are simple paths.
+        """
+        flow = {arc: c0 - self.cap[arc] for arc, c0 in self.orig.items() if c0 > self.cap[arc]}
+        out: list[tuple[int, ...]] = []
+        while True:
+            starts = sorted(y for y in self.adj[self.source] if flow.get((self.source, y), 0) > 0)
+            if not starts:
+                return out
+            x = starts[0]
+            flow[(self.source, x)] -= 1
+            nodes = [x]
+            while x != self.sink:
+                y = min(y for y in self.adj[x] if flow.get((x, y), 0) > 0)
+                flow[(x, y)] -= 1
+                nodes.append(y)
+                x = y
+            verts: list[int] = []
+            for nd in nodes[:-1]:
+                v = self.vertex[nd // 2]
+                if not verts or verts[-1] != v:
+                    if v in verts:
+                        del verts[verts.index(v) + 1 :]
+                    else:
+                        verts.append(v)
+            out.append(tuple(verts))
+
+    def cut_vertices(self) -> frozenset[int]:
+        """Vertices whose through-arcs form the sink-side minimum cut.
+
+        Run only after max_flow with unbounded edge arcs; asserts every
+        crossing arc is a through-arc.
+        """
+        side = {self.sink}
+        frontier = [self.sink]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for x in self.adj[y]:
+                    if x not in side and self.cap[(x, y)] > 0:
+                        side.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        cut: set[int] = set()
+        for (x, y), c0 in self.orig.items():
+            if c0 > 0 and x not in side and y in side:
+                if y != x + 1 or x % 2 != 0:
+                    raise AssertionError(f"minimum cut crosses non-through arc {(x, y)}")
+                cut.add(self.vertex[x // 2])
+        return frozenset(cut)
+
+
+def ref_family(g: Graph, v: int, w: int) -> list[tuple[int, ...]]:
+    net = _FlowNet(g, frozenset({v}), frozenset({w}), g.vertex_set - {v, w}, edge_cap=1)
+    net.max_flow()
+    return sorted(net.paths())
+
+
+def ref_min_separator(g: Graph, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    net = _FlowNet(g, a, b, g.vertex_set - a - b, edge_cap=_INF)
+    net.max_flow()
+    return net.cut_vertices()
+
+
+def ref_min_blocking_set(g: Graph, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    net = _FlowNet(g, a, b, g.vertex_set, edge_cap=_INF)
+    net.max_flow()
+    return net.cut_vertices()

@@ -225,6 +225,28 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [], "edges": [[true, 2]]}',
+        '{"vertices": [false], "edges": [[0, 1], [1, 2]]}',
+    ],
+)
+def test_bool_vertex_ids_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code = main(["nst", "--input", str(path), "--root", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bool_tree_ids_exit_2(capsys, tmp_path, k4_file):
+    path = tmp_path / "t.json"
+    path.write_text('{"root": 1, "parent": {"2": true, "3": 1, "4": 1}}')
+    assert main(["check-normal", "--input", k4_file, "--tree", str(path)]) == 2
+    assert main(["levels", "--tree", str(path)]) == 2
+
+
 def test_both_sources_rejected(capsys, k4_file):
     code = main(["nst", "--input", k4_file, "--gen", "grid", "--radius", "2", "--root", "1"])
     assert code == 2

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_st
+from helpers import connected_graphs_st, random_connected_graph
 from nstree import (
     Graph,
     InseparableError,
@@ -18,7 +19,14 @@ from nstree import (
     min_blocking_set,
     min_separator,
 )
-from oracles import brute_kappa, brute_min_blocking_size, brute_min_separator_size
+from oracles import (
+    brute_kappa,
+    brute_min_blocking_size,
+    brute_min_separator_size,
+    ref_family,
+    ref_min_blocking_set,
+    ref_min_separator,
+)
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -211,3 +219,48 @@ def test_kappa_symmetric_and_monotone(g, rng):
         extra = rng.choice(non_edges)
         bigger = Graph(g.vertices, (*g.edges, extra))
         assert kappa(bigger, v, w) >= k
+
+
+def _differential_graph(rng: random.Random) -> Graph:
+    """Connected or not, ids spread out so ranks and ids differ."""
+    n = rng.randrange(2, 14)
+    g = random_connected_graph(rng, n, rng.choice([0.0, 0.15, 0.35, 0.7]))
+    ids = rng.sample(range(-20, 60), n)
+    edges = [(ids[u], ids[v]) for u, v in g.edges if rng.random() < 0.85]
+    return Graph(ids, edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_matches_reference_network(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        g = _differential_graph(rng)
+        for v in g.vertices:
+            for w in g.vertices:
+                if v != w:
+                    fam = max_independent_paths(g, v, w)
+                    assert [p.vertices for p in fam] == ref_family(g, v, w)
+        for _ in range(8):
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, max(1, len(g) // 3))))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, max(1, len(g) // 3))))
+            assert min_blocking_set(g, a, b).s == ref_min_blocking_set(g, a, b)
+            if a & b or any(g.has_edge(x, y) for x in a for y in b):
+                continue
+            assert min_separator(g, a, b).s == ref_min_separator(g, a, b)
+
+
+@pytest.mark.parametrize("n", [50, 120, 200])
+def test_kappa_and_separators_match_networkx(n):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity, minimum_node_cut
+
+    rng = random.Random(n)
+    g = random_connected_graph(rng, n, 6 / n)
+    h = nx.Graph(list(g.edges))
+    pairs = [(v, w) for v, w in combinations(g.vertices, 2) if not g.has_edge(v, w)]
+    for v, w in rng.sample(pairs, 12):
+        k = kappa(g, v, w)
+        assert k == local_node_connectivity(h, v, w)
+        sep = min_separator(g, {v}, {w})
+        assert len(sep.s) == k == len(minimum_node_cut(h, v, w))
+        assert not any(v in c and w in c for c in components(g, sep.s))

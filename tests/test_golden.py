@@ -1,0 +1,38 @@
+"""Byte-for-byte checks against the golden corpus (see make_golden.py)."""
+
+from __future__ import annotations
+
+import pytest
+
+from make_golden import (
+    CLI_CASES,
+    GOLDEN,
+    LOG_CASES,
+    cli_argv,
+    family_graphs,
+    family_text,
+    log_stderr,
+)
+from nstree.cli import main
+
+GRAPHS = family_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_every_pair_family_matches_golden(name):
+    expected = (GOLDEN / "families" / f"{name}.txt").read_text()
+    assert family_text(GRAPHS[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name, capsys, tmp_path):
+    code = main(cli_argv(name, tmp_path))
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "cli" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("mode", ["steps", "full"])
+@pytest.mark.parametrize("name", sorted(LOG_CASES))
+def test_log_output_matches_golden(name, mode):
+    expected = (GOLDEN / "cli" / f"{name}.{mode}.log").read_text()
+    assert log_stderr(LOG_CASES[name], mode) == expected

@@ -28,6 +28,14 @@ def test_graph_rejects_non_integer_ids():
         Graph(["a"])
 
 
+@pytest.mark.parametrize("v", [True, False])
+def test_graph_rejects_bool_ids(v):
+    with pytest.raises(TypeError):
+        Graph([v])
+    with pytest.raises(TypeError):
+        Graph(edges=[(v, 2)])
+
+
 def test_parallel_edges_collapse():
     g = Graph(edges=[(1, 2), (2, 1)])
     assert g.edges == ((1, 2),)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import connected_graphs_st, random_connected_graph
 from nstree import Graph, RootedTree, dfs_nst, find_fat_tk, levels_of, omega_nst
+from nstree.cli import main as cli_main
 from nstree.io import (
     cert_from_obj,
     cert_to_obj,
@@ -78,6 +79,8 @@ def test_loads_graph_sniffs_format():
         {"vertices": [1.5], "edges": []},
         {"vertices": [], "edges": [[1]]},
         {"vertices": [], "edges": [["a", "b"]]},
+        {"vertices": [True], "edges": []},
+        {"vertices": [], "edges": [[True, 2]]},
     ],
 )
 def test_graph_from_obj_rejects_malformed(obj):
@@ -101,6 +104,8 @@ def test_tree_round_trip():
         {"root": 1, "parent": []},
         {"root": 1, "parent": {"x": 1}},
         {"root": 1, "parent": {"2": "1"}},
+        {"root": True, "parent": {"2": 1}},
+        {"root": 1, "parent": {"2": True}},
     ],
 )
 def test_tree_from_obj_rejects_malformed(obj):
@@ -155,6 +160,9 @@ def test_cert_round_trip():
         {"branch": [1, 2], "m": 1, "paths": []},
         {"branch": [1, 2], "m": 1, "paths": {"1-2": [[1, 2]]}},
         {"branch": [1, 2], "m": 1, "paths": {"1,2": [[1, "2"]]}},
+        {"branch": [True, 2], "m": 1, "paths": {"1,2": [[1, 2]]}},
+        {"branch": [1, 2], "m": True, "paths": {"1,2": [[1, 2]]}},
+        {"branch": [1, 2], "m": 1, "paths": {"1,2": [[True, 2]]}},
     ],
 )
 def test_cert_from_obj_rejects_malformed(obj):
@@ -179,17 +187,28 @@ def test_verdict_obj():
     assert len(obj["examined"]) == len(verdict.examined)
 
 
-def test_cover_round_trip():
-    cover = levels_of(dfs_nst(C5, 0))
-    obj = cover_to_obj(cover)
-    assert obj == {"levels": [[0], [1], [2], [3], [4]]}
+def test_cover_round_trip(capsys, tmp_path):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(dumps(tree_to_obj(dfs_nst(C5, 0))))
+    graph_file = tmp_path / "c5.json"
+    graph_file.write_text(dumps(graph_to_obj(C5)))
+    assert cli_main(["levels", "--tree", str(tree_file)]) == 0
+    levels = capsys.readouterr().out
+    assert json.loads(levels) == cover_to_obj(levels_of(dfs_nst(C5, 0)))
+    assert json.loads(levels) == {"levels": [[0], [1], [2], [3], [4]]}
+    cover_file = tmp_path / "cover.json"
+    cover_file.write_text(levels)
+    argv = ["cover-nst", "--input", str(graph_file), "--root", "0", "--cover", str(cover_file)]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "spanning"
     assert cover_from_obj([[0], [1, 2]]).sets == (frozenset({0}), frozenset({1, 2}))
     assert loads_cover('{"cover": [[0], [1, 2]]}').sets == (
         frozenset({0}),
         frozenset({1, 2}),
     )
-    with pytest.raises(ValueError):
-        cover_from_obj({"cover": [["a"]]})
+    for bad in ({"cover": [["a"]]}, {"levels": [[True]]}, [[0], [False]]):
+        with pytest.raises(ValueError):
+            cover_from_obj(bad)
 
 
 def test_dumps_is_deterministic():
