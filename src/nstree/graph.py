@@ -94,7 +94,9 @@ class Graph:
 
 
 def _check_vertex(v: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
+    # exact ints take the first test alone; bool is an int subclass but
+    # never a vertex id (JSON true/false)
+    if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
         raise TypeError(f"vertex ids must be integers, got {type(v).__name__}")
     return v
 

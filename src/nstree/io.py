@@ -15,7 +15,7 @@ from .graph import Graph
 from .tree import RootedTree
 
 
-def _is_id(x: Any) -> bool:
+def _is_int(x: Any) -> bool:
     # JSON true/false parse as bool, which is an int subclass
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -32,13 +32,13 @@ def graph_from_obj(obj: Any) -> Graph:
         raise ValueError('graph JSON must be an object with "vertices" and "edges"')
     vertices = obj["vertices"]
     edges = obj["edges"]
-    if not isinstance(vertices, list) or not all(_is_id(v) for v in vertices):
+    if not isinstance(vertices, list) or not all(_is_int(v) for v in vertices):
         raise ValueError("graph vertices must be a list of integers")
     if not isinstance(edges, list):
         raise ValueError("graph edges must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_id(x) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise ValueError(f"bad edge entry {e!r}; expected [u, v]")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
@@ -107,7 +107,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
     if not isinstance(obj, dict) or "root" not in obj or "parent" not in obj:
         raise ValueError('tree JSON must be an object with "root" and "parent"')
     root = obj["root"]
-    if not _is_id(root):
+    if not _is_int(root):
         raise ValueError("tree root must be an integer")
     parent_obj = obj["parent"]
     if not isinstance(parent_obj, dict):
@@ -118,7 +118,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
             child = int(k)
         except ValueError:
             raise ValueError(f"bad child id {k!r} in parent map") from None
-        if not _is_id(p):
+        if not _is_int(p):
             raise ValueError(f"bad parent {p!r} for child {k}")
         parent[child] = p
     return RootedTree(root, parent)
@@ -185,9 +185,9 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError('certificate JSON needs "branch", "m" and "paths"')
     branch = obj["branch"]
     m = obj["m"]
-    if not isinstance(branch, list) or not all(_is_id(v) for v in branch):
+    if not isinstance(branch, list) or not all(_is_int(v) for v in branch):
         raise ValueError("certificate branch must be a list of integers")
-    if not _is_id(m):
+    if not _is_int(m):
         raise ValueError("certificate m must be an integer")
     paths: dict[tuple[int, int], list[list[int]]] = {}
     if not isinstance(obj["paths"], dict):
@@ -198,7 +198,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
         if not isinstance(plist, list) or not all(
-            isinstance(p, list) and all(_is_id(x) for x in p) for p in plist
+            isinstance(p, list) and all(_is_int(x) for x in p) for p in plist
         ):
             raise ValueError(f"paths for {key} must be lists of integer lists")
         paths[(a, b)] = plist
@@ -239,7 +239,7 @@ def cover_from_obj(obj: Any) -> DispersedCover:
     if isinstance(obj, dict):
         obj = obj.get("cover", obj.get("levels"))
     if not isinstance(obj, list) or not all(
-        isinstance(s, list) and all(_is_id(v) for v in s) for s in obj
+        isinstance(s, list) and all(_is_int(v) for v in s) for s in obj
     ):
         raise ValueError("cover must be a list of integer lists")
     return DispersedCover(tuple(frozenset(s) for s in obj))

@@ -13,16 +13,18 @@ Regenerate (only on purpose, recording why in CHANGES.md) with
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from helpers import random_connected_graph  # noqa: E402
-from nstree import Graph, make_generator, max_independent_paths, truncate  # noqa: E402
+from helpers import random_connected_graph
+from nstree import Graph, make_generator, max_independent_paths, truncate
+from nstree.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -118,12 +120,6 @@ def log_stderr(argv: list[str], mode: str) -> str:
 
 
 def main() -> None:
-    import contextlib
-    import io
-    import tempfile
-
-    from nstree.cli import main as cli_main
-
     (GOLDEN / "families").mkdir(parents=True, exist_ok=True)
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     for name, g in family_graphs().items():
