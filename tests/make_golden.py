@@ -1,4 +1,4 @@
-"""The golden corpus: canonical path families and CLI outputs, pinned.
+"""The golden corpus: canonical path families, traces and CLI outputs, pinned.
 
 "Canonical" is defined by the flow engine's tie-breaks (BFS
 augmentation over ascending node ids, least-next decomposition), and
@@ -14,6 +14,7 @@ Regenerate (only on purpose, recording why in CHANGES.md) with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -23,8 +24,18 @@ import tempfile
 from pathlib import Path
 
 from helpers import random_connected_graph
-from nstree import Graph, make_generator, max_independent_paths, truncate
+from nstree import (
+    DispersedCover,
+    Graph,
+    local_normal_tree,
+    make_generator,
+    max_independent_paths,
+    nst_from_dispersed_cover,
+    omega_nst,
+    truncate,
+)
 from nstree.cli import main as cli_main
+from nstree.io import dumps, trace_to_obj, tree_to_obj
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,6 +61,49 @@ def family_text(g: Graph) -> str:
                 fam = max_independent_paths(g, v, w)
                 paths = " | ".join(" ".join(map(str, p.vertices)) for p in fam)
                 lines.append(f"{v} {w}: {paths}")
+    return "\n".join(lines) + "\n"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trace_digest_text() -> str:
+    """One line per run: its parameters and the sha256 of its trace JSON.
+
+    Three runs (omega_nst, local_normal_tree, nst_from_dispersed_cover)
+    on each of 150 seeded random connected graphs with 10-40 vertices and
+    varied roots, some with kappa_small or step_budget. For the first
+    six graphs a "prefix" line also pins every prefix_tree(k) of the
+    omega_nst run.
+    """
+    lines = []
+    for seed in range(150):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(10, 40)
+        g = random_connected_graph(rng, n, rng.choice([0.03, 0.08, 0.15, 0.3]))
+        r = rng.randrange(n)
+        kappa_small = rng.randint(0, 3) if seed % 4 == 1 else None
+        budget = rng.randint(0, 3) if seed % 5 == 2 else None
+        u = frozenset(rng.sample(g.vertices, rng.randint(1, 5)))
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        k = rng.randint(1, 4)
+        cover = DispersedCover(tuple(frozenset(vs[i::k]) for i in range(k)))
+        runs = {
+            "omega": omega_nst(g, r, budget, kappa_small),
+            "local": local_normal_tree(g, u, r, budget, kappa_small),
+            "cover": nst_from_dispersed_cover(g, cover, r, budget, kappa_small),
+        }
+        head = f"seed={seed} n={n} m={len(g.edges)} r={r} kappa_small={kappa_small} budget={budget}"
+        for kind, trace in runs.items():
+            lines.append(f"{head} {kind} {_sha(dumps(trace_to_obj(trace)))}")
+        if seed < 6:
+            trace = runs["omega"]
+            prefixes = "".join(
+                dumps(tree_to_obj(trace.prefix_tree(j))) for j in range(len(trace.steps) + 1)
+            )
+            lines.append(f"{head} prefix {_sha(prefixes)}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,6 +178,7 @@ def main() -> None:
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     for name, g in family_graphs().items():
         (GOLDEN / "families" / f"{name}.txt").write_text(family_text(g))
+    (GOLDEN / "traces.txt").write_text(trace_digest_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

@@ -12,6 +12,7 @@ from make_golden import (
     family_graphs,
     family_text,
     log_stderr,
+    trace_digest_text,
 )
 from nstree.cli import main
 
@@ -36,3 +37,7 @@ def test_cli_output_matches_golden(name, capsys, tmp_path):
 def test_log_output_matches_golden(name, mode):
     expected = (GOLDEN / "cli" / f"{name}.{mode}.log").read_text()
     assert log_stderr(LOG_CASES[name], mode) == expected
+
+
+def test_trace_digests_match_golden():
+    assert trace_digest_text() == (GOLDEN / "traces.txt").read_text()
