@@ -24,10 +24,7 @@ from .construct import (
     DispersedCover,
     ExtensionStep,
     RunTrace,
-    attach,
     dfs_nst,
-    extend_into_component,
-    jung_subtree,
     levels_of,
     local_normal_tree,
     nst_from_dispersed_cover,
@@ -92,9 +89,6 @@ __all__ = [
     "min_separator",
     "min_blocking_set",
     "dfs_nst",
-    "jung_subtree",
-    "attach",
-    "extend_into_component",
     "omega_nst",
     "local_normal_tree",
     "nst_from_dispersed_cover",

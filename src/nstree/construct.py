@@ -19,8 +19,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .connectivity import FlowNetwork, PathFamily
-from .graph import Graph, components, induced_subgraph, is_connected, neighborhood
-from .tree import RootedTree, down_closure, is_chain
+from .graph import Graph, components, is_connected, neighborhood
+from .tree import RootedTree
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +87,19 @@ def dfs_nst(g: Graph, r: int) -> RootedTree:
     """
     if r not in g:
         raise ValueError(f"root {r} not in graph")
-    if not is_connected(g):
+    parent = _dfs(g, r, g.vertex_set)
+    if len(parent) + 1 != len(g):
         raise ValueError("graph is disconnected")
+    return RootedTree(r, parent)
+
+
+def _dfs(g: Graph, r: int, inside: frozenset[int]) -> dict[int, int]:
+    """Parent map of the depth-first tree from r of the subgraph induced
+    by inside, children in ascending id order.
+
+    Vertices enter the map in discovery order, so every parent precedes
+    its children.
+    """
     parent: dict[int, int] = {}
     seen: set[int] = set()
     stack: list[tuple[int, int | None]] = [(r, None)]
@@ -100,105 +111,53 @@ def dfs_nst(g: Graph, r: int) -> RootedTree:
         if p is not None:
             parent[x] = p
         for y in reversed(g.neighbors(x)):
-            if y not in seen:
+            if y in inside and y not in seen:
                 stack.append((y, x))
-    return RootedTree(r, parent)
-
-
-def jung_subtree(g: Graph, c: Iterable[int], r: int) -> RootedTree:
-    """Normal spanning tree of the induced subgraph on c, rooted at r."""
-    c = frozenset(c)
-    if r not in c:
-        raise ValueError(f"root {r} not in the vertex set")
-    sub = induced_subgraph(g, c)
-    if not is_connected(sub):
-        raise ValueError("vertex set induces a disconnected subgraph")
-    return dfs_nst(sub, r)
-
-
-def attach(g: Graph, t: RootedTree, c: Iterable[int], subtree: RootedTree) -> RootedTree:
-    """Hang a normal spanning tree of component c below the deepest tree
-    neighbor of c.
-
-    The subtree's root must be adjacent to that neighbor; the combined
-    tree is normal on vertices(t) ∪ c whenever t was normal and the
-    neighborhood of c is a chain.
-    """
-    c = frozenset(c)
-    if c not in components(g, t.vertex_set):
-        raise ValueError("c is not a component of the graph minus the tree")
-    nbrs = neighborhood(g, c, t.vertex_set)
-    if not nbrs:
-        raise ValueError("component has no neighbor in the tree")
-    if not is_chain(t, nbrs):
-        raise ValueError("tree neighborhood of the component is not a chain")
-    if subtree.vertex_set != c:
-        raise ValueError("subtree does not span the component")
-    for u, v in subtree.edges():
-        if not g.has_edge(u, v):
-            raise ValueError(f"subtree edge {u}-{v} is not an edge of the graph")
-    t_c = max(nbrs, key=t.depth)
-    if not g.has_edge(t_c, subtree.root):
-        raise ValueError(
-            f"subtree root {subtree.root} is not adjacent to attachment vertex {t_c}"
-        )
-    parent = t.parent_map
-    parent.update(subtree.parent_map)
-    parent[subtree.root] = t_c
-    return RootedTree(t.root, parent)
-
-
-def extend_into_component(
-    g: Graph, t: RootedTree, d: Iterable[int], targets: Iterable[int]
-) -> RootedTree:
-    """Grow t finitely into component d until it contains the targets.
-
-    The extension enters d at the least-id neighbor of the deepest tree
-    neighbor of d, builds a normal spanning tree of d from there, and
-    keeps only the down-closures of the targets. Keeping a down-closed
-    subtree preserves normality, and pruning keeps the growth finite in
-    spirit even though everything here is finite anyway.
-    """
-    d = frozenset(d)
-    targets = frozenset(targets)
-    if d not in components(g, t.vertex_set):
-        raise ValueError("d is not a component of the graph minus the tree")
-    if not targets:
-        raise ValueError("targets must be nonempty; substitute the least vertex of d")
-    if not targets <= d:
-        raise ValueError(f"targets outside the component: {sorted(targets - d)}")
-    nbrs = neighborhood(g, d, t.vertex_set)
-    _, _, t2, _ = _extend(g, t, d, nbrs, targets)
-    return t2
+    return parent
 
 
 def _extend(
     g: Graph,
-    t: RootedTree,
+    parent: dict[int, int],
+    depth: dict[int, int],
     d: frozenset[int],
     nbrs: frozenset[int],
     targets: frozenset[int],
-) -> tuple[int, int, RootedTree, tuple[tuple[int, int], ...]]:
-    if not nbrs:
-        raise ValueError("component has no neighbor in the tree")
-    if not is_chain(t, nbrs):
-        raise ValueError(
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """Grow the tree given by parent and depth into component d, in place.
+
+    The extension enters d at the least-id neighbor r_d of the deepest
+    tree neighbor t_d of d, builds a depth-first tree of d from there,
+    and keeps only the down-closures of the targets. Keeping a
+    down-closed subtree preserves normality. Returns t_d, r_d and the
+    new (child, parent) edges in ascending order.
+    """
+    t_d = max(nbrs, key=depth.__getitem__)
+    # a normal tree's neighborhood of d is a chain: all of it lies on
+    # the root path of its deepest member
+    found = 1
+    x = t_d
+    while found < len(nbrs) and x in parent:
+        x = parent[x]
+        if x in nbrs:
+            found += 1
+    if found < len(nbrs):
+        raise AssertionError(
             "tree neighborhood of the component is not a chain (tree is not normal)"
         )
-    t_d = max(nbrs, key=t.depth)
-    r_d = min(x for x in g.neighbors(t_d) if x in d)
-    full = dfs_nst(induced_subgraph(g, d), r_d)
-    keep: set[int] = set()
-    for x in targets | {r_d}:
-        keep |= down_closure(full, x)
-    parent = t.parent_map
-    added = {r_d: t_d}
-    for v, p in full.parent_map.items():
-        if v in keep:
-            added[v] = p
-    parent.update(added)
-    t2 = RootedTree(t.root, parent)
-    return t_d, r_d, t2, tuple(sorted(added.items()))
+    r_d = next(x for x in g.neighbors(t_d) if x in d)
+    sub = _dfs(g, r_d, d)
+    keep = {r_d}
+    for x in targets:
+        while x not in keep:
+            keep.add(x)
+            x = sub[x]
+    added = [(r_d, t_d)]
+    added.extend((v, p) for v, p in sub.items() if v in keep)
+    for v, p in added:
+        parent[v] = p
+        depth[v] = depth[p] + 1
+    return t_d, r_d, tuple(sorted(added))
 
 
 def omega_nst(
@@ -303,6 +262,8 @@ def _run(
         raise ValueError("graph is disconnected")
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
+    if kappa_small is not None and kappa_small < 0:
+        raise ValueError(f"kappa_small must be non-negative, got {kappa_small}")
 
     net = FlowNetwork(g)
     # a pair above kappa_small is discarded as soon as it shows one path too many
@@ -317,23 +278,26 @@ def _run(
             families[key] = net.family(v, w, limit)
         return families[key]
 
-    t = RootedTree(r)
+    # the tree grows in place; a RootedTree is built only for the result
+    parent: dict[int, int] = {}
+    depth = {r: 0}
     steps: list[ExtensionStep] = []
     sweep = 0
     while True:
-        if t.vertex_set == g.vertex_set:
-            return RunTrace(tuple(steps), t, SPANNING)
-        if goal is not None and goal(t.vertex_set):
-            return RunTrace(tuple(steps), t, TARGET_COVERED)
+        tree = frozenset(depth)
+        if tree == g.vertex_set:
+            return RunTrace(tuple(steps), RootedTree(r, parent), SPANNING)
+        if goal is not None and goal(tree):
+            return RunTrace(tuple(steps), RootedTree(r, parent), TARGET_COVERED)
         if step_budget is not None and sweep >= step_budget:
-            return RunTrace(tuple(steps), t, BUDGET_EXHAUSTED)
+            return RunTrace(tuple(steps), RootedTree(r, parent), BUDGET_EXHAUSTED)
         # extending into one component never changes another component
-        # or its tree neighborhood, so the sweep may mutate t freely
-        comps = components(g, t.vertex_set)
+        # or its tree neighborhood, so the sweep may grow the tree freely
+        comps = components(g, tree)
         if skip is not None:
             comps = [d for d in comps if not skip(d)]
         for d in comps:
-            nbrs = sorted(neighborhood(g, d, t.vertex_set))
+            nbrs = sorted(neighborhood(g, d, tree))
             selections: list[tuple[tuple[int, int], int]] = []
             targets: set[int] = set()
             for i, v in enumerate(nbrs):
@@ -358,7 +322,7 @@ def _run(
             if not targets:
                 fallback = min(d)
                 targets.add(fallback)
-            t_d, r_d, t, added = _extend(g, t, d, frozenset(nbrs), frozenset(targets))
+            t_d, r_d, added = _extend(g, parent, depth, d, frozenset(nbrs), frozenset(targets))
             steps.append(
                 ExtensionStep(
                     step=sweep,

@@ -168,7 +168,9 @@ def make_generator(name: str, n: int | None = None, m: int | None = None) -> Gra
     """Look up a built-in generator by CLI name."""
     if name == "fat-tk-gen":
         if n is None or m is None:
-            raise ValueError("fat-tk-gen requires --n and --m")
+            raise ValueError(
+                "fat-tk-gen needs parameters N and M; write it as fat-tk-gen(N,M), e.g. fat-tk-gen(3,2)"
+            )
         return fat_tk(n, m)
     try:
         factory = BUILTIN_GENERATORS[name]

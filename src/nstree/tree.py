@@ -29,24 +29,24 @@ class RootedTree:
             if p != root and p not in parent:
                 raise ValueError(f"parent {p} of {v} is not a tree vertex")
             children[p].append(v)
-        # depths double as the acyclicity check: a cycle in the parent
-        # map is unreachable from the root and left without a depth
+        # breadth-first from the root, the growing order list serving as
+        # the queue; depths double as the acyclicity check: a cycle in the
+        # parent map is unreachable from the root and left without a depth
         depth: dict[int, int] = {root: 0}
         order: list[int] = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for c in sorted(children[v]):
+        sorted_children: dict[int, tuple[int, ...]] = {}
+        for v in order:
+            cs = sorted_children[v] = tuple(sorted(children[v]))
+            for c in cs:
                 depth[c] = depth[v] + 1
-                order.append(c)
-                queue.append(c)
+            order.extend(cs)
         if len(depth) != len(parent) + 1:
             stranded = sorted(set(parent) - set(depth))
             raise ValueError(f"parent map has a cycle through {stranded}")
         self._root = root
         self._parent = parent
         self._depth = depth
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+        self._children = sorted_children
         self._order = tuple(order)
 
     @property

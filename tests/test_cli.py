@@ -207,6 +207,14 @@ def test_fat_tk_generator_argument_form(capsys):
     assert json.loads(out)["status"] in ("spanning", "budget-exhausted")
 
 
+def test_fat_tk_generator_without_parameters_exit_2(capsys):
+    code = main(["omega", "--gen", "fat-tk-gen", "--radius", "2", "--root", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "fat-tk-gen(N,M)" in err
+    assert "--n" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -216,6 +224,7 @@ def test_fat_tk_generator_argument_form(capsys):
         ["nst", "--input", "/nonexistent.json", "--root", "1"],
         ["kappa", "--gen", "grid", "--radius", "2", "--pair", "0", "999"],
         ["separator", "--gen", "grid", "--radius", "2", "--a", "0", "--b", "x"],
+        ["omega", "--gen", "grid", "--radius", "3", "--root", "0", "--kappa-small", "-3"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

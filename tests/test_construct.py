@@ -15,12 +15,10 @@ from nstree import (
     RootedTree,
     SPANNING,
     TARGET_COVERED,
-    attach,
     components,
     dfs_nst,
-    extend_into_component,
+    induced_subgraph,
     is_normal,
-    jung_subtree,
     levels_of,
     local_normal_tree,
     nst_from_dispersed_cover,
@@ -28,6 +26,7 @@ from nstree import (
     tree_leq,
     truncate,
 )
+from nstree.construct import _dfs, _extend
 from nstree.generators import fat_tk, grid
 from oracles import normal_spanning_trees
 
@@ -58,83 +57,63 @@ def test_dfs_nst_rejects_disconnected():
         dfs_nst(Graph([1, 2]), 1)
 
 
-def test_jung_subtree_triangle():
-    g = Graph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    t = jung_subtree(g, {0, 1, 2}, 0)
-    assert t.vertex_set == {0, 1, 2}
-    assert is_normal(Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]), t).normal
+def test_dfs_inside_matches_dfs_of_induced_subgraph():
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(2, 14), rng.choice([0.05, 0.2, 0.5]))
+        inside = components(g, frozenset(rng.sample(g.vertices, rng.randint(0, len(g) // 2))))[0]
+        r = rng.choice(sorted(inside))
+        expected = dfs_nst(induced_subgraph(g, inside), r).parent_map
+        assert _dfs(g, r, inside) == expected
 
 
-def test_jung_subtree_full_vertex_set():
-    assert jung_subtree(K4, K4.vertex_set, 1) == dfs_nst(K4, 1)
-
-
-def test_jung_subtree_validation():
-    g = Graph(edges=[(0, 1), (2, 3), (1, 2)])
-    with pytest.raises(ValueError):
-        jung_subtree(g, {0, 3}, 0)
-    with pytest.raises(ValueError):
-        jung_subtree(g, {0, 1}, 2)
-
-
-def test_attach_path():
-    g = Graph(edges=[(0, 1), (1, 2)])
-    t = RootedTree(0)
-    sub = RootedTree(1, {2: 1})
-    out = attach(g, t, {1, 2}, sub)
-    assert out.parent_map == {1: 0, 2: 1}
-
-
-def test_attach_cycle_completion():
-    t = RootedTree(1, {2: 1, 3: 2})
-    out = attach(C4, t, {4}, RootedTree(4))
-    assert out.parent_map == {2: 1, 3: 2, 4: 3}
-    assert is_normal(C4, out).normal
-
-
-def test_attach_validation():
-    t = RootedTree(1, {2: 1, 3: 2})
-    with pytest.raises(ValueError):
-        attach(C4, t, {4, 2}, RootedTree(4))  # not a component
-    with pytest.raises(ValueError):
-        attach(C4, t, {4}, RootedTree(4, {5: 4}))  # does not span
-    star = RootedTree(1, {2: 1, 4: 1})
-    with pytest.raises(ValueError):
-        attach(C4, star, {3}, RootedTree(3))  # N({3}) = {2,4} not a chain
-
-
-def test_attach_subtree_root_must_touch_attachment():
-    g = Graph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
-    t = RootedTree(0, {1: 0})
-    # component {2,3}: N = {0,1}, deepest is 1; subtree rooted at 3 is
-    # not adjacent to 1
-    with pytest.raises(ValueError):
-        attach(g, t, {2, 3}, RootedTree(3, {2: 3}))
-
-
-def test_extend_into_component_path_pruning():
+def test_local_prunes_to_target_down_closures():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-    t = extend_into_component(g, RootedTree(0), {1, 2, 3}, {2})
-    assert t.vertex_set == {0, 1, 2}
-    assert t.parent_map == {1: 0, 2: 1}
-
-
-def test_extend_into_component_full_targets():
+    trace = local_normal_tree(g, {2}, 0)
+    assert trace.status == TARGET_COVERED
+    assert trace.tree.parent_map == {1: 0, 2: 1}
+    (step,) = trace.steps
+    assert (step.component, step.attach_vertex, step.entry_vertex) == ({1, 2, 3}, 0, 1)
+    # a target at the bottom of the component's depth-first tree keeps all of it
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (1, 3)])
-    d = frozenset({1, 2, 3})
-    t = extend_into_component(g, RootedTree(0), d, d)
-    assert t.vertex_set == g.vertex_set
-    assert is_normal(g, t).normal
+    trace = local_normal_tree(g, {3}, 0)
+    assert trace.status == SPANNING
+    assert trace.tree.parent_map == {1: 0, 2: 1, 3: 2}
+    assert len(trace.steps) == 1
+    assert is_normal(g, trace.tree).normal
 
 
-def test_extend_into_component_validation():
-    g = Graph(edges=[(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        extend_into_component(g, RootedTree(0), {1}, {1})  # not a component
-    with pytest.raises(ValueError):
-        extend_into_component(g, RootedTree(0), {1, 2}, set())  # empty targets
-    with pytest.raises(ValueError):
-        extend_into_component(g, RootedTree(0), {1, 2}, {0, 1})  # stray target
+def test_local_enters_at_least_neighbor_of_deepest_tree_neighbor():
+    # after the first sweep the tree is 0-1; the component {2, 3, 4, 5}
+    # has tree neighbors 0 (via 2) and 1 (via 4 and 5), so the second
+    # extension hangs below 1 and enters at 4, not at the least vertex 2
+    g = Graph(edges=[(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (1, 4), (1, 5)])
+    trace = local_normal_tree(g, {1, 3}, 0)
+    assert trace.status == TARGET_COVERED
+    first, second = trace.steps
+    assert first.added == ((1, 0),)
+    assert (second.component, second.attach_vertex, second.entry_vertex) == ({2, 3, 4, 5}, 1, 4)
+    assert (4, 1) in second.added
+    assert is_normal(g, trace.tree).normal
+
+
+def test_extend_rejects_a_neighborhood_that_is_not_a_chain():
+    # star 1-2, 1-4 in C4 leaves {3} with the incomparable neighbors 2 and 4
+    parent = {2: 1, 4: 1}
+    depth = {1: 0, 2: 1, 4: 1}
+    with pytest.raises(AssertionError):
+        _extend(C4, parent, depth, frozenset({3}), frozenset({2, 4}), frozenset({3}))
+
+
+@pytest.mark.parametrize("kwargs", [{"step_budget": -1}, {"kappa_small": -3}])
+def test_negative_budget_and_kappa_small_rejected(kwargs):
+    cover = DispersedCover((K4.vertex_set,))
+    with pytest.raises(ValueError, match="non-negative"):
+        omega_nst(K4, 1, **kwargs)
+    with pytest.raises(ValueError, match="non-negative"):
+        local_normal_tree(K4, {2}, 1, **kwargs)
+    with pytest.raises(ValueError, match="non-negative"):
+        nst_from_dispersed_cover(K4, cover, 1, **kwargs)
 
 
 def test_omega_single_vertex():
