@@ -57,6 +57,17 @@ def test_dfs_nst_rejects_disconnected():
         dfs_nst(Graph([1, 2]), 1)
 
 
+def test_jung_subtree_triangle():
+    g = Graph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    t = RootedTree(0, _dfs(g, 0, frozenset({0, 1, 2})))
+    assert t.vertex_set == {0, 1, 2}
+    assert is_normal(Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]), t).normal
+
+
+def test_jung_subtree_full_vertex_set():
+    assert RootedTree(1, _dfs(K4, 1, K4.vertex_set)) == dfs_nst(K4, 1)
+
+
 def test_dfs_inside_matches_dfs_of_induced_subgraph():
     rng = random.Random(23)
     for _ in range(40):
@@ -95,6 +106,38 @@ def test_local_enters_at_least_neighbor_of_deepest_tree_neighbor():
     assert (second.component, second.attach_vertex, second.entry_vertex) == ({2, 3, 4, 5}, 1, 4)
     assert (4, 1) in second.added
     assert is_normal(g, trace.tree).normal
+
+
+def test_attach_cycle_completion():
+    # the path 1-2-3 in C4 leaves {4} with the chain of neighbors 1 and 3
+    parent = {2: 1, 3: 2}
+    depth = {1: 0, 2: 1, 3: 2}
+    out = _extend(C4, parent, depth, frozenset({4}), frozenset({1, 3}), frozenset({4}))
+    assert out == (3, 4, ((4, 3),))
+    assert parent == {2: 1, 3: 2, 4: 3}
+    assert depth[4] == 3
+    assert is_normal(C4, RootedTree(1, parent)).normal
+
+
+def test_extend_into_component_path_pruning():
+    g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
+    parent: dict[int, int] = {}
+    depth = {0: 0}
+    _extend(g, parent, depth, frozenset({1, 2, 3}), frozenset({0}), frozenset({2}))
+    t = RootedTree(0, parent)
+    assert t.vertex_set == {0, 1, 2}
+    assert t.parent_map == {1: 0, 2: 1}
+
+
+def test_extend_into_component_full_targets():
+    g = Graph(edges=[(0, 1), (1, 2), (2, 3), (1, 3)])
+    d = frozenset({1, 2, 3})
+    parent: dict[int, int] = {}
+    depth = {0: 0}
+    _extend(g, parent, depth, d, frozenset({0}), d)
+    t = RootedTree(0, parent)
+    assert t.vertex_set == g.vertex_set
+    assert is_normal(g, t).normal
 
 
 def test_extend_rejects_a_neighborhood_that_is_not_a_chain():
