@@ -1,4 +1,5 @@
-"""The golden corpus: canonical path families, traces and CLI outputs, pinned.
+"""The golden corpus: canonical path families, traces, tree-order answers
+and CLI outputs, pinned.
 
 "Canonical" is defined by the flow engine's tie-breaks (BFS
 augmentation over ascending node ids, least-next decomposition), and
@@ -23,15 +24,22 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, random_rooted_spanning_tree, random_subtree
 from nstree import (
     DispersedCover,
     Graph,
+    RootedTree,
+    dfs_nst,
+    down_closure,
+    is_chain,
+    is_normal,
+    levels_of,
     local_normal_tree,
     make_generator,
     max_independent_paths,
     nst_from_dispersed_cover,
     omega_nst,
+    tree_leq,
     truncate,
 )
 from nstree.cli import main as cli_main
@@ -107,6 +115,78 @@ def trace_digest_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bfs_tree(g: Graph, r: int) -> RootedTree:
+    parent: dict[int, int] = {}
+    frontier = [r]
+    seen = {r}
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    return RootedTree(r, parent)
+
+
+def order_trees() -> list[tuple[str, Graph, RootedTree]]:
+    """A breadth-first, a random depth-first and a random non-spanning
+    subtree of each of 60 seeded random connected graphs (10-40
+    vertices, random roots), then the path-shaped DFS tree of K_60."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(3000 + seed)
+        n = rng.randint(10, 40)
+        g = random_connected_graph(rng, n, rng.choice([0.03, 0.08, 0.15, 0.3]))
+        r = rng.randrange(n)
+        head = f"seed={seed} n={n} m={len(g.edges)} r={r}"
+        out.append((f"{head} bfs", g, _bfs_tree(g, r)))
+        out.append((f"{head} dfs", g, random_rooted_spanning_tree(rng, g, r)))
+        out.append((f"{head} sub", g, random_subtree(rng, g, r)))
+    k60 = Graph(range(60), [(u, v) for u in range(60) for v in range(u + 1, 60)])
+    out.append(("K60 dfs_nst", k60, dfs_nst(k60, 0)))
+    return out
+
+
+def order_text() -> str:
+    """One line per tree of order_trees(): the sha256 of each answer.
+
+    normal: the is_normal report with its witness; chain: is_chain on 40
+    sets, alternately up to 8 vertices of one root path and 8 random
+    tree vertices; leq: tree_leq of every ordered pair; levels: levels_of;
+    then vertices, children, depth and down_closure of every vertex.
+    """
+    lines = []
+    for name, g, t in order_trees():
+        rng = random.Random(name)
+        vs = t.vertices
+        parent = t.parent_map
+        sets = []
+        for j in range(40):
+            if j % 2 == 0:
+                path = [rng.choice(vs)]
+                while path[-1] != t.root:
+                    path.append(parent[path[-1]])
+                sets.append(rng.sample(path, min(8, len(path))))
+            else:
+                sets.append(rng.sample(vs, min(8, len(vs))))
+        rep = is_normal(g, t)
+        fields = {
+            "normal": repr((rep.normal, rep.witness)),
+            "chain": "".join("1" if is_chain(t, s) else "0" for s in sets),
+            "leq": "".join("1" if tree_leq(t, u, v) else "0" for u in vs for v in vs),
+            "levels": repr([sorted(s) for s in levels_of(t).sets]),
+            "vertices": repr(vs),
+            "children": repr([t.children(v) for v in vs]),
+            "depth": repr([t.depth(v) for v in vs]),
+            "down": repr([sorted(down_closure(t, v)) for v in vs]),
+        }
+        lines.append(f"{name} " + " ".join(f"{k}={_sha(x)}" for k, x in fields.items()))
+    return "\n".join(lines) + "\n"
+
+
 # name -> (argv, cover JSON written to a file passed as --cover, or None)
 CLI_CASES: dict[str, tuple[list[str], str | None]] = {
     "omega-grid-r6": (["omega", "--gen", "grid", "--radius", "6", "--root", "0"], None),
@@ -179,6 +259,7 @@ def main() -> None:
     for name, g in family_graphs().items():
         (GOLDEN / "families" / f"{name}.txt").write_text(family_text(g))
     (GOLDEN / "traces.txt").write_text(trace_digest_text())
+    (GOLDEN / "order.txt").write_text(order_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

@@ -12,6 +12,7 @@ from make_golden import (
     family_graphs,
     family_text,
     log_stderr,
+    order_text,
     trace_digest_text,
 )
 from nstree.cli import main
@@ -41,3 +42,7 @@ def test_log_output_matches_golden(name, mode):
 
 def test_trace_digests_match_golden():
     assert trace_digest_text() == (GOLDEN / "traces.txt").read_text()
+
+
+def test_tree_order_digests_match_golden():
+    assert order_text() == (GOLDEN / "order.txt").read_text()
