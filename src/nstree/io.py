@@ -20,6 +20,15 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _key_id(key: str) -> int:
+    """A vertex id written as a JSON object key, in canonical decimal
+    only: "01", " 3 " and "1_0" raise rather than read as 1, 3 and 10."""
+    v = int(key)
+    if str(v) != key:
+        raise ValueError(f"non-canonical id {key!r}")
+    return v
+
+
 def graph_to_obj(g: Graph) -> dict[str, Any]:
     return {
         "vertices": list(g.vertices),
@@ -104,6 +113,10 @@ def tree_to_obj(t: RootedTree) -> dict[str, Any]:
 
 
 def tree_from_obj(obj: Any) -> RootedTree:
+    """Accept {"root", "parent"}, or the trace object of omega, local and
+    cover-nst, whose "tree" is one."""
+    if isinstance(obj, dict) and "root" not in obj and "tree" in obj:
+        obj = obj["tree"]
     if not isinstance(obj, dict) or "root" not in obj or "parent" not in obj:
         raise ValueError('tree JSON must be an object with "root" and "parent"')
     root = obj["root"]
@@ -115,7 +128,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
     parent: dict[int, int] = {}
     for k, p in parent_obj.items():
         try:
-            child = int(k)
+            child = _key_id(k)
         except ValueError:
             raise ValueError(f"bad child id {k!r} in parent map") from None
         if not _is_int(p):
@@ -194,7 +207,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError("certificate paths must map pair keys to path lists")
     for key, plist in obj["paths"].items():
         try:
-            a, b = (int(x) for x in key.split(","))
+            a, b = (_key_id(x) for x in key.split(","))
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
         if not isinstance(plist, list) or not all(

@@ -14,39 +14,64 @@ class RootedTree:
     The vertex set is the root plus the keys of the parent map. The map
     must be acyclic with every vertex reaching the root, which the
     constructor verifies once; all queries after that are cheap.
+
+    The constructor also numbers the vertices in preorder, children in
+    ascending order. The subtree of the vertex numbered i is then the
+    index range [i, end[i]), so u <= v in the tree order exactly when
+    i_u <= i_v < end[i_u].
     """
 
-    __slots__ = ("_root", "_parent", "_depth", "_children", "_order")
+    __slots__ = ("_root", "_parent", "_index", "_pre", "_end", "_depth", "_order")
 
     def __init__(self, root: int, parent: Mapping[int, int] = ()) -> None:
         parent = dict(parent)
         if root in parent:
             raise ValueError(f"root {root} must not have a parent")
-        children: dict[int, list[int]] = {root: []}
-        for v in parent:
-            children.setdefault(v, [])
+        children: dict[int, list[int]] = {v: [] for v in parent}
+        children[root] = []
         for v, p in parent.items():
-            if p != root and p not in parent:
-                raise ValueError(f"parent {p} of {v} is not a tree vertex")
-            children[p].append(v)
+            try:
+                children[p].append(v)
+            except KeyError:
+                raise ValueError(f"parent {p} of {v} is not a tree vertex") from None
         # breadth-first from the root, the growing order list serving as
-        # the queue; depths double as the acyclicity check: a cycle in the
-        # parent map is unreachable from the root and left without a depth
-        depth: dict[int, int] = {root: 0}
+        # the queue, with the BFS position of each vertex's parent; a cycle
+        # in the parent map is unreachable from the root and left out
         order: list[int] = [root]
-        sorted_children: dict[int, tuple[int, ...]] = {}
-        for v in order:
-            cs = sorted_children[v] = tuple(sorted(children[v]))
-            for c in cs:
-                depth[c] = depth[v] + 1
-            order.extend(cs)
-        if len(depth) != len(parent) + 1:
-            stranded = sorted(set(parent) - set(depth))
+        up = [0]
+        for i, v in enumerate(order):
+            cs = children[v]
+            if cs:
+                cs.sort()
+                order += cs
+                up += [i] * len(cs)
+        n = len(order)
+        if n != len(parent) + 1:
+            stranded = sorted(set(parent) - set(order))
             raise ValueError(f"parent map has a cycle through {stranded}")
+        # subtree sizes bottom-up, then preorder numbers top-down: the
+        # children of a vertex sit side by side in the BFS order, least
+        # first, and each one's number is where its elder sibling's
+        # subtree ends
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[up[i]] += size[i]
+        free = [1] * n  # the number that the next child placed gets
+        pre = [root] * n
+        end = [n] * n
+        for i, p, v, s in zip(range(1, n), up[1:], order[1:], size[1:]):
+            j = free[p]
+            free[p] = k = j + s
+            free[i] = j + 1
+            pre[j] = v
+            end[j] = k
         self._root = root
         self._parent = parent
-        self._depth = depth
-        self._children = sorted_children
+        self._index = dict(zip(pre, range(n)))
+        self._pre = pre
+        self._end = end
+        # the tree order needs no depths, so they are counted on first use
+        self._depth: list[int] | None = None
         self._order = tuple(order)
 
     @property
@@ -64,28 +89,44 @@ class RootedTree:
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(self._depth)
+        return frozenset(self._index)
 
     def parent(self, v: int) -> int | None:
         self._check(v)
         return self._parent.get(v)
 
     def children(self, v: int) -> tuple[int, ...]:
-        self._check(v)
-        return self._children[v]
+        # the first child follows v in preorder, each next one follows
+        # the subtree of its elder sibling
+        i = self._num(v)
+        pre, end = self._pre, self._end
+        stop = end[i]
+        out = []
+        j = i + 1
+        while j < stop:
+            out.append(pre[j])
+            j = end[j]
+        return tuple(out)
 
     def depth(self, v: int) -> int:
-        self._check(v)
-        return self._depth[v]
+        i = self._num(v)
+        if self._depth is None:
+            # a parent precedes its children in preorder
+            index, parent, pre = self._index, self._parent, self._pre
+            depth = [0] * len(pre)
+            for j, p in enumerate(map(index.__getitem__, map(parent.__getitem__, pre[1:])), 1):
+                depth[j] = depth[p] + 1
+            self._depth = depth
+        return self._depth[i]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((v, p) if v < p else (p, v) for v, p in self._parent.items()))
 
     def __contains__(self, v: object) -> bool:
-        return v in self._depth
+        return v in self._index
 
     def __len__(self) -> int:
-        return len(self._depth)
+        return len(self._index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedTree):
@@ -96,11 +137,18 @@ class RootedTree:
         return hash((self._root, tuple(sorted(self._parent.items()))))
 
     def __repr__(self) -> str:
-        return f"RootedTree(root={self._root}, {len(self._depth)} vertices)"
+        return f"RootedTree(root={self._root}, {len(self._index)} vertices)"
 
     def _check(self, v: int) -> None:
-        if v not in self._depth:
+        if v not in self._index:
             raise ValueError(f"vertex {v} not in tree")
+
+    def _num(self, v: int) -> int:
+        """The preorder number of v."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} not in tree") from None
 
 
 @dataclass(frozen=True)
@@ -122,23 +170,18 @@ class NormalityReport:
 
 def tree_leq(t: RootedTree, u: int, v: int) -> bool:
     """True iff u lies on the root-to-v path, i.e. u is an ancestor of v or u == v."""
-    t._check(u)
-    t._check(v)
-    du, dv = t.depth(u), t.depth(v)
-    if du > dv:
-        return False
-    while dv > du:
-        v = t._parent[v]
-        dv -= 1
-    return u == v
+    i = t._num(u)
+    j = t._num(v)
+    return i <= j < t._end[i]
 
 
 def down_closure(t: RootedTree, v: int) -> frozenset[int]:
     """All vertices on the root-to-v path, v and root included."""
     t._check(v)
+    parent, root = t._parent, t._root
     out = {v}
-    while v != t.root:
-        v = t._parent[v]
+    while v != root:
+        v = parent[v]
         out.add(v)
     return frozenset(out)
 
@@ -147,15 +190,18 @@ def is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     """True iff the vertices of s are pairwise comparable in the tree order.
 
     Empty and single-vertex sets are chains. A set is a chain exactly
-    when it sits inside the down-closure of its deepest member.
+    when every member is an ancestor of (or equal to) the member with
+    the largest preorder number, which takes one interval test each.
     """
     s = set(s)
-    if len(s) <= 1:
-        for v in s:
-            t._check(v)
+    index = t._index
+    try:
+        nums = [index[v] for v in s]
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc.args[0]} not in tree") from None
+    if len(nums) <= 1:
         return True
-    deepest = max(s, key=lambda v: (t.depth(v), v))
-    return s <= down_closure(t, deepest)
+    return min(map(t._end.__getitem__, nums)) > max(nums)
 
 
 def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
@@ -167,18 +213,27 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
     vertices or runs through one component of g minus the tree, so it
     suffices to check (a) every g-edge between tree vertices has
     comparable ends and (b) the tree neighborhood of every such
-    component is a chain.
+    component is a chain. With the preorder intervals of t each
+    comparison is O(1), so the check is O(n + m) plus the test that
+    every tree edge is an edge of g.
     """
     tv = t.vertex_set
     if not tv <= g.vertex_set:
         raise ValueError(f"tree vertices not in graph: {sorted(tv - g.vertex_set)}")
-    for u, v in t.edges():
-        if not g.has_edge(u, v):
-            raise ValueError(f"tree edge {u}-{v} is not an edge of the graph")
+    parent = t._parent
+    if not all(map(g.has_edge, parent, parent.values())):
+        # name the least missing edge
+        for u, v in t.edges():
+            if not g.has_edge(u, v):
+                raise ValueError(f"tree edge {u}-{v} is not an edge of the graph")
+    index, end = t._index, t._end
     for u, v in g.edges:
-        if u in tv and v in tv:
-            if not (tree_leq(t, u, v) or tree_leq(t, v, u)):
-                return NormalityReport(False, (u, v, (u, v)))
+        i = index.get(u)
+        j = index.get(v)
+        if i is None or j is None:
+            continue
+        if not (i <= j < end[i] or j <= i < end[j]):
+            return NormalityReport(False, (u, v, (u, v)))
     for comp in components(g, removed=tv):
         nbrs = neighborhood(g, comp, tv)
         if is_chain(t, nbrs):

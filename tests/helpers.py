@@ -25,6 +25,23 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph(range(n), edges)
 
 
+def bfs_tree(g: Graph, r: int) -> RootedTree:
+    """Breadth-first tree from r of r's component, neighbors ascending."""
+    parent: dict[int, int] = {}
+    frontier = [r]
+    seen = {r}
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    return RootedTree(r, parent)
+
+
 def random_rooted_spanning_tree(rng: random.Random, g: Graph, r: int) -> RootedTree:
     """Random-order depth-first tree; not uniform, but varied enough."""
     parent: dict[int, int] = {}

@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import random_connected_graph, random_rooted_spanning_tree, random_subtree
+from helpers import bfs_tree, random_connected_graph, random_rooted_spanning_tree, random_subtree
 from nstree import (
     DispersedCover,
     Graph,
@@ -115,22 +115,6 @@ def trace_digest_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bfs_tree(g: Graph, r: int) -> RootedTree:
-    parent: dict[int, int] = {}
-    frontier = [r]
-    seen = {r}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    return RootedTree(r, parent)
-
-
 def order_trees() -> list[tuple[str, Graph, RootedTree]]:
     """A breadth-first, a random depth-first and a random non-spanning
     subtree of each of 60 seeded random connected graphs (10-40
@@ -142,7 +126,7 @@ def order_trees() -> list[tuple[str, Graph, RootedTree]]:
         g = random_connected_graph(rng, n, rng.choice([0.03, 0.08, 0.15, 0.3]))
         r = rng.randrange(n)
         head = f"seed={seed} n={n} m={len(g.edges)} r={r}"
-        out.append((f"{head} bfs", g, _bfs_tree(g, r)))
+        out.append((f"{head} bfs", g, bfs_tree(g, r)))
         out.append((f"{head} dfs", g, random_rooted_spanning_tree(rng, g, r)))
         out.append((f"{head} sub", g, random_subtree(rng, g, r)))
     k60 = Graph(range(60), [(u, v) for u in range(60) for v in range(u + 1, 60)])

@@ -7,9 +7,10 @@ tautology. Only run these on small graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 
-from nstree import Graph, RootedTree, is_connected, tree_leq
+from nstree import Graph, RootedTree, is_connected
 
 _INF = 1 << 30
 
@@ -48,7 +49,7 @@ def t_paths(g: Graph, t: RootedTree) -> list[list[int]]:
 
 def brute_is_normal(g: Graph, t: RootedTree) -> bool:
     return all(
-        tree_leq(t, p[0], p[-1]) or tree_leq(t, p[-1], p[0]) for p in t_paths(g, t)
+        ref_tree_leq(t, p[0], p[-1]) or ref_tree_leq(t, p[-1], p[0]) for p in t_paths(g, t)
     )
 
 
@@ -371,3 +372,46 @@ def ref_min_blocking_set(g: Graph, a: frozenset[int], b: frozenset[int]) -> froz
     net = _FlowNet(g, a, b, g.vertex_set, edge_cap=_INF)
     net.max_flow()
     return net.cut_vertices()
+
+
+# The tree order as the library computed it before RootedTree numbered
+# its vertices in preorder, kept verbatim as the reference for the
+# differential tests: parent walks, and a chain test by down-closure.
+
+
+def ref_tree_leq(t: RootedTree, u: int, v: int) -> bool:
+    """True iff u lies on the root-to-v path, i.e. u is an ancestor of v or u == v."""
+    t._check(u)
+    t._check(v)
+    du, dv = t.depth(u), t.depth(v)
+    if du > dv:
+        return False
+    while dv > du:
+        v = t._parent[v]
+        dv -= 1
+    return u == v
+
+
+def ref_down_closure(t: RootedTree, v: int) -> frozenset[int]:
+    """All vertices on the root-to-v path, v and root included."""
+    t._check(v)
+    out = {v}
+    while v != t.root:
+        v = t._parent[v]
+        out.add(v)
+    return frozenset(out)
+
+
+def ref_is_chain(t: RootedTree, s: Iterable[int]) -> bool:
+    """True iff the vertices of s are pairwise comparable in the tree order.
+
+    Empty and single-vertex sets are chains. A set is a chain exactly
+    when it sits inside the down-closure of its deepest member.
+    """
+    s = set(s)
+    if len(s) <= 1:
+        for v in s:
+            t._check(v)
+        return True
+    deepest = max(s, key=lambda v: (t.depth(v), v))
+    return s <= ref_down_closure(t, deepest)

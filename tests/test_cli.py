@@ -256,6 +256,34 @@ def test_bool_tree_ids_exit_2(capsys, tmp_path, k4_file):
     assert main(["levels", "--tree", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "parent",
+    ['{"1": 0, "01": 2, "2": 0}', '{"1_0": 0}', '{" 3 ": 0}'],
+)
+def test_non_canonical_tree_ids_exit_2(capsys, tmp_path, parent):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n0 2\n0 3\n0 10\n")
+    path = tmp_path / "t.json"
+    path.write_text(f'{{"root": 0, "parent": {parent}}}')
+    assert main(["check-normal", "--input", str(g), "--tree", str(path)]) == 2
+    assert "bad child id" in capsys.readouterr().err
+    assert main(["levels", "--tree", str(path)]) == 2
+
+
+def test_trace_output_is_a_tree_input(capsys, tmp_path):
+    grid = ["--gen", "grid", "--radius", "4"]
+    code, out = run(capsys, ["omega", *grid, "--root", "0"])
+    assert code == 0
+    trace = tmp_path / "trace.json"
+    trace.write_text(out)
+    code, out = run(capsys, ["check-normal", *grid, "--tree", str(trace)])
+    assert code == 0
+    assert json.loads(out) == {"normal": True, "witness": None}
+    code, out = run(capsys, ["levels", "--tree", str(trace)])
+    assert code == 0
+    assert json.loads(out)["levels"][0] == [0]
+
+
 def test_both_sources_rejected(capsys, k4_file):
     code = main(["nst", "--input", k4_file, "--gen", "grid", "--radius", "2", "--root", "1"])
     assert code == 2

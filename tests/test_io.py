@@ -96,6 +96,16 @@ def test_tree_round_trip():
     assert loads_tree(dumps(obj)) == t
 
 
+def test_tree_from_obj_reads_the_tree_of_a_trace():
+    trace = omega_nst(C5, 0)
+    assert tree_from_obj(trace_to_obj(trace)) == trace.tree
+    assert loads_tree(dumps(trace_to_obj(trace))) == trace.tree
+
+
+def test_negative_ids_are_canonical():
+    assert tree_from_obj({"root": 0, "parent": {"-3": 0}}) == RootedTree(0, {-3: 0})
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -106,6 +116,13 @@ def test_tree_round_trip():
         {"root": 1, "parent": {"2": "1"}},
         {"root": True, "parent": {"2": 1}},
         {"root": 1, "parent": {"2": True}},
+        {"root": 0, "parent": {"1": 0, "01": 2, "2": 0}},
+        {"root": 0, "parent": {"1_0": 0}},
+        {"root": 0, "parent": {" 3 ": 0}},
+        {"root": 0, "parent": {"+3": 0}},
+        {"root": 0, "parent": {"-0": 0}},
+        {"tree": {"root": 0, "parent": {"01": 0}}},
+        {"tree": [0], "steps": []},
     ],
 )
 def test_tree_from_obj_rejects_malformed(obj):
@@ -163,6 +180,9 @@ def test_cert_round_trip():
         {"branch": [True, 2], "m": 1, "paths": {"1,2": [[1, 2]]}},
         {"branch": [1, 2], "m": True, "paths": {"1,2": [[1, 2]]}},
         {"branch": [1, 2], "m": 1, "paths": {"1,2": [[True, 2]]}},
+        {"branch": [1, 2], "m": 1, "paths": {"01,2": [[1, 2]]}},
+        {"branch": [1, 2], "m": 1, "paths": {"1, 2": [[1, 2]]}},
+        {"branch": [1, 10], "m": 1, "paths": {"1,1_0": [[1, 10]]}},
     ],
 )
 def test_cert_from_obj_rejects_malformed(obj):

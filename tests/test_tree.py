@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_st, random_rooted_spanning_tree, random_subtree
+from helpers import (
+    bfs_tree,
+    connected_graphs_st,
+    random_connected_graph,
+    random_rooted_spanning_tree,
+    random_subtree,
+)
 from nstree import (
     Graph,
     RootedTree,
@@ -17,7 +23,7 @@ from nstree import (
     separates_incomparable,
     tree_leq,
 )
-from oracles import brute_is_normal
+from oracles import brute_is_normal, ref_is_chain, ref_tree_leq
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -162,3 +168,66 @@ def test_tree_order_laws(g, rng):
     for u, v in pairs[:20]:
         if tree_leq(t, u, v) and tree_leq(t, v, u):
             assert u == v
+
+
+def _seeded_trees():
+    """150 trees: a BFS, a random-DFS or a random partial tree of a
+    seeded random graph with 2-45 vertices, by turns."""
+    for seed in range(150):
+        rng = random.Random(500 + seed)
+        n = rng.randint(2, 45)
+        g = random_connected_graph(rng, n, rng.choice([0.02, 0.1, 0.3]))
+        r = rng.randrange(n)
+        make = (bfs_tree, lambda g, r: random_rooted_spanning_tree(rng, g, r),
+                lambda g, r: random_subtree(rng, g, r))[seed % 3]
+        yield rng, make(g, r)
+
+
+def test_tree_order_matches_parent_walk_reference():
+    for rng, t in _seeded_trees():
+        vs = t.vertices
+        for u in vs:
+            for v in vs:
+                assert tree_leq(t, u, v) == ref_tree_leq(t, u, v)
+        parent = t.parent_map
+        for _ in range(50):
+            if rng.random() < 0.5:  # a subset of one root path, often a chain
+                path = [rng.choice(vs)]
+                while path[-1] != t.root:
+                    path.append(parent[path[-1]])
+                s = rng.sample(path, rng.randint(0, len(path)))
+            else:
+                s = rng.sample(vs, rng.randint(0, min(8, len(vs))))
+            assert is_chain(t, s) == ref_is_chain(t, s)
+        for v in vs:
+            assert t.children(v) == tuple(sorted(c for c, p in parent.items() if p == v))
+            assert t.depth(v) == len(down_closure(t, v)) - 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: tree_leq(t, 9, 0),
+        lambda t: tree_leq(t, 0, 9),
+        lambda t: tree_leq(t, 9, 8),
+        lambda t: is_chain(t, {9}),
+        lambda t: is_chain(t, [0, 9]),
+        lambda t: is_chain(t, {2, 9, 8, 1}),
+        lambda t: t.depth(9),
+        lambda t: t.children(9),
+    ],
+)
+def test_non_members_raise_value_error(call):
+    t = RootedTree(0, {1: 0, 2: 1, 3: 0})
+    with pytest.raises(ValueError, match="^vertex [89] not in tree$"):
+        call(t)
+
+
+@pytest.mark.parametrize("s", [{9}, [0, 9], {2, 9, 8, 1}, range(20, 60)])
+def test_is_chain_names_the_same_non_member_as_the_reference(s):
+    t = RootedTree(0, {1: 0, 2: 1, 3: 0})
+    with pytest.raises(ValueError) as got:
+        is_chain(t, s)
+    with pytest.raises(ValueError) as want:
+        ref_is_chain(t, s)
+    assert str(got.value) == str(want.value)
