@@ -1,15 +1,22 @@
-"""The golden corpus: canonical path families, traces, tree-order answers
-and CLI outputs, pinned.
+"""The golden corpus: canonical path families, traces, tree-order answers,
+fat-TK results and CLI outputs, pinned.
 
 "Canonical" is defined by the flow engine's tie-breaks (BFS
 augmentation over ascending node ids, least-next decomposition), and
-trace selections are indices into those families. A change to the
-engine that reorders paths would still pass every validity test, so
-the exact bytes are kept here and checked by tests/test_golden.py.
+trace selections are indices into those families; the fat-TK router
+takes the first members of the same families. A change to the engine
+that reorders paths would still pass every validity test, so the exact
+bytes are kept here and checked by tests/test_golden.py.
 
 Regenerate (only on purpose, recording why in CHANGES.md) with
 
     PYTHONPATH=src python tests/make_golden.py
+
+One run rewrites the whole corpus: families/*.txt, traces.txt,
+order.txt, fattk.txt and cli/*. To pin a new file before changing the
+code it covers, add its writer here and run this at the parent commit:
+`git status` must then list only the new file, since every existing
+one comes out byte-identical.
 """
 
 from __future__ import annotations
@@ -27,11 +34,14 @@ from pathlib import Path
 from helpers import bfs_tree, random_connected_graph, random_rooted_spanning_tree, random_subtree
 from nstree import (
     DispersedCover,
+    FatTKFailure,
     Graph,
     RootedTree,
     dfs_nst,
     down_closure,
+    find_fat_tk,
     is_chain,
+    is_dispersed,
     is_normal,
     levels_of,
     local_normal_tree,
@@ -171,6 +181,62 @@ def order_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fattk_repr(found) -> str:
+    if isinstance(found, FatTKFailure):
+        return repr(("failure", found.pair, found.routed, sorted(found.separator)))
+    paths = [(k, found.paths_for(*k)) for k in found.pair_keys()]
+    return repr(("certificate", found.branch, found.m, paths))
+
+
+def fattk_text() -> str:
+    """One line per call: its parameters, its kind of result and a sha256.
+
+    find: find_fat_tk on three branch sets of 2-4 vertices with m = 1-3
+    on each of 300 seeded random connected graphs with 8-40 vertices,
+    and on five fat-tk-gen truncations with the generator's own branch
+    set and two random ones. A certificate is digested with its branch,
+    m and paths, a failure with its pair, routed count and sorted
+    separator. dispersed: is_dispersed on 150 seeded graphs with 8-14
+    vertices, probes of 0-2 vertices, n = 2-3, m = 1-3, s = 0-2 and a
+    search budget of 1-6, digested with the verdict and every examined
+    certificate with its blocker.
+    """
+    lines = []
+
+    def find(head: str, g: Graph, branch: tuple[int, ...], m: int) -> None:
+        found = find_fat_tk(g, branch, m)
+        kind = "failure" if isinstance(found, FatTKFailure) else "certificate"
+        lines.append(f"{head} branch={branch} m={m} {kind} {_sha(_fattk_repr(found))}")
+
+    for seed in range(300):
+        rng = random.Random(5000 + seed)
+        n = rng.randint(8, 40)
+        g = random_connected_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]))
+        head = f"seed={seed} n={n} edges={len(g.edges)}"
+        for _ in range(3):
+            find(head, g, tuple(rng.sample(g.vertices, rng.randint(2, 4))), rng.randint(1, 3))
+    for n, m, r in ((3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3), (4, 3, 3)):
+        g = truncate(make_generator("fat-tk-gen", n, m), r)
+        rng = random.Random(f"fat-tk-gen({n},{m}) r={r}")
+        head = f"fat-tk-gen({n},{m}) r={r}"
+        find(head, g, tuple(range(n)), m)
+        for _ in range(2):
+            find(head, g, tuple(rng.sample(g.vertices, n)), m)
+    for seed in range(150):
+        rng = random.Random(6000 + seed)
+        n = rng.randint(8, 14)
+        g = random_connected_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7]))
+        probe = tuple(rng.sample(g.vertices, rng.randint(0, 2)))
+        k, m, s, budget = rng.randint(2, 3), rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 6)
+        v = is_dispersed(g, probe, k, m, s, budget)
+        examined = [(_fattk_repr(c), sorted(sep)) for c, sep in v.examined]
+        lines.append(
+            f"seed={seed} n={n} edges={len(g.edges)} probe={probe} tk=({k},{m}) s={s} "
+            f"budget={budget} dispersed={v.dispersed} {_sha(repr((v.dispersed, examined)))}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 # name -> (argv, cover JSON written to a file passed as --cover, or None)
 CLI_CASES: dict[str, tuple[list[str], str | None]] = {
     "omega-grid-r6": (["omega", "--gen", "grid", "--radius", "6", "--root", "0"], None),
@@ -244,6 +310,7 @@ def main() -> None:
         (GOLDEN / "families" / f"{name}.txt").write_text(family_text(g))
     (GOLDEN / "traces.txt").write_text(trace_digest_text())
     (GOLDEN / "order.txt").write_text(order_text())
+    (GOLDEN / "fattk.txt").write_text(fattk_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

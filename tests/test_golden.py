@@ -11,6 +11,7 @@ from make_golden import (
     cli_argv,
     family_graphs,
     family_text,
+    fattk_text,
     log_stderr,
     order_text,
     trace_digest_text,
@@ -46,3 +47,7 @@ def test_trace_digests_match_golden():
 
 def test_tree_order_digests_match_golden():
     assert order_text() == (GOLDEN / "order.txt").read_text()
+
+
+def test_fat_tk_digests_match_golden():
+    assert fattk_text() == (GOLDEN / "fattk.txt").read_text()
