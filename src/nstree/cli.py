@@ -141,9 +141,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _ids(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [io.parse_id(p.strip()) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated decimal ids, got {text!r}") from None
 
 
 def _emit(text: str) -> None:

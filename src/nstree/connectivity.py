@@ -14,6 +14,7 @@ graph is built once (FlowNetwork) and answers any number of queries.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -117,6 +118,13 @@ class FlowNetwork:
     discovers. That is exactly the augmenting path an explicit source
     and sink carrying the two largest node ids would give, so results
     match the canonical order defined by that network.
+
+    Capacity masks let one network answer for its subgraphs: a blocked
+    vertex's through-arc and an excluded edge's two arcs get capacity 0.
+    A blocked in-node can be discovered but discovers nothing, so the
+    other nodes are found in the order of the induced subgraph's network
+    and every path, family and cut is that subgraph's. find_fat_tk and
+    is_dispersed each run all their routings and cuts on one network.
     """
 
     __slots__ = ("graph", "_rank", "_head", "_arcs")
@@ -153,14 +161,20 @@ class FlowNetwork:
         _check_pair(self.graph, v, w)
         return self._pair_flow(v, w, None)[0]
 
-    def family(self, v: int, w: int, limit: int | None = None) -> PathFamily | None:
+    def family(
+        self, v: int, w: int, limit: int | None = None, blocked: AbstractSet[int] = frozenset()
+    ) -> PathFamily | None:
         """Canonical maximum family of independent v-w paths.
 
         With a limit, stops once `limit` paths are found and returns
-        None instead of a family, skipping the decomposition.
+        None instead of a family, skipping the decomposition. The paths
+        avoid the blocked vertices: the family is that of the subgraph
+        induced by the other vertices.
         """
         _check_pair(self.graph, v, w)
-        total, cap = self._pair_flow(v, w, limit)
+        if v in blocked or w in blocked:
+            raise ValueError(f"endpoints {v} and {w} must not be blocked")
+        total, cap = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
         # least-next decomposition: the flow on forward arc a is cap[a ^ 1]
@@ -179,32 +193,56 @@ class FlowNetwork:
             seqs.append(tuple(seq))
         return PathFamily(v, w, tuple(Path(seq) for seq in sorted(seqs)))
 
-    def _pair_flow(self, v: int, w: int, limit: int | None) -> tuple[int, list[int]]:
-        kv, kw = self._rank[v], self._rank[w]
+    def _pair_flow(
+        self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
+    ) -> tuple[int, list[int]]:
+        rank, g = self._rank, self.graph
+        kv, kw = rank[v], rank[w]
         cap = [1, 0] * (len(self._head) // 2)
         cap[2 * kv] = cap[2 * kw] = _INF
-        # every path leaves v and enters w by an edge of its own, so a
-        # flow of the smaller degree is maximum without a failing search
-        bound = min(self.graph.degree(v), self.graph.degree(w))
+        # every path leaves v and enters w by an edge of its own to an
+        # unblocked vertex, so a flow of the smaller such degree is
+        # maximum without a failing search; unmasked sweep queries are
+        # many and short, so they skip the neighbor count
+        if blocked:
+            for x in blocked:
+                cap[2 * rank[x]] = 0
+            bound = min(len([x for x in g.neighbors(y) if x not in blocked]) for y in (v, w))
+        else:
+            bound = min(g.degree(v), g.degree(w))
         if limit is not None:
             bound = min(bound, limit)
         return self._max_flow(cap, [2 * kv], {2 * kw + 1}, bound), cap
 
-    def _cut(self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool) -> frozenset[int]:
+    def _cut(
+        self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool,
+        blocked: AbstractSet[int] = frozenset(), excluded: tuple[int, int] | None = None,
+    ) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum a-b cut.
 
         Edge arcs are unbounded, so the cut consists of through-arcs;
-        those of a and b are unbounded too unless sides_cuttable.
+        those of a and b are unbounded too unless sides_cuttable. The
+        cut is that of the subgraph induced by the unblocked vertices,
+        without the edge `excluded` if its ends are adjacent.
         """
         rank = self._rank
-        cap = [1, 0] * len(rank) + [_INF, 0] * (len(self._head) // 2 - len(rank))
+        head, arcs = self._head, self._arcs
+        cap = [1, 0] * len(rank) + [_INF, 0] * (len(head) // 2 - len(rank))
+        for x in blocked:
+            cap[2 * rank[x]] = 0
         if not sides_cuttable:
             for x in a | b:
                 cap[2 * rank[x]] = _INF
+        skip = []
+        if excluded is not None:
+            u, v = excluded
+            skip = [e for x, y in ((u, v), (v, u))
+                    for e in arcs[2 * rank[x] + 1] if head[e] == 2 * rank[y]]
+        for e in skip:
+            cap[e] = 0
         sinks = {2 * rank[x] + 1 for x in b}
         self._max_flow(cap, sorted(2 * rank[x] for x in a), sinks, _INF)
         # nodes that still reach a sink-side out-node in the residual network
-        head, arcs = self._head, self._arcs
         side = bytearray(len(arcs))
         for y in sinks:
             side[y] = 1
@@ -219,10 +257,12 @@ class FlowNetwork:
                         nxt.append(x)
             frontier = nxt
         for e in range(len(rank) * 2, len(head), 2):
-            if side[head[e]] and not side[head[e ^ 1]]:
+            if side[head[e]] and not side[head[e ^ 1]] and e not in skip:
                 raise AssertionError(f"minimum cut crosses edge arc {e}")
+        # a blocked vertex's out-node may reach the sink, its in-node never
         vs = self.graph.vertices
-        return frozenset(vs[k] for k in range(len(vs)) if side[2 * k + 1] and not side[2 * k])
+        cut = frozenset(vs[k] for k in range(len(vs)) if side[2 * k + 1] and not side[2 * k])
+        return cut - blocked
 
     def _max_flow(self, cap: list[int], starts: list[int], sinks: set[int], limit: int) -> int:
         """Augment along breadth-first paths until none is left or `limit`

@@ -14,8 +14,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .connectivity import FlowNetwork, max_independent_paths, min_blocking_set, min_separator
-from .graph import Graph, induced_subgraph
+from .connectivity import FlowNetwork
+from .graph import Graph
 
 
 class FatTKCertificate:
@@ -84,8 +84,10 @@ class FatTKFailure:
     """First pair the greedy router could not complete.
 
     routed is how many disjoint paths the pair admitted in the residual
-    graph; separator blocks every further path there (any direct edge
-    between the pair excluded).
+    graph; separator is a minimum vertex set blocking every further path
+    there (any direct edge between the pair excluded). It is the minimum
+    cut of the router's one network, with the other branch vertices and
+    the interiors routed so far blocked and that edge's arcs masked.
     """
 
     pair: tuple[int, int]
@@ -199,30 +201,30 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     missing = [v for v in branch if v not in g]
     if missing:
         raise ValueError(f"branch vertices not in graph: {missing}")
+    return _route(FlowNetwork(g), branch, m)
+
+
+def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
+    # every pair and its failure separator run on the one network, with
+    # the other branch vertices and the interiors used so far blocked
     used: set[int] = set()
     routed: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     for a, b in combinations(branch, 2):
-        allowed = g.vertex_set - (set(branch) - {a, b}) - used
-        sub = induced_subgraph(g, allowed)
-        fam = max_independent_paths(sub, a, b)
+        blocked = used.union(branch).difference((a, b))
+        fam = net.family(a, b, blocked=blocked)
+        assert fam is not None  # no limit given
         if len(fam) < m:
-            return FatTKFailure((a, b), len(fam), _bottleneck(sub, a, b))
-        chosen = tuple(p.vertices for p in list(fam)[:m])
+            sep = net._cut(frozenset({a}), frozenset({b}), False, blocked, excluded=(a, b))
+            return FatTKFailure((a, b), len(fam), sep)
+        chosen = tuple(p.vertices for p in fam.paths[:m])
         for seq in chosen:
             used.update(seq[1:-1])
         routed[(a, b)] = chosen
     cert = FatTKCertificate(branch, m, routed)
-    report = verify_fat_tk(g, cert)
+    report = verify_fat_tk(net.graph, cert)
     if not report:
         raise AssertionError(f"greedy router built an invalid certificate: {report.reason}")
     return cert
-
-
-def _bottleneck(sub: Graph, a: int, b: int) -> frozenset[int]:
-    # separator blocking all further a-b routing, ignoring a direct edge
-    if sub.has_edge(a, b):
-        sub = Graph(sub.vertices, (e for e in sub.edges if e != tuple(sorted((a, b)))))
-    return min_separator(sub, frozenset({a}), frozenset({b})).s
 
 
 def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
@@ -279,11 +281,11 @@ def is_dispersed(
     scored.sort(key=lambda it: (-it[0], it[1]))
     examined: list[tuple[FatTKCertificate, frozenset[int]]] = []
     for _score, cand in scored[:search_budget]:
-        found = find_fat_tk(g, cand, m)
+        found = _route(net, cand, m)
         if isinstance(found, FatTKFailure):
             continue
         if probe:
-            blocker = min_blocking_set(g, probe, found.vertices).s
+            blocker = net._cut(probe, found.vertices, True)
         else:
             blocker = frozenset()
         examined.append((found, blocker))

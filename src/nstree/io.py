@@ -20,12 +20,13 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _key_id(key: str) -> int:
-    """A vertex id written as a JSON object key, in canonical decimal
-    only: "01", " 3 " and "1_0" raise rather than read as 1, 3 and 10."""
-    v = int(key)
-    if str(v) != key:
-        raise ValueError(f"non-canonical id {key!r}")
+def parse_id(text: str) -> int:
+    """A vertex id written as text (a JSON object key, an edge-list field,
+    a CLI list item), in canonical decimal only: "01", " 3 ", "+3" and
+    "1_0" raise rather than read as 1, 3, 3 and 10."""
+    v = int(text)
+    if str(v) != text:
+        raise ValueError(f"non-canonical id {text!r}")
     return v
 
 
@@ -63,9 +64,9 @@ def graph_from_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         try:
-            ids = [int(p) for p in parts]
+            ids = [parse_id(p) for p in parts]
         except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+            raise ValueError(f"line {lineno}: expected decimal ids, got {raw!r}") from None
         if len(ids) == 1:
             vertices.append(ids[0])
         elif len(ids) == 2:
@@ -128,7 +129,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
     parent: dict[int, int] = {}
     for k, p in parent_obj.items():
         try:
-            child = _key_id(k)
+            child = parse_id(k)
         except ValueError:
             raise ValueError(f"bad child id {k!r} in parent map") from None
         if not _is_int(p):
@@ -207,7 +208,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError("certificate paths must map pair keys to path lists")
     for key, plist in obj["paths"].items():
         try:
-            a, b = (_key_id(x) for x in key.split(","))
+            a, b = (parse_id(x) for x in key.split(","))
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
         if not isinstance(plist, list) or not all(

@@ -225,6 +225,12 @@ def test_fat_tk_generator_without_parameters_exit_2(capsys):
         ["kappa", "--gen", "grid", "--radius", "2", "--pair", "0", "999"],
         ["separator", "--gen", "grid", "--radius", "2", "--a", "0", "--b", "x"],
         ["omega", "--gen", "grid", "--radius", "3", "--root", "0", "--kappa-small", "-3"],
+        # ids in lists are canonical decimals: these once read as 10, 3, 1 and 10
+        ["fat-tk-find", "--gen", "grid", "--radius", "4", "--branch", "1_0,+3", "--m", "1"],
+        ["local", "--gen", "grid", "--radius", "4", "--root", "0", "--targets", "+3"],
+        ["separator", "--gen", "grid", "--radius", "4", "--a", "01", "--b", "12"],
+        ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "1_0", "--n", "2", "--m", "1",
+         "--s", "5"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -254,6 +260,21 @@ def test_bool_tree_ids_exit_2(capsys, tmp_path, k4_file):
     path.write_text('{"root": 1, "parent": {"2": true, "3": 1, "4": 1}}')
     assert main(["check-normal", "--input", k4_file, "--tree", str(path)]) == 2
     assert main(["levels", "--tree", str(path)]) == 2
+
+
+def test_non_canonical_edge_list_ids_exit_2(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("1_0 2\n+3 2\n")
+    assert main(["nst", "--input", str(path), "--root", "2"]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_negative_list_ids_load(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("-3 -1\n-1 0\n0 2\n-3 2\n")
+    code, out = run(capsys, ["separator", "--input", str(path), "--a", "-3", "--b", " 0"])
+    assert code == 0
+    assert json.loads(out) == {"separator": [-1, 2], "size": 2}
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ from nstree import (
     Path,
     PathFamily,
     components,
+    induced_subgraph,
     kappa,
     max_independent_paths,
     min_blocking_set,
     min_separator,
 )
+from nstree.connectivity import FlowNetwork
 from oracles import (
     brute_kappa,
     brute_min_blocking_size,
@@ -50,6 +52,8 @@ def test_family_validation():
     assert fam[1].vertices == (1, 2)
     with pytest.raises(IndexError):
         fam[0]
+    with pytest.raises(ValueError, match="blocked"):
+        FlowNetwork(K4).family(1, 2, blocked={2, 3})
 
 
 def test_kappa_k4():
@@ -247,6 +251,35 @@ def test_engine_matches_reference_network(seed):
             if a & b or any(g.has_edge(x, y) for x in a for y in b):
                 continue
             assert min_separator(g, a, b).s == ref_min_separator(g, a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_masked_queries_match_the_induced_subgraph(seed):
+    """Blocked vertices and an excluded edge answer as the subgraph
+    induced by the other vertices, without that edge, would."""
+    rng = random.Random(100 + seed)
+    for j in range(25):
+        g = _differential_graph(rng)
+        net = FlowNetwork(g)
+        for _ in range(6):
+            if j % 3 == 0 and g.edges:
+                a, b = rng.sample(rng.choice(g.edges), 2)
+            else:
+                a, b = rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (a, b)]
+            blocked = set(rng.sample(rest, rng.randint(0, len(rest) // 2)))
+            near_sink = [x for x in g.neighbors(b) if x != a]
+            if j % 2 and near_sink:
+                # its out-node reaches the sink side, its in-node does not
+                blocked.add(rng.choice(near_sink))
+            sub = induced_subgraph(g, g.vertex_set - blocked)
+            assert net.family(a, b, blocked=blocked) == max_independent_paths(sub, a, b)
+            without_ab = Graph(sub.vertices, [e for e in sub.edges if set(e) != {a, b}])
+            expected = min_separator(without_ab, {a}, {b}).s
+            one_a, one_b = frozenset({a}), frozenset({b})
+            assert net._cut(one_a, one_b, False, blocked, excluded=(a, b)) == expected
+            if not g.has_edge(a, b):
+                assert net._cut(one_a, one_b, False, blocked) == expected
 
 
 @pytest.mark.parametrize("n", [50, 120, 200])

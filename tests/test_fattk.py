@@ -12,10 +12,14 @@ from nstree import (
     FatTKCertificate,
     FatTKFailure,
     Graph,
+    components,
     find_fat_tk,
+    induced_subgraph,
     is_dispersed,
     kappa,
     kappa_necessary_check,
+    max_independent_paths,
+    min_separator,
     verify_fat_tk,
 )
 from oracles import brute_fat_tk_exists
@@ -253,10 +257,29 @@ def test_verify_rejects_tampered_certificates(g, rng):
 
 
 def test_failure_separator_blocks_residual_routing():
-    g = random_connected_graph(random.Random(21), 9, 0.3)
-    out = find_fat_tk(g, (0, 1, 2), 3)
-    if isinstance(out, FatTKFailure):
+    failures = 0
+    for seed in range(21, 61):
+        g = random_connected_graph(random.Random(seed), 9, 0.3)
+        branch = (0, 1, 2)
+        out = find_fat_tk(g, branch, 3)
+        if not isinstance(out, FatTKFailure):
+            continue
+        failures += 1
         assert out.routed < 3
-        # cutting the failing pair needs no more vertices than it routed
-        assert len(out.separator) <= max(out.routed, 1)
         assert out.separator <= g.vertex_set - set(out.pair)
+        # rebuild the residual graph the failing pair saw, as an induced
+        # subgraph: the other branch vertices and earlier interiors removed
+        used: set[int] = set()
+        for a, b in combinations(branch, 2):
+            sub = induced_subgraph(g, g.vertex_set - (set(branch) - {a, b}) - used)
+            if (a, b) == out.pair:
+                break
+            for p in list(max_independent_paths(sub, a, b))[:3]:
+                used.update(p.interior)
+        assert out.routed == len(max_independent_paths(sub, a, b))
+        without_ab = Graph(sub.vertices, [e for e in sub.edges if set(e) != {a, b}])
+        # minimum: as small as min_separator's, and it separates the pair
+        assert len(out.separator) == len(min_separator(without_ab, {a}, {b}).s)
+        assert len(out.separator) == out.routed - g.has_edge(a, b)
+        assert not any(a in c and b in c for c in components(without_ab, out.separator))
+    assert failures

@@ -104,6 +104,16 @@ def test_tree_from_obj_reads_the_tree_of_a_trace():
 
 def test_negative_ids_are_canonical():
     assert tree_from_obj({"root": 0, "parent": {"-3": 0}}) == RootedTree(0, {-3: 0})
+    assert graph_from_edge_list("-3 -1\n-7\n") == Graph([-7], [(-3, -1)])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1_0 2\n+3 2\n", 1), ("1 2\n+3 2\n", 2), ("01 2\n", 1), ("1 -0\n", 1)],
+)
+def test_edge_list_rejects_non_canonical_ids(text, line):
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        graph_from_edge_list(text)
 
 
 @pytest.mark.parametrize(
