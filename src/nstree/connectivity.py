@@ -174,6 +174,8 @@ class FlowNetwork:
         _check_pair(self.graph, v, w)
         if v in blocked or w in blocked:
             raise ValueError(f"endpoints {v} and {w} must not be blocked")
+        if not blocked <= self.graph.vertex_set:
+            raise ValueError(f"blocked vertices not in graph: {sorted(blocked - self.graph.vertex_set)}")
         total, cap = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
@@ -196,20 +198,15 @@ class FlowNetwork:
     def _pair_flow(
         self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
     ) -> tuple[int, list[int]]:
-        rank, g = self._rank, self.graph
+        rank = self._rank
         kv, kw = rank[v], rank[w]
         cap = [1, 0] * (len(self._head) // 2)
         cap[2 * kv] = cap[2 * kw] = _INF
-        # every path leaves v and enters w by an edge of its own to an
-        # unblocked vertex, so a flow of the smaller such degree is
-        # maximum without a failing search; unmasked sweep queries are
-        # many and short, so they skip the neighbor count
-        if blocked:
-            for x in blocked:
-                cap[2 * rank[x]] = 0
-            bound = min(len([x for x in g.neighbors(y) if x not in blocked]) for y in (v, w))
-        else:
-            bound = min(g.degree(v), g.degree(w))
+        for x in blocked:
+            cap[2 * rank[x]] = 0
+        # every path leaves v and enters w by an edge of its own, so a
+        # flow of the smaller degree is maximum without a failing search
+        bound = min(self.graph.degree(v), self.graph.degree(w))
         if limit is not None:
             bound = min(bound, limit)
         return self._max_flow(cap, [2 * kv], {2 * kw + 1}, bound), cap

@@ -54,6 +54,8 @@ def test_family_validation():
         fam[0]
     with pytest.raises(ValueError, match="blocked"):
         FlowNetwork(K4).family(1, 2, blocked={2, 3})
+    with pytest.raises(ValueError, match=r"blocked vertices not in graph: \[99\]"):
+        FlowNetwork(K4).family(1, 2, blocked={3, 99})
 
 
 def test_kappa_k4():
