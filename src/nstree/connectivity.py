@@ -108,7 +108,9 @@ class FlowNetwork:
     joined by the through-arc 2k; every edge u-v gives the arcs
     out(u)->in(v) and out(v)->in(u). Arcs come in pairs: a forward arc
     a (even) and its residual a ^ 1. Each node lists its arcs by
-    ascending head node, the tie-break of the breadth-first search.
+    ascending head node, the tie-break of the breadth-first search, and
+    each out-node also lists its forward edge arcs alone, in the same
+    order, for the decomposition.
 
     A query copies a base capacity list (through-arcs 1, edge arcs 1 for
     path counting or unbounded for cuts), raises the through-arcs its
@@ -119,6 +121,13 @@ class FlowNetwork:
     and sink carrying the two largest node ids would give, so results
     match the canonical order defined by that network.
 
+    Every arc joins an in-node to an out-node, so the search alternates
+    between them, and an in-node with a unit through-arc has one
+    residual arc at most: the through-arc while unused, the reverse of
+    its one inflow arc while used, none when blocked. The search
+    therefore expands an in-node the moment it discovers it (see _bfs),
+    and a query records each in-node's inflow arc as it augments.
+
     Capacity masks let one network answer for its subgraphs: a blocked
     vertex's through-arc and an excluded edge's two arcs get capacity 0.
     A blocked in-node can be discovered but discovers nothing, so the
@@ -127,7 +136,7 @@ class FlowNetwork:
     is_dispersed each run all their routings and cuts on one network.
     """
 
-    __slots__ = ("graph", "_rank", "_head", "_arcs")
+    __slots__ = ("graph", "_rank", "_head", "_arcs", "_fwd")
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
@@ -139,6 +148,7 @@ class FlowNetwork:
         head[1::2] = range(0, 2 * n, 2)
         ins: list[list[int]] = [[] for _ in range(n)]
         outs: list[list[int]] = []
+        fwd: list[list[int]] = []
         # visiting vertices in ascending order appends every in-node's
         # arcs in ascending head order too
         for k, v in enumerate(vs):
@@ -150,11 +160,12 @@ class FlowNetwork:
                 out.append(len(head))
                 ins[j].append(len(head) + 1)
                 head += (2 * j, 2 * k + 1)
-            out.insert(below, 2 * k + 1)
-            outs.append(out)
+            fwd.append(out)
+            outs.append(out[:below] + [2 * k + 1] + out[below:])
         self._rank = rank
         self._head = head
         self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
+        self._fwd = fwd
 
     def kappa(self, v: int, w: int) -> int:
         """Largest number of independent v-w paths."""
@@ -176,24 +187,51 @@ class FlowNetwork:
             raise ValueError(f"endpoints {v} and {w} must not be blocked")
         if not blocked <= self.graph.vertex_set:
             raise ValueError(f"blocked vertices not in graph: {sorted(blocked - self.graph.vertex_set)}")
+        seqs = self._paths(v, w, limit, blocked)
+        if seqs is None:
+            return None
+        return PathFamily(v, w, tuple(map(Path, seqs)))
+
+    def _paths(
+        self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
+    ) -> tuple[tuple[int, ...], ...] | None:
+        """Vertex sequences of the canonical family, sorted; None once
+        `limit` paths are found. Arguments are taken as valid.
+
+        Raises AssertionError unless the paths are simple and their
+        interiors pairwise disjoint and free of v and w, the invariants
+        a PathFamily holds.
+        """
         total, cap = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
-        # least-next decomposition: the flow on forward arc a is cap[a ^ 1]
+        # least-next decomposition: the flow on forward arc a is cap[a + 1]
         vs = self.graph.vertices
-        head, arcs = self._head, self._arcs
+        head, fwd = self._head, self._fwd
         kv, kw = self._rank[v], self._rank[w]
+        seen = {v}
         seqs = []
         for _ in range(total):
             seq = [v]
             k = kv
-            while k != kw:
-                a = next(a for a in arcs[2 * k + 1] if not a & 1 and cap[a ^ 1])
-                cap[a ^ 1] -= 1
-                k = head[a] // 2
-                seq.append(vs[k])
+            while True:
+                for a in fwd[k]:
+                    if cap[a + 1]:
+                        break
+                else:
+                    raise AssertionError(f"flow from {v} to {w} is not conserved at {vs[k]}")
+                cap[a + 1] -= 1
+                k = head[a] >> 1
+                x = vs[k]
+                if x in seen:
+                    raise AssertionError(f"paths from {v} to {w} meet at {x}")
+                seq.append(x)
+                if k == kw:
+                    break
+                seen.add(x)
             seqs.append(tuple(seq))
-        return PathFamily(v, w, tuple(Path(seq) for seq in sorted(seqs)))
+        seqs.sort()
+        return tuple(seqs)
 
     def _pair_flow(
         self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
@@ -234,7 +272,7 @@ class FlowNetwork:
         if excluded is not None:
             u, v = excluded
             skip = [e for x, y in ((u, v), (v, u))
-                    for e in arcs[2 * rank[x] + 1] if head[e] == 2 * rank[y]]
+                    for e in self._fwd[rank[x]] if head[e] == 2 * rank[y]]
         for e in skip:
             cap[e] = 0
         sinks = {2 * rank[x] + 1 for x in b}
@@ -262,23 +300,29 @@ class FlowNetwork:
         return cut - blocked
 
     def _max_flow(self, cap: list[int], starts: list[int], sinks: set[int], limit: int) -> int:
-        """Augment along breadth-first paths until none is left or `limit`
-        are found; cap holds the residual capacities afterwards."""
+        """Augment along breadth-first paths from the in-nodes `starts` to
+        the out-nodes `sinks` until none is left or `limit` are found;
+        cap holds the residual capacities afterwards."""
         head, arcs = self._head, self._arcs
         size = len(arcs)
+        # into[y]: the residual arc of in-node y's inflow while its unit
+        # through-arc is used; initially y itself, the through-arc
+        into = list(range(size))
         total = 0
         while total < limit:
             prev = [-1] * size
             for s in starts:
                 prev[s] = -2
-            end = _bfs(head, arcs, cap, prev, starts, sinks)
-            if end < 0:
+            y = _bfs(head, arcs, cap, into, prev, starts, sinks)
+            if y < 0:
                 return total
-            a = prev[end]
+            a = prev[y]
             while a >= 0:
                 cap[a] -= 1
                 cap[a ^ 1] += 1
-                a = prev[head[a ^ 1]]
+                into[y] = a ^ 1
+                y = head[a ^ 1]
+                a = prev[y]
             total += 1
         return total
 
@@ -287,24 +331,60 @@ def _bfs(
     head: list[int],
     arcs: list[list[int]],
     cap: list[int],
+    into: list[int],
     prev: list[int],
-    frontier: list[int],
+    starts: list[int],
     sinks: set[int],
 ) -> int:
-    """First sink-side node discovered breadth-first, recording in prev
-    the arc that reached each node; -1 when no sink is reachable."""
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in arcs[x]:
-                if cap[a]:
-                    y = head[a]
-                    if prev[y] == -1:
-                        prev[y] = a
-                        if y in sinks:
-                            return y
-                        nxt.append(y)
-        frontier = nxt
+    """First sink-side out-node discovered breadth-first, recording in
+    prev the arc that reached each node; -1 when no sink is reachable.
+
+    Only out-nodes wait in the queue. An in-node is expanded the moment
+    it is discovered: in O(1) when its through-arc is a unit one, since
+    then it has one residual arc at most (the through-arc if unused,
+    into[y] if used, none if blocked), or by scanning its arcs in order
+    when the through-arc is unbounded. In a layered search every node
+    discovered while scanning layer i lands in layer i + 1 in discovery
+    order; here the out-nodes of layer i + 2 are appended in the order
+    their in-nodes of layer i + 1 were discovered, which is the order a
+    layered search would scan those in-nodes in. So every node is
+    reached by the same arc, and the same augmenting path is found.
+    """
+    queue: list[int] = []
+    for y in starts:
+        # a start is never entered, so its only residual arc is its through-arc
+        if cap[y]:
+            z = y + 1
+            if prev[z] == -1:
+                prev[z] = y
+                if z in sinks:
+                    return z
+                queue.append(z)
+    for x in queue:  # grows while it is read: a FIFO queue
+        for a in arcs[x]:
+            if cap[a]:
+                y = head[a]
+                if prev[y] == -1:
+                    prev[y] = a
+                    c = cap[y]
+                    if c > 1:
+                        for r in arcs[y]:
+                            if cap[r]:
+                                z = head[r]
+                                if prev[z] == -1:
+                                    prev[z] = r
+                                    if z in sinks:
+                                        return z
+                                    queue.append(z)
+                        continue
+                    r = y if c else into[y]
+                    if cap[r]:
+                        z = head[r]
+                        if prev[z] == -1:
+                            prev[z] = r
+                            if z in sinks:
+                                return z
+                            queue.append(z)
     return -1
 
 

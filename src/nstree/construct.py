@@ -18,7 +18,7 @@ import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .connectivity import FlowNetwork, PathFamily
+from .connectivity import FlowNetwork
 from .graph import Graph, components, is_connected, neighborhood
 from .tree import RootedTree
 
@@ -268,14 +268,14 @@ def _run(
     net = FlowNetwork(g)
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
-    families: dict[tuple[int, int], PathFamily | None] = {}
+    families: dict[tuple[int, int], tuple[tuple[int, ...], ...] | None] = {}
 
-    def family(v: int, w: int) -> PathFamily | None:
-        # frozen on first use; the selection indices in the trace refer
-        # to this enumeration
+    def family(v: int, w: int) -> tuple[tuple[int, ...], ...] | None:
+        # the canonical family's vertex sequences, frozen on first use;
+        # the selection indices in the trace refer to this enumeration
         key = (v, w)
         if key not in families:
-            families[key] = net.family(v, w, limit)
+            families[key] = net._paths(v, w, limit)
         return families[key]
 
     # the tree grows in place; a RootedTree is built only for the result
@@ -305,8 +305,8 @@ def _run(
                     fam = family(v, w)
                     if fam is None:
                         continue
-                    for k in range(1, len(fam) + 1):
-                        inside = set(fam[k].vertices) & d
+                    for k, seq in enumerate(fam, 1):
+                        inside = d.intersection(seq)
                         if inside:
                             selections.append(((v, w), k))
                             targets |= inside

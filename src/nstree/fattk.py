@@ -211,12 +211,12 @@ def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificat
     routed: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     for a, b in combinations(branch, 2):
         blocked = used.union(branch).difference((a, b))
-        fam = net.family(a, b, blocked=blocked)
+        fam = net._paths(a, b, None, blocked)
         assert fam is not None  # no limit given
         if len(fam) < m:
             sep = net._cut(frozenset({a}), frozenset({b}), False, blocked, excluded=(a, b))
             return FatTKFailure((a, b), len(fam), sep)
-        chosen = tuple(p.vertices for p in fam.paths[:m])
+        chosen = fam[:m]
         for seq in chosen:
             used.update(seq[1:-1])
         routed[(a, b)] = chosen
