@@ -37,10 +37,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        _parse_integers(args)
         return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+# options holding integers; argparse leaves them as text so that
+# _parse_integers can reject a malformed one as an input error
+_INTEGER_OPTIONS = ("radius", "root", "budget", "kappa_small", "pair", "m", "n", "s", "search_budget")
+
+
+def _parse_integers(args: argparse.Namespace) -> None:
+    """Read the integer options in canonical decimal, as io.parse_id
+    reads ids: "1_0", "+1" and "01" raise rather than read as 10 and 1."""
+    for name in _INTEGER_OPTIONS:
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            if isinstance(text, list):
+                value: int | list[int] = [io.parse_id(t) for t in text]
+            else:
+                value = io.parse_id(text)
+        except ValueError:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} expects decimal integers, got {text!r}") from None
+        setattr(args, name, value)
 
 
 def _setup_logging() -> None:
@@ -63,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def with_graph(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--input", help="graph file, JSON or edge-list")
         p.add_argument("--gen", help="built-in generator name (see gen-list)")
-        p.add_argument("--radius", type=int, help="truncation radius for --gen")
+        p.add_argument("--radius", help="truncation radius for --gen")
         return p
 
     p = with_graph(sub.add_parser("nst", help="depth-first normal spanning tree"))
-    p.add_argument("--root", type=int, required=True)
+    p.add_argument("--root", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     for name, help_text in (
@@ -76,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("cover-nst", "normal spanning tree guided by an ordered cover"),
     ):
         p = with_graph(sub.add_parser(name, help=help_text))
-        p.add_argument("--root", type=int, required=True)
-        p.add_argument("--budget", type=int, help="maximum number of sweeps")
-        p.add_argument("--kappa-small", type=int, dest="kappa_small",
+        p.add_argument("--root", required=True)
+        p.add_argument("--budget", help="maximum number of sweeps")
+        p.add_argument("--kappa-small", dest="kappa_small",
                        help="ignore vertex pairs with connectivity above this")
         p.add_argument("--format", choices=("json", "dot"), default="json")
         if name == "local":
@@ -93,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True, help="tree JSON file")
 
     p = with_graph(sub.add_parser("kappa", help="independent-path count and family"))
-    p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("V", "W"))
+    p.add_argument("--pair", nargs=2, required=True, metavar=("V", "W"))
 
     p = with_graph(sub.add_parser("separator", help="minimum separator between vertex sets"))
     p.add_argument("--a", required=True, help="comma-separated vertex ids")
@@ -101,17 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_graph(sub.add_parser("fat-tk-find", help="greedy fat TK(n,m) search"))
     p.add_argument("--branch", required=True, help="comma-separated branch vertex ids")
-    p.add_argument("--m", type=int, required=True, help="paths per branch pair")
+    p.add_argument("--m", required=True, help="paths per branch pair")
 
     p = with_graph(sub.add_parser("fat-tk-verify", help="check a claimed certificate"))
     p.add_argument("--cert", required=True, help="certificate JSON file")
 
     p = with_graph(sub.add_parser("dispersed", help="bounded dispersedness check"))
     p.add_argument("--probe", required=True, help="comma-separated vertex ids")
-    p.add_argument("--n", type=int, required=True, help="branch vertex count")
-    p.add_argument("--m", type=int, required=True, help="paths per branch pair")
-    p.add_argument("--s", type=int, required=True, help="separator size bound")
-    p.add_argument("--search-budget", type=int, default=100, dest="search_budget")
+    p.add_argument("--n", required=True, help="branch vertex count")
+    p.add_argument("--m", required=True, help="paths per branch pair")
+    p.add_argument("--s", required=True, help="separator size bound")
+    p.add_argument("--search-budget", default="100", dest="search_budget")
 
     sub.add_parser("gen-list", help="list built-in generators")
     return parser

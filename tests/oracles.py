@@ -374,6 +374,55 @@ def ref_min_blocking_set(g: Graph, a: frozenset[int], b: frozenset[int]) -> froz
     return net.cut_vertices()
 
 
+# The augmenting-path search as FlowNetwork ran it before it expanded
+# in-nodes on discovery, kept verbatim as the reference for the
+# differential tests: a layered breadth-first search over the network's
+# own arc lists, every node scanned in arc order.
+
+
+def ref_max_flow(
+    head: list[int], arcs: list[list[int]], cap: list[int], starts: list[int],
+    sinks: set[int], limit: int,
+) -> int:
+    """Augment cap in place along layered breadth-first paths from the
+    nodes `starts` to the first discovered node of `sinks`."""
+    size = len(arcs)
+    total = 0
+    while total < limit:
+        prev = [-1] * size
+        for s in starts:
+            prev[s] = -2
+        end = _ref_bfs(head, arcs, cap, prev, list(starts), sinks)
+        if end < 0:
+            return total
+        a = prev[end]
+        while a >= 0:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            a = prev[head[a ^ 1]]
+        total += 1
+    return total
+
+
+def _ref_bfs(
+    head: list[int], arcs: list[list[int]], cap: list[int], prev: list[int],
+    frontier: list[int], sinks: set[int],
+) -> int:
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in arcs[x]:
+                if cap[a]:
+                    y = head[a]
+                    if prev[y] == -1:
+                        prev[y] = a
+                        if y in sinks:
+                            return y
+                        nxt.append(y)
+        frontier = nxt
+    return -1
+
+
 # The tree order as the library computed it before RootedTree numbered
 # its vertices in preorder, kept verbatim as the reference for the
 # differential tests: parent walks, and a chain test by down-closure.

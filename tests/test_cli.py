@@ -231,6 +231,22 @@ def test_fat_tk_generator_without_parameters_exit_2(capsys):
         ["separator", "--gen", "grid", "--radius", "4", "--a", "01", "--b", "12"],
         ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "1_0", "--n", "2", "--m", "1",
          "--s", "5"],
+        # so are single ids and counts: these once read as 10, 1 and 1, 10 and 10
+        ["nst", "--gen", "grid", "--radius", "4", "--root", "1_0"],
+        ["kappa", "--gen", "grid", "--radius", "4", "--pair", "+1", "01"],
+        ["kappa", "--gen", "grid", "--radius", "4", "--pair", "0", "1_0"],
+        ["nst", "--gen", "grid", "--radius", "1_0", "--root", "0"],
+        ["omega", "--gen", "grid", "--radius", "3", "--root", "0", "--budget", "1_0"],
+        ["omega", "--gen", "grid", "--radius", "3", "--root", "0", "--kappa-small", "1_0"],
+        ["fat-tk-find", "--gen", "grid", "--radius", "4", "--branch", "0,1", "--m", "1_0"],
+        ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "0", "--n", "1_0", "--m", "1",
+         "--s", "5"],
+        ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "0", "--n", "2", "--m", "+1",
+         "--s", "5"],
+        ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "0", "--n", "2", "--m", "1",
+         "--s", "05"],
+        ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "0", "--n", "2", "--m", "1",
+         "--s", "5", "--search-budget", "1_0"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -275,6 +291,12 @@ def test_negative_list_ids_load(capsys, tmp_path):
     code, out = run(capsys, ["separator", "--input", str(path), "--a", "-3", "--b", " 0"])
     assert code == 0
     assert json.loads(out) == {"separator": [-1, 2], "size": 2}
+    code, out = run(capsys, ["nst", "--input", str(path), "--root", "-3"])
+    assert code == 0
+    assert json.loads(out)["root"] == -3
+    code, out = run(capsys, ["kappa", "--input", str(path), "--pair", "-3", "0"])
+    assert code == 0
+    assert json.loads(out)["kappa"] == 2
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,11 @@ from nstree import (
     components,
     induced_subgraph,
     kappa,
+    make_generator,
     max_independent_paths,
     min_blocking_set,
     min_separator,
+    truncate,
 )
 from nstree.connectivity import FlowNetwork
 from oracles import (
@@ -26,9 +28,12 @@ from oracles import (
     brute_min_blocking_size,
     brute_min_separator_size,
     ref_family,
+    ref_max_flow,
     ref_min_blocking_set,
     ref_min_separator,
 )
+
+_INF = 1 << 30
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -253,6 +258,120 @@ def test_engine_matches_reference_network(seed):
             if a & b or any(g.has_edge(x, y) for x in a for y in b):
                 continue
             assert min_separator(g, a, b).s == ref_min_separator(g, a, b)
+
+
+def _larger_graph(case: str) -> Graph:
+    """A grid truncation, or a random graph of 20-40 vertices with
+    spread-out ids."""
+    kind, arg = case.split("-")
+    if kind == "grid":
+        return truncate(make_generator("grid"), int(arg))
+    rng = random.Random(int(arg))
+    n = rng.randrange(20, 41)
+    g = random_connected_graph(rng, n, rng.choice([0.05, 0.1, 0.2]))
+    ids = rng.sample(range(-100, 300), n)
+    return Graph(ids, [(ids[u], ids[v]) for u, v in g.edges if rng.random() < 0.9])
+
+
+@pytest.mark.parametrize("case", ["grid-3", "grid-4", "grid-5", *(f"random-{s}" for s in range(6))])
+def test_engine_matches_reference_network_on_larger_graphs(case):
+    """Past 13 vertices, paths cross in-nodes in every state: unused,
+    carrying flow, blocked and unbounded."""
+    g = _larger_graph(case)
+    rng = random.Random(case)
+    net = FlowNetwork(g)
+    for _ in range(30):
+        v, w = rng.sample(g.vertices, 2)
+        fam = max_independent_paths(g, v, w)
+        assert [p.vertices for p in fam] == ref_family(g, v, w)
+    for _ in range(10):
+        v, w = rng.sample(g.vertices, 2)
+        rest = [x for x in g.vertices if x not in (v, w)]
+        blocked = frozenset(rng.sample(rest, len(rest) // 4))
+        fam = net.family(v, w, blocked=blocked)
+        sub = induced_subgraph(g, g.vertex_set - blocked)
+        assert [p.vertices for p in fam] == ref_family(sub, v, w)
+    k = max(2, len(g) // 5)
+    for _ in range(12):
+        a = frozenset(rng.sample(g.vertices, rng.randint(1, k)))
+        b = frozenset(rng.sample(g.vertices, rng.randint(1, k)))
+        if not a & b and not any(g.has_edge(x, y) for x in a for y in b):
+            assert min_separator(g, a, b).s == ref_min_separator(g, a, b)
+            # make the sides touch for the blocking set
+            b |= {rng.choice(g.neighbors(min(a)) or (min(a),))}
+        assert min_blocking_set(g, a, b).s == ref_min_blocking_set(g, a, b)
+
+
+def _search_matches_layered_search(
+    g: Graph, through: list[int], edge_cap: int, starts: list[int], sinks: set[int], limit: int
+) -> None:
+    net = FlowNetwork(g)
+    n = len(g)
+    cap = [c for k in range(n) for c in (through[k], 0)]
+    cap += [edge_cap, 0] * (len(net._head) // 2 - n)
+    ref = list(cap)
+    assert net._max_flow(cap, starts, sinks, limit) == ref_max_flow(
+        net._head, net._arcs, ref, starts, sinks, limit
+    )
+    assert cap == ref
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_matches_layered_search(seed):
+    """_max_flow finds the augmenting paths a layered search scanning
+    every node in arc order finds, also where interior through-arcs are
+    unbounded, which no public query sets up."""
+    rng = random.Random(200 + seed)
+    for _ in range(30):
+        g = _differential_graph(rng)
+        n = len(g)
+        through = [rng.choice((0, 1, 1, 1, _INF, _INF)) for _ in range(n)]
+        ks = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
+        cut = rng.randint(1, len(ks))
+        starts = sorted(2 * k for k in ks[:cut])
+        sinks = {2 * k + 1 for k in ks[cut:] or rng.sample(range(n), 1)}
+        # an all-unbounded start-sink path carries any amount of flow
+        limit = rng.choice((2 * n, rng.randint(1, 3)))
+        _search_matches_layered_search(g, through, rng.choice((1, _INF)), starts, sinks, limit)
+
+
+def test_search_leaves_an_unbounded_in_node_by_its_inflow():
+    """The first augmenting path is 0-1-4; the second enters vertex 1,
+    whose through-arc is unbounded, and leaves its in-node back along
+    the inflow arc from 0 (path 5-1-0-6-4), which a search expanding
+    every in-node by its through-arc alone would miss."""
+    g = Graph(range(7), [(0, 1), (0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 6),
+                         (3, 5), (3, 6), (4, 6)])
+    through = [1, _INF, _INF, _INF, _INF, 1, _INF]
+    _search_matches_layered_search(g, through, 1, [0, 10], {9}, 14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_network_answers_do_not_depend_on_earlier_queries(seed):
+    """One network interleaving every kind of query answers each as a
+    freshly built one does."""
+    rng = random.Random(300 + seed)
+    for _ in range(8):
+        g = _differential_graph(rng) if rng.random() < 0.5 else _larger_graph(f"random-{rng.randrange(99)}")
+        net = FlowNetwork(g)
+        for _ in range(20):
+            v, w = rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (v, w)]
+            blocked = frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))
+            kind = rng.randrange(4)
+            if kind == 0:
+                assert net.family(v, w) == FlowNetwork(g).family(v, w)
+            elif kind == 1:
+                limit = rng.randint(1, 3)
+                assert net.family(v, w, limit) == FlowNetwork(g).family(v, w, limit)
+            elif kind == 2:
+                assert net.family(v, w, blocked=blocked) == FlowNetwork(g).family(v, w, blocked=blocked)
+            else:
+                a, b = frozenset({v}), frozenset({w})
+                got = net._cut(a, b, False, blocked, excluded=(v, w))
+                assert got == FlowNetwork(g)._cut(a, b, False, blocked, excluded=(v, w))
+                got = net._cut(a | blocked, b, True)
+                assert got == FlowNetwork(g)._cut(a | blocked, b, True)
 
 
 @pytest.mark.parametrize("seed", range(6))
