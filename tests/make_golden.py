@@ -13,7 +13,7 @@ Regenerate (only on purpose, recording why in CHANGES.md) with
     PYTHONPATH=src python tests/make_golden.py
 
 One run rewrites the whole corpus: families/*.txt, traces.txt,
-order.txt, fattk.txt and cli/*. To pin a new file before changing the
+order.txt, fattk.txt, dispersed.txt and cli/*. To pin a new file before changing the
 code it covers, add its writer here and run this at the parent commit:
 `git status` must then list only the new file, since every existing
 one comes out byte-identical.
@@ -237,6 +237,45 @@ def fattk_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def dispersed_text() -> str:
+    """One line per is_dispersed call: its parameters, its verdict, how
+    many certificates it examined and a sha256 of the verdict with every
+    examined certificate and its blocker.
+
+    The inputs are 120 seeded random connected graphs with 8-30
+    vertices, the grid truncations of radius 4-8 and the five fat-tk-gen
+    truncations of fattk_text, three calls each, with n = 2-4, m = 1-4,
+    s = 0-2, search budgets of 1-100 and probes of 0-2 vertices. n = 4
+    runs only on graphs of at most 22 vertices.
+    """
+    graphs: list[tuple[str, Graph]] = []
+    for seed in range(120):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(8, 30)
+        g = random_connected_graph(rng, n, rng.choice([0.05, 0.15, 0.3, 0.5, 0.7]))
+        graphs.append((f"seed={seed} n={n} edges={len(g.edges)}", g))
+    for r in range(4, 9):
+        graphs.append((f"grid r={r}", truncate(make_generator("grid"), r)))
+    for n, m, r in ((3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3), (4, 3, 3)):
+        graphs.append((f"fat-tk-gen({n},{m}) r={r}", truncate(make_generator("fat-tk-gen", n, m), r)))
+    lines = []
+    for head, g in graphs:
+        rng = random.Random(f"dispersed {head}")
+        for _ in range(3):
+            probe = tuple(rng.sample(g.vertices, rng.randint(0, 2)))
+            k = rng.randint(2, 4 if len(g) <= 22 else 3)
+            m, s = rng.randint(1, 4), rng.randint(0, 2)
+            budget = rng.choice([1, 2, 3, 5, 10, 30, 100])
+            v = is_dispersed(g, probe, k, m, s, budget)
+            examined = [(_fattk_repr(c), sorted(sep)) for c, sep in v.examined]
+            lines.append(
+                f"{head} probe={probe} tk=({k},{m}) s={s} budget={budget} "
+                f"dispersed={v.dispersed} examined={len(examined)} "
+                f"{_sha(repr((v.dispersed, examined)))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
 # name -> (argv, cover JSON written to a file passed as --cover, or None)
 CLI_CASES: dict[str, tuple[list[str], str | None]] = {
     "omega-grid-r6": (["omega", "--gen", "grid", "--radius", "6", "--root", "0"], None),
@@ -275,6 +314,11 @@ CLI_CASES: dict[str, tuple[list[str], str | None]] = {
          "--kappa-small", "3"],
         "[[15, 12], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]]",
     ),
+    "dispersed-grid-r8-n3-budget-100": (
+        ["dispersed", "--gen", "grid", "--radius", "8", "--probe", "0", "--n", "3", "--m", "2",
+         "--s", "1", "--search-budget", "100"],
+        None,
+    ),
 }
 
 # stderr of these runs under NTK_LOG=steps and NTK_LOG=full
@@ -311,6 +355,7 @@ def main() -> None:
     (GOLDEN / "traces.txt").write_text(trace_digest_text())
     (GOLDEN / "order.txt").write_text(order_text())
     (GOLDEN / "fattk.txt").write_text(fattk_text())
+    (GOLDEN / "dispersed.txt").write_text(dispersed_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

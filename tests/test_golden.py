@@ -9,6 +9,7 @@ from make_golden import (
     GOLDEN,
     LOG_CASES,
     cli_argv,
+    dispersed_text,
     family_graphs,
     family_text,
     fattk_text,
@@ -51,3 +52,7 @@ def test_tree_order_digests_match_golden():
 
 def test_fat_tk_digests_match_golden():
     assert fattk_text() == (GOLDEN / "fattk.txt").read_text()
+
+
+def test_dispersed_digests_match_golden():
+    assert dispersed_text() == (GOLDEN / "dispersed.txt").read_text()
