@@ -10,7 +10,8 @@ would coincide in a simple graph.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from bisect import insort
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -250,13 +251,29 @@ def is_dispersed(
 ) -> DispersednessVerdict:
     """Can the probe set be cut from every fat TK(n, m) by ≤ s vertices?
 
-    Candidate branch sets are ranked by descending minimum pairwise
-    connectivity (sets below m are skipped, they cannot host a
-    certificate) and at most search_budget of them are run through the
-    greedy router. Every certificate found is tested: the minimum
+    Candidate branch sets are the n-sets whose least pairwise
+    connectivity κ is at least m (the others cannot host a
+    certificate), ranked by descending least κ, ties by the sorted set.
+    The search_budget first of them are run through the greedy router,
+    in rank order. Every certificate found is tested: the minimum
     blocking set between probe and the certificate's vertices may use
     vertices of either side, since the certificate may touch or contain
-    probe vertices. The verdict is relative to this bounded search.
+    probe vertices.
+
+    The ranking is found best-first, without scoring every n-set.
+    κ(a, b) is at most min(deg a, deg b), so a set scores at most its
+    least degree d. Sets are visited by descending d and then in
+    lexicographic order, which is ascending order of the bound
+    (-d, set) on their rank key. κ is computed per pair, once, and only
+    while the set can still rank: a set is dropped at the first pair
+    that brings its least κ below m or below the score of the last of
+    search_budget sets ranked so far. The search stops at the first set
+    whose bound sorts after that last ranked key, since no set still to
+    come can rank above it.
+
+    The verdict is relative to this bounded search: it covers at most
+    search_budget certificates, and it is vacuously true when no
+    candidate routes.
     """
     probe = frozenset(probe)
     if not probe <= g.vertex_set:
@@ -266,21 +283,8 @@ def is_dispersed(
     if search_budget < 1:
         raise ValueError(f"search budget must be positive, got {search_budget}")
     net = FlowNetwork(g)
-    kappas: dict[tuple[int, int], int] = {}
-
-    def pair_kappa(a: int, b: int) -> int:
-        if (a, b) not in kappas:
-            kappas[a, b] = net.kappa(a, b)
-        return kappas[a, b]
-
-    scored: list[tuple[int, tuple[int, ...]]] = []
-    for cand in combinations(g.vertices, n):
-        score = min(pair_kappa(a, b) for a, b in combinations(cand, 2))
-        if score >= m:
-            scored.append((score, cand))
-    scored.sort(key=lambda it: (-it[0], it[1]))
     examined: list[tuple[FatTKCertificate, frozenset[int]]] = []
-    for _score, cand in scored[:search_budget]:
+    for _score, cand in _ranked(net, n, m, search_budget):
         found = _route(net, cand, m)
         if isinstance(found, FatTKFailure):
             continue
@@ -292,3 +296,45 @@ def is_dispersed(
         if len(blocker) > s:
             return DispersednessVerdict(False, s, tuple(examined))
     return DispersednessVerdict(True, s, tuple(examined))
+
+
+def _ranked(net: FlowNetwork, n: int, m: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The first `budget` n-sets by (-least pairwise κ, set) among those
+    whose least κ is at least m, with their least κ; best-first under
+    the degree bound (see is_dispersed)."""
+    kappas: dict[tuple[int, int], int] = {}
+    ranked: list[tuple[int, tuple[int, ...]]] = []  # (-score, set), ascending
+    for d, cand in _by_degree_bound(net.graph, n, m):
+        floor = m
+        if len(ranked) == budget:
+            if (-d, cand) > ranked[-1]:
+                break
+            floor = -ranked[-1][0]
+        score = d
+        for pair in combinations(cand, 2):
+            k = kappas.get(pair)
+            if k is None:
+                k = kappas[pair] = net.kappa(*pair)
+            if k < score:
+                score = k
+                if k < floor:
+                    break
+        else:
+            insort(ranked, (-score, cand))
+            del ranked[budget:]
+    return [(-key, cand) for key, cand in ranked]
+
+
+def _by_degree_bound(g: Graph, n: int, m: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(d, set) for every n-set whose least degree d is at least m, by
+    descending d, then lexicographically."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    above: frozenset[int] = frozenset()  # the vertices of degree above d
+    for d in sorted(set(deg.values()), reverse=True):
+        if d < m:
+            return
+        level = [v for v in g.vertices if deg[v] >= d]
+        for cand in combinations(level, n):
+            if not above.issuperset(cand):
+                yield d, cand
+        above = frozenset(level)

@@ -25,6 +25,18 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph(range(n), edges)
 
 
+def clique_chain(count: int, size: int) -> Graph:
+    """count disjoint K_size on consecutive ids, each joined to the next by
+    an edge from its last vertex to the next clique's first."""
+    edges = []
+    for c in range(count):
+        base = c * size
+        edges += [(base + i, base + j) for i, j in combinations(range(size), 2)]
+        if c:
+            edges.append((base - 1, base))
+    return Graph(range(count * size), edges)
+
+
 def bfs_tree(g: Graph, r: int) -> RootedTree:
     """Breadth-first tree from r of r's component, neighbors ascending."""
     parent: dict[int, int] = {}

@@ -7,7 +7,7 @@ tautology. Only run these on small graphs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import combinations
 
 from nstree import Graph, RootedTree, is_connected
@@ -464,3 +464,30 @@ def ref_is_chain(t: RootedTree, s: Iterable[int]) -> bool:
         return True
     deepest = max(s, key=lambda v: (t.depth(v), v))
     return s <= ref_down_closure(t, deepest)
+
+
+# The candidate ranking is_dispersed ran before it searched best-first
+# under the degree bound, kept verbatim as the reference for the
+# differential tests: κ of every pair, every n-set scored, then sorted.
+# κ comes from the caller, so a test can record the pairs it queries.
+
+
+def ref_dispersed_ranking(
+    g: Graph, n: int, m: int, search_budget: int, kappa: Callable[[int, int], int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(least pairwise κ, n-set) of the search_budget first n-sets by
+    descending least κ, ties by the set, among those scoring at least m."""
+    kappas: dict[tuple[int, int], int] = {}
+
+    def pair_kappa(a: int, b: int) -> int:
+        if (a, b) not in kappas:
+            kappas[a, b] = kappa(a, b)
+        return kappas[a, b]
+
+    scored: list[tuple[int, tuple[int, ...]]] = []
+    for cand in combinations(g.vertices, n):
+        score = min(pair_kappa(a, b) for a, b in combinations(cand, 2))
+        if score >= m:
+            scored.append((score, cand))
+    scored.sort(key=lambda it: (-it[0], it[1]))
+    return scored[:search_budget]

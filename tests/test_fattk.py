@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_st, random_connected_graph
+from helpers import clique_chain, connected_graphs_st, random_connected_graph
 from nstree import (
     FatTKCertificate,
     FatTKFailure,
@@ -18,11 +18,16 @@ from nstree import (
     is_dispersed,
     kappa,
     kappa_necessary_check,
+    make_generator,
     max_independent_paths,
+    min_blocking_set,
     min_separator,
+    truncate,
     verify_fat_tk,
 )
-from oracles import brute_fat_tk_exists
+from nstree.connectivity import FlowNetwork
+from nstree.fattk import _ranked
+from oracles import brute_fat_tk_exists, ref_dispersed_ranking
 
 # triangle on {1,2,3} with every edge replaced by two length-2 paths
 DST = Graph(
@@ -222,6 +227,87 @@ def test_is_dispersed_validation():
         is_dispersed(DST, {1}, 3, 2, -1)
     with pytest.raises(ValueError):
         is_dispersed(DST, {1}, 3, 2, 1, search_budget=0)
+
+
+def _recording_kappa(monkeypatch) -> list[tuple[int, int]]:
+    """Record every FlowNetwork.kappa query, in call order."""
+    calls: list[tuple[int, int]] = []
+    real = FlowNetwork.kappa
+
+    def kappa(self, v, w):
+        calls.append((v, w))
+        return real(self, v, w)
+
+    monkeypatch.setattr(FlowNetwork, "kappa", kappa)
+    return calls
+
+
+def _ref_verdict(g, probe, ranking, m, s):
+    """is_dispersed's routing and blocking loop on public calls."""
+    examined = []
+    for _score, cand in ranking:
+        found = find_fat_tk(g, cand, m)
+        if isinstance(found, FatTKFailure):
+            continue
+        blocker = min_blocking_set(g, probe, found.vertices).s if probe else frozenset()
+        examined.append((found, blocker))
+        if len(blocker) > s:
+            return False, examined
+    return True, examined
+
+
+def _dispersed_case(seed: int):
+    """A graph of 3-14 vertices (random, a random tree, or a chain of
+    cliques with up to four extra edges) and is_dispersed arguments."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 2:
+        g = random_connected_graph(rng, rng.randint(3, 14), 0.0)
+    elif kind == 3:
+        size = rng.randint(2, 5)
+        chain = clique_chain(rng.randint(1, 14 // size), size)
+        extra = [tuple(rng.sample(chain.vertices, 2)) for _ in range(rng.randint(0, 4))]
+        g = Graph(chain.vertices, list(chain.edges) + [(min(e), max(e)) for e in extra])
+    else:
+        g = random_connected_graph(rng, rng.randint(3, 14), rng.choice([0.1, 0.25, 0.45, 0.7]))
+    probe = frozenset(rng.sample(g.vertices, rng.randint(0, 2)))
+    n = rng.randint(2, min(4, len(g)))
+    m, s = rng.randint(1, 4), rng.randint(0, 2)
+    budget = rng.choice([1, 2, 3, 5, 8, 20, 100])
+    return g, probe, n, m, s, budget
+
+
+def test_dispersed_ranking_matches_exhaustive_oracle(monkeypatch):
+    calls = _recording_kappa(monkeypatch)
+    ranked_sets = non_dispersed = 0
+    for seed in range(1200):
+        g, probe, n, m, s, budget = _dispersed_case(seed)
+        del calls[:]
+        ranking = _ranked(FlowNetwork(g), n, m, budget)
+        queried = set(calls)
+        assert len(queried) == len(calls)  # each pair once
+        net = FlowNetwork(g)
+        del calls[:]
+        expected = ref_dispersed_ranking(g, n, m, budget, net.kappa)
+        assert ranking == expected, (seed, n, m, budget)
+        assert queried <= set(calls), seed
+        verdict = is_dispersed(g, probe, n, m, s, budget)
+        assert (verdict.dispersed, list(verdict.examined)) == _ref_verdict(g, probe, expected, m, s)
+        ranked_sets += len(ranking)
+        non_dispersed += not verdict.dispersed
+    assert ranked_sets > 5000 and non_dispersed > 100
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dispersed_search_is_bounded_on_grid_r12(monkeypatch, n):
+    g = truncate(make_generator("grid"), 12)
+    assert len(g) == 91
+    calls = _recording_kappa(monkeypatch)
+    verdict = is_dispersed(g, {0}, n, 2, 1, search_budget=100)
+    # a grid vertex has degree 4 at most, too few for fat TK(4, 2) branch
+    # vertices, so every n = 4 candidate fails to route
+    assert verdict.dispersed and bool(verdict.examined) == (n == 3)
+    assert len(calls) <= 300
 
 
 @settings(max_examples=60, deadline=None)
