@@ -15,7 +15,6 @@ selection detail).
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from .generators import BUILTIN_GENERATORS, make_generator, truncate
 from .graph import Graph
 from .tree import is_normal
 
-_GEN_WITH_ARGS = re.compile(r"^fat-tk-gen\((\d+),(\d+)\)$")
+_GEN_WITH_ARGS = re.compile(r"fat-tk-gen\(([^,]*),([^,]*)\)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,12 +67,15 @@ def _parse_integers(args: argparse.Namespace) -> None:
 
 
 def _setup_logging() -> None:
-    level = {"off": logging.WARNING, "steps": logging.INFO, "full": logging.DEBUG}
+    level = {"off": None, "steps": "INFO", "full": "DEBUG"}
     mode = os.environ.get("NTK_LOG", "off")
     if mode not in level:
         print(f"warning: unknown NTK_LOG value {mode!r}, using off", file=sys.stderr)
-        mode = "off"
-    logging.basicConfig(level=level[mode], format="%(message)s", stream=sys.stderr)
+    elif level[mode] is not None:
+        # imported only here, so that a run without logging pays nothing for it
+        import logging
+
+        logging.basicConfig(level=level[mode], format="%(message)s", stream=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,9 +156,15 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "gen", None):
         if args.radius is None:
             raise ValueError("--gen requires --radius")
-        m = _GEN_WITH_ARGS.match(args.gen)
+        m = _GEN_WITH_ARGS.fullmatch(args.gen)
         if m:
-            gen = make_generator("fat-tk-gen", int(m.group(1)), int(m.group(2)))
+            try:
+                n, k = io.parse_id(m.group(1)), io.parse_id(m.group(2))
+            except ValueError:
+                raise ValueError(
+                    f"--gen expects fat-tk-gen(N,M) with decimal N and M, got {args.gen!r}"
+                ) from None
+            gen = make_generator("fat-tk-gen", n, k)
         else:
             gen = make_generator(args.gen)
         return truncate(gen, args.radius)

@@ -15,22 +15,22 @@ graph is built once (FlowNetwork) and answers any number of queries.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .graph import Graph
 
 _INF = 1 << 30
 
 
-@dataclass(frozen=True)
-class Path:
-    vertices: tuple[int, ...]
+class Path(Record):
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        if not vertices:
             raise ValueError("a path has at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"repeated vertex in path {self.vertices}")
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"repeated vertex in path {vertices}")
+        _set(self, "vertices", vertices)
 
     @property
     def ends(self) -> tuple[int, int]:
@@ -51,8 +51,7 @@ class Path:
         return iter(self.vertices)
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(Record):
     """Independent v-w paths in a fixed canonical order, indexed from 1.
 
     Member paths share no vertex besides v and w. The order is part of
@@ -61,19 +60,20 @@ class PathFamily:
     every run over the same graph.
     """
 
-    v: int
-    w: int
-    paths: tuple[Path, ...]
+    __slots__ = ("v", "w", "paths")
 
-    def __post_init__(self) -> None:
+    def __init__(self, v: int, w: int, paths: tuple[Path, ...]) -> None:
         seen: set[int] = set()
-        for p in self.paths:
-            if p.ends != (self.v, self.w):
-                raise ValueError(f"path {p.vertices} does not run from {self.v} to {self.w}")
+        for p in paths:
+            if p.ends != (v, w):
+                raise ValueError(f"path {p.vertices} does not run from {v} to {w}")
             inner = set(p.interior)
             if inner & seen:
                 raise ValueError(f"paths share interior vertices {sorted(inner & seen)}")
             seen |= inner
+        _set(self, "v", v)
+        _set(self, "w", w)
+        _set(self, "paths", paths)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -88,13 +88,15 @@ class PathFamily:
         return self.paths[index - 1]
 
 
-@dataclass(frozen=True)
-class Separator:
+class Separator(Record):
     """A vertex set s together with the two sides a, b it separates."""
 
-    s: frozenset[int]
-    a: frozenset[int]
-    b: frozenset[int]
+    __slots__ = ("s", "a", "b")
+
+    def __init__(self, s: frozenset[int], a: frozenset[int], b: frozenset[int]) -> None:
+        _set(self, "s", s)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
 class InseparableError(ValueError):

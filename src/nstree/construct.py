@@ -14,23 +14,20 @@ are reproducible and the returned trace replays exactly.
 
 from __future__ import annotations
 
-import logging
+import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .connectivity import FlowNetwork
 from .graph import Graph, components, is_connected, neighborhood
 from .tree import RootedTree
-
-logger = logging.getLogger(__name__)
 
 SPANNING = "spanning"
 BUDGET_EXHAUSTED = "budget-exhausted"
 TARGET_COVERED = "target-covered"
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(Record):
     """One extension of the tree into one component.
 
     step is the sweep index; extensions made during the same sweep
@@ -42,21 +39,31 @@ class ExtensionStep:
     trace reconstructs its tree.
     """
 
-    step: int
-    component: frozenset[int]
-    attach_vertex: int
-    entry_vertex: int
-    targets: frozenset[int]
-    selections: tuple[tuple[tuple[int, int], int], ...]
-    fallback_vertex: int | None
-    added: tuple[tuple[int, int], ...]
+    __slots__ = ("step", "component", "attach_vertex", "entry_vertex",
+                 "targets", "selections", "fallback_vertex", "added")
+
+    def __init__(
+        self, step: int, component: frozenset[int], attach_vertex: int, entry_vertex: int,
+        targets: frozenset[int], selections: tuple[tuple[tuple[int, int], int], ...],
+        fallback_vertex: int | None, added: tuple[tuple[int, int], ...],
+    ) -> None:
+        _set(self, "step", step)
+        _set(self, "component", component)
+        _set(self, "attach_vertex", attach_vertex)
+        _set(self, "entry_vertex", entry_vertex)
+        _set(self, "targets", targets)
+        _set(self, "selections", selections)
+        _set(self, "fallback_vertex", fallback_vertex)
+        _set(self, "added", added)
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    steps: tuple[ExtensionStep, ...]
-    tree: RootedTree
-    status: str
+class RunTrace(Record):
+    __slots__ = ("steps", "tree", "status")
+
+    def __init__(self, steps: tuple[ExtensionStep, ...], tree: RootedTree, status: str) -> None:
+        _set(self, "steps", steps)
+        _set(self, "tree", tree)
+        _set(self, "status", status)
 
     def prefix_tree(self, count: int) -> RootedTree:
         """Tree after the first `count` extensions."""
@@ -66,11 +73,13 @@ class RunTrace:
         return RootedTree(self.tree.root, parent)
 
 
-@dataclass(frozen=True)
-class DispersedCover:
+class DispersedCover(Record):
     """Ordered list of vertex sets whose union covers the host graph."""
 
-    sets: tuple[frozenset[int], ...]
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: tuple[frozenset[int], ...]) -> None:
+        _set(self, "sets", sets)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -265,6 +274,12 @@ def _run(
     if kappa_small is not None and kappa_small < 0:
         raise ValueError(f"kappa_small must be non-negative, got {kappa_small}")
 
+    # log only if the program has imported logging and enabled this logger
+    logging = sys.modules.get("logging")
+    logger = logging.getLogger(__name__) if logging else None
+    debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
+    info = logger is not None and logger.isEnabledFor(logging.INFO)
+
     net = FlowNetwork(g)
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
@@ -310,7 +325,7 @@ def _run(
                         if inside:
                             selections.append(((v, w), k))
                             targets |= inside
-                            if logger.isEnabledFor(logging.DEBUG):
+                            if debug:
                                 logger.debug(
                                     "sweep %d: pair (%d,%d) path %d meets component %s",
                                     sweep, v, w, k, sorted(d),
@@ -323,19 +338,12 @@ def _run(
                 fallback = min(d)
                 targets.add(fallback)
             t_d, r_d, added = _extend(g, parent, depth, d, frozenset(nbrs), frozenset(targets))
-            steps.append(
-                ExtensionStep(
-                    step=sweep,
-                    component=d,
-                    attach_vertex=t_d,
-                    entry_vertex=r_d,
-                    targets=frozenset(targets),
-                    selections=tuple(selections),
-                    fallback_vertex=fallback,
-                    added=added,
-                )
-            )
-            if logger.isEnabledFor(logging.INFO):
+            steps.append(ExtensionStep(
+                step=sweep, component=d, attach_vertex=t_d, entry_vertex=r_d,
+                targets=frozenset(targets), selections=tuple(selections),
+                fallback_vertex=fallback, added=added,
+            ))
+            if info:
                 logger.info(
                     "sweep %d: extended at %d into component %s, entry %d, %d targets",
                     sweep, t_d, sorted(d), r_d, len(targets),

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record, _set
 from .connectivity import FlowNetwork
 from .graph import Graph
 
@@ -71,17 +71,18 @@ class FatTKCertificate:
         return f"FatTKCertificate(n={len(self.branch)}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    ok: bool
-    reason: str | None = None
+class CertificateReport(Record):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None) -> None:
+        _set(self, "ok", ok)
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class FatTKFailure:
+class FatTKFailure(Record):
     """First pair the greedy router could not complete.
 
     routed is how many disjoint paths the pair admitted in the residual
@@ -91,13 +92,15 @@ class FatTKFailure:
     the interiors routed so far blocked and that edge's arcs masked.
     """
 
-    pair: tuple[int, int]
-    routed: int
-    separator: frozenset[int]
+    __slots__ = ("pair", "routed", "separator")
+
+    def __init__(self, pair: tuple[int, int], routed: int, separator: frozenset[int]) -> None:
+        _set(self, "pair", pair)
+        _set(self, "routed", routed)
+        _set(self, "separator", separator)
 
 
-@dataclass(frozen=True)
-class DispersednessVerdict:
+class DispersednessVerdict(Record):
     """Outcome of the bounded dispersedness search.
 
     examined pairs each found certificate with the smallest vertex set
@@ -106,9 +109,14 @@ class DispersednessVerdict:
     relative to the bounded search, not exhaustive.
     """
 
-    dispersed: bool
-    bound: int
-    examined: tuple[tuple[FatTKCertificate, frozenset[int]], ...]
+    __slots__ = ("dispersed", "bound", "examined")
+
+    def __init__(
+        self, dispersed: bool, bound: int, examined: tuple[tuple[FatTKCertificate, frozenset[int]], ...]
+    ) -> None:
+        _set(self, "dispersed", dispersed)
+        _set(self, "bound", bound)
+        _set(self, "examined", examined)
 
     @property
     def witness(self) -> tuple[FatTKCertificate, frozenset[int]] | None:

@@ -9,16 +9,22 @@ given radius around the root.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 
+from ._record import Record, _set
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class GraphGenerator:
-    name: str
-    root: int
-    rule: Callable[[int], Iterable[int]] = field(compare=False)
+class GraphGenerator(Record):
+    __slots__ = ("name", "root", "rule")
+
+    def __init__(self, name: str, root: int, rule: Callable[[int], Iterable[int]]) -> None:
+        _set(self, "name", name)
+        _set(self, "root", root)
+        _set(self, "rule", rule)
+
+    def _key(self) -> tuple:
+        # the rule is code, not data: it takes no part in equality or hashing
+        return self.name, self.root
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = tuple(sorted(set(self.rule(v))))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .graph import Graph, components, neighborhood
 
 
@@ -151,8 +151,7 @@ class RootedTree:
             raise ValueError(f"vertex {v} not in tree") from None
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
     """Outcome of a normality check.
 
     When normal is false, witness is a triple (u, v, path): two
@@ -161,8 +160,13 @@ class NormalityReport:
     so a bare chord appears as (u, v, (u, v)).
     """
 
-    normal: bool
-    witness: tuple[int, int, tuple[int, ...]] | None = None
+    __slots__ = ("normal", "witness")
+
+    def __init__(
+        self, normal: bool, witness: tuple[int, int, tuple[int, ...]] | None = None
+    ) -> None:
+        _set(self, "normal", normal)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.normal

@@ -247,6 +247,10 @@ def test_fat_tk_generator_without_parameters_exit_2(capsys):
          "--s", "05"],
         ["dispersed", "--gen", "grid", "--radius", "4", "--probe", "0", "--n", "2", "--m", "1",
          "--s", "5", "--search-budget", "1_0"],
+        # so are generator parameters: these once ran as fat-tk-gen(3,2)
+        ["kappa", "--gen", "fat-tk-gen(03,2)", "--radius", "2", "--pair", "0", "2"],
+        ["kappa", "--gen", "fat-tk-gen(3,\u0662)", "--radius", "2", "--pair", "0", "2"],
+        ["kappa", "--gen", "fat-tk-gen(3,2)\n", "--radius", "2", "--pair", "0", "2"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -364,6 +368,36 @@ def test_log_modes():
     assert steps.stderr != ""
     assert len(full.stderr) > len(steps.stderr)
     assert quiet.stdout == steps.stdout == full.stdout
+
+
+def _imported(argv, env_extra=None):
+    """Names of the modules a fresh interpreter imports to run argv, with
+    NTK_LOG unset unless env_extra sets it (read from -X importtime)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "NTK_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_logging():
+    # measured against a bare interpreter, whose site may preload modules
+    baseline = _imported(["-c", "pass"])
+    for argv in (["-c", "import nstree.cli"], ["-m", "nstree.cli", "gen-list"]):
+        added = _imported(argv) - baseline
+        assert "nstree.construct" in added
+        assert not {"dataclasses", "inspect", "logging"} & added, argv
+
+
+def test_logging_is_imported_once_switched_on():
+    # test_golden.py checks the stderr of these modes byte for byte
+    baseline = _imported(["-c", "pass"])
+    for mode in ("steps", "full"):
+        added = _imported(["-m", "nstree.cli", "gen-list"], {"NTK_LOG": mode}) - baseline
+        assert "logging" in added
 
 
 def test_unknown_log_mode_warns():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from make_golden import (
@@ -17,7 +19,9 @@ from make_golden import (
     order_text,
     trace_digest_text,
 )
+from nstree import omega_nst, truncate
 from nstree.cli import main
+from nstree.generators import grid
 
 GRAPHS = family_graphs()
 
@@ -40,6 +44,14 @@ def test_cli_output_matches_golden(name, capsys, tmp_path):
 def test_log_output_matches_golden(name, mode):
     expected = (GOLDEN / "cli" / f"{name}.{mode}.log").read_text()
     assert log_stderr(LOG_CASES[name], mode) == expected
+
+
+def test_library_logs_the_cli_full_log_lines(caplog):
+    # no CLI and no basicConfig: the program only enables the logger
+    caplog.set_level(logging.DEBUG, logger="nstree.construct")
+    omega_nst(truncate(grid(), 4), 0)
+    lines = "".join(f"{r.getMessage()}\n" for r in caplog.records if r.name == "nstree.construct")
+    assert lines == (GOLDEN / "cli" / "omega-grid-r4.full.log").read_text()
 
 
 def test_trace_digests_match_golden():
