@@ -390,14 +390,8 @@ def test_start_up_imports_no_dataclasses_inspect_or_logging():
         added = _imported(argv) - baseline
         assert "nstree.construct" in added
         assert not {"dataclasses", "inspect", "logging"} & added, argv
-
-
-def test_logging_is_imported_once_switched_on():
-    # test_golden.py checks the stderr of these modes byte for byte
-    baseline = _imported(["-c", "pass"])
-    for mode in ("steps", "full"):
-        added = _imported(["-m", "nstree.cli", "gen-list"], {"NTK_LOG": mode}) - baseline
-        assert "logging" in added
+    # switched on, logging loads; test_golden.py checks its stderr byte for byte
+    assert "logging" in _imported(["-m", "nstree.cli", "gen-list"], {"NTK_LOG": "steps"}) - baseline
 
 
 def test_unknown_log_mode_warns():

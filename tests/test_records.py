@@ -137,7 +137,10 @@ def test_equal_records_hash_alike(name):
         with pytest.raises(TypeError):
             hash(a)
     else:
-        assert hash(a) == hash(b) == hash(tuple(fields.values())[: 2 if name == "GraphGenerator" else None])
+        key = tuple(fields.values())
+        if name == "GraphGenerator":
+            key = key[:2]  # the rule takes no part
+        assert hash(a) == hash(b) == hash(key)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -186,8 +189,9 @@ def test_assignment_and_deletion_raise(name):
     assert a == cls(**fields)
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if n != "GraphGenerator"])
+@pytest.mark.parametrize("name", NAMES)
 def test_pickle_round_trip(name):
+    # the generator case pickles because its rule is a module-level function
     cls, fields, _, text = CASES[name]
     a = cls(**fields)
     b = pickle.loads(pickle.dumps(a))
