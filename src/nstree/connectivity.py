@@ -9,7 +9,9 @@ decomposed choosing the least next node, so every result is a
 deterministic function of the graph alone. That determinism is
 load-bearing: the construction algorithms select paths by index out of
 these families, and reruns must pick the same paths. The network of a
-graph is built once (FlowNetwork) and answers any number of queries.
+graph is built once (FlowNetwork) and answers any number of queries;
+the public functions and the constructions reuse the network of the
+graph they were called with last (_network).
 """
 
 from __future__ import annotations
@@ -110,9 +112,7 @@ class FlowNetwork:
     joined by the through-arc 2k; every edge u-v gives the arcs
     out(u)->in(v) and out(v)->in(u). Arcs come in pairs: a forward arc
     a (even) and its residual a ^ 1. Each node lists its arcs by
-    ascending head node, the tie-break of the breadth-first search, and
-    each out-node also lists its forward edge arcs alone, in the same
-    order, for the decomposition.
+    ascending head node, the tie-break of the breadth-first search.
 
     A query copies a base capacity list (through-arcs 1, edge arcs 1 for
     path counting or unbounded for cuts), raises the through-arcs its
@@ -128,7 +128,8 @@ class FlowNetwork:
     residual arc at most: the through-arc while unused, the reverse of
     its one inflow arc while used, none when blocked. The search
     therefore expands an in-node the moment it discovers it (see _bfs),
-    and a query records each in-node's inflow arc as it augments.
+    and a query records each in-node's inflow arc as it augments. The
+    decomposition walks those records back from the sink (_decompose).
 
     Capacity masks let one network answer for its subgraphs: a blocked
     vertex's through-arc and an excluded edge's two arcs get capacity 0.
@@ -138,7 +139,7 @@ class FlowNetwork:
     is_dispersed each run all their routings and cuts on one network.
     """
 
-    __slots__ = ("graph", "_rank", "_head", "_arcs", "_fwd")
+    __slots__ = ("graph", "_rank", "_head", "_arcs")
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
@@ -150,7 +151,6 @@ class FlowNetwork:
         head[1::2] = range(0, 2 * n, 2)
         ins: list[list[int]] = [[] for _ in range(n)]
         outs: list[list[int]] = []
-        fwd: list[list[int]] = []
         # visiting vertices in ascending order appends every in-node's
         # arcs in ascending head order too
         for k, v in enumerate(vs):
@@ -162,12 +162,10 @@ class FlowNetwork:
                 out.append(len(head))
                 ins[j].append(len(head) + 1)
                 head += (2 * j, 2 * k + 1)
-            fwd.append(out)
             outs.append(out[:below] + [2 * k + 1] + out[below:])
         self._rank = rank
         self._head = head
         self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
-        self._fwd = fwd
 
     def kappa(self, v: int, w: int) -> int:
         """Largest number of independent v-w paths."""
@@ -199,57 +197,84 @@ class FlowNetwork:
     ) -> tuple[tuple[int, ...], ...] | None:
         """Vertex sequences of the canonical family, sorted; None once
         `limit` paths are found. Arguments are taken as valid.
-
-        Raises AssertionError unless the paths are simple and their
-        interiors pairwise disjoint and free of v and w, the invariants
-        a PathFamily holds.
         """
-        total, cap = self._pair_flow(v, w, limit, blocked)
+        total, cap, into = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
-        # least-next decomposition: the flow on forward arc a is cap[a + 1]
+        return self._decompose(v, w, total, cap, into)
+
+    def _decompose(
+        self, v: int, w: int, total: int, cap: list[int], into: list[int]
+    ) -> tuple[tuple[int, ...], ...]:
+        """Vertex sequences of the v-w flow of value `total` that cap and
+        into hold after _pair_flow, sorted.
+
+        Each flow arc into w's in-node starts a path; from there the
+        walk goes back along the recorded inflow into[in(x)] of every
+        interior x, the residual arc of x's one inflow, until it reaches
+        v. An interior vertex has one inflow and one outflow, so these
+        are the paths a least-next walk forward from v gives.
+
+        Raises AssertionError unless the paths are simple, their
+        interiors pairwise disjoint and free of v and w, and as many as
+        the flow value: the invariants a PathFamily holds.
+        """
         vs = self.graph.vertices
-        head, fwd = self._head, self._fwd
+        head = self._head
         kv, kw = self._rank[v], self._rank[w]
-        seen = {v}
+        seen = {w}
         seqs = []
-        for _ in range(total):
-            seq = [v]
-            k = kv
+        # the residual of a flow arc into in(w) has capacity 1
+        for r in self._arcs[2 * kw]:
+            if r == 2 * kw or not cap[r]:
+                continue
+            seq = [w]
             while True:
-                for a in fwd[k]:
-                    if cap[a + 1]:
-                        break
-                else:
-                    raise AssertionError(f"flow from {v} to {w} is not conserved at {vs[k]}")
-                cap[a + 1] -= 1
-                k = head[a] >> 1
+                k = head[r] >> 1
+                if k == kv:
+                    break
                 x = vs[k]
                 if x in seen:
                     raise AssertionError(f"paths from {v} to {w} meet at {x}")
-                seq.append(x)
-                if k == kw:
-                    break
                 seen.add(x)
+                seq.append(x)
+                # into[y] == y: the through-arc is unused, nothing enters x
+                r = into[2 * k]
+                if r == 2 * k or not cap[r]:
+                    raise AssertionError(f"flow from {v} to {w} is not conserved at {x}")
+            seq.append(v)
+            seq.reverse()
             seqs.append(tuple(seq))
+        if len(seqs) != total:
+            raise AssertionError(f"{len(seqs)} paths from {v} to {w} carry a flow of {total}")
         seqs.sort()
         return tuple(seqs)
 
     def _pair_flow(
         self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
-    ) -> tuple[int, list[int]]:
+    ) -> tuple[int, list[int], list[int]]:
+        """Value, residual capacities and recorded inflows of the
+        maximum v-w flow avoiding the blocked vertices, or of the first
+        `limit` augmenting paths."""
         rank = self._rank
         kv, kw = rank[v], rank[w]
         cap = [1, 0] * (len(self._head) // 2)
         cap[2 * kv] = cap[2 * kw] = _INF
-        for x in blocked:
-            cap[2 * rank[x]] = 0
-        # every path leaves v and enters w by an edge of its own, so a
-        # flow of the smaller degree is maximum without a failing search
-        bound = min(self.graph.degree(v), self.graph.degree(w))
+        # every path leaves v and enters w by an edge of its own to an
+        # unblocked neighbor, so a flow that many strong is maximum
+        # without a failing search
+        nbrs = self.graph.neighbors
+        if blocked:
+            for x in blocked:
+                cap[2 * rank[x]] = 0
+            bound = min(len([x for x in nbrs(v) if x not in blocked]),
+                        len([x for x in nbrs(w) if x not in blocked]))
+        else:
+            bound = min(len(nbrs(v)), len(nbrs(w)))
         if limit is not None:
             bound = min(bound, limit)
-        return self._max_flow(cap, [2 * kv], {2 * kw + 1}, bound), cap
+        into = list(range(len(self._arcs)))
+        return self._max_flow(cap, into, [2 * kv], {2 * kw + 1}, bound), cap, into
 
     def _cut(
         self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool,
@@ -272,13 +297,14 @@ class FlowNetwork:
                 cap[2 * rank[x]] = _INF
         skip = []
         if excluded is not None:
+            # the edge arcs out(u) -> in(v) and out(v) -> in(u)
             u, v = excluded
             skip = [e for x, y in ((u, v), (v, u))
-                    for e in self._fwd[rank[x]] if head[e] == 2 * rank[y]]
+                    for e in arcs[2 * rank[x] + 1] if head[e] == 2 * rank[y]]
         for e in skip:
             cap[e] = 0
         sinks = {2 * rank[x] + 1 for x in b}
-        self._max_flow(cap, sorted(2 * rank[x] for x in a), sinks, _INF)
+        self._max_flow(cap, list(range(len(arcs))), sorted(2 * rank[x] for x in a), sinks, _INF)
         # nodes that still reach a sink-side out-node in the residual network
         side = bytearray(len(arcs))
         for y in sinks:
@@ -301,15 +327,19 @@ class FlowNetwork:
         cut = frozenset(vs[k] for k in range(len(vs)) if side[2 * k + 1] and not side[2 * k])
         return cut - blocked
 
-    def _max_flow(self, cap: list[int], starts: list[int], sinks: set[int], limit: int) -> int:
+    def _max_flow(
+        self, cap: list[int], into: list[int], starts: list[int], sinks: set[int], limit: int
+    ) -> int:
         """Augment along breadth-first paths from the in-nodes `starts` to
         the out-nodes `sinks` until none is left or `limit` are found;
-        cap holds the residual capacities afterwards."""
+        cap holds the residual capacities afterwards.
+
+        into[y] is the residual arc of in-node y's inflow while its unit
+        through-arc is used, and y itself, the through-arc, while it is
+        not; the caller passes list(range(len(arcs))), the empty flow.
+        """
         head, arcs = self._head, self._arcs
         size = len(arcs)
-        # into[y]: the residual arc of in-node y's inflow while its unit
-        # through-arc is used; initially y itself, the through-arc
-        into = list(range(size))
         total = 0
         while total < limit:
             prev = [-1] * size
@@ -390,6 +420,27 @@ def _bfs(
     return -1
 
 
+_last: FlowNetwork | None = None
+
+
+def _network(g: Graph) -> FlowNetwork:
+    """The network of g: the one built last if it was built for this
+    very Graph object, else a new one, which takes its place.
+
+    One network is held, never more: a sweep or a fat-TK search asks
+    about one graph many times in a row, and a slot per graph would
+    keep the network of every live graph in memory. A network is
+    read-only once built and each query allocates its own capacities,
+    so concurrent callers may share it; the entry is replaced in one
+    assignment, and a caller racing another reads one of the two.
+    """
+    global _last
+    net = _last
+    if net is None or net.graph is not g:
+        net = _last = FlowNetwork(g)
+    return net
+
+
 def _check_pair(g: Graph, v: int, w: int) -> None:
     if v == w:
         raise ValueError(f"endpoints must differ, got {v} twice")
@@ -404,7 +455,7 @@ def kappa(g: Graph, v: int, w: int) -> int:
     Paths are independent when they share no vertex other than v and w;
     a direct v-w edge counts as one member of the family.
     """
-    return FlowNetwork(g).kappa(v, w)
+    return _network(g).kappa(v, w)
 
 
 def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
@@ -415,7 +466,7 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
     by vertex sequence. Index 1 is the lexicographically least path.
     Returns the empty family when v and w are in different components.
     """
-    fam = FlowNetwork(g).family(v, w)
+    fam = _network(g).family(v, w)
     assert fam is not None  # no limit given
     return fam
 
@@ -445,7 +496,7 @@ def min_separator(
         for x in g.neighbors(u):
             if x in b:
                 raise InseparableError(f"edge {u}-{x} joins the two sides directly")
-    return Separator(FlowNetwork(g)._cut(a, b, sides_cuttable=False), a, b)
+    return Separator(_network(g)._cut(a, b, sides_cuttable=False), a, b)
 
 
 def min_blocking_set(
@@ -463,4 +514,4 @@ def min_blocking_set(
     a = frozenset(a)
     b = frozenset(b)
     _check_sides(g, a, b)
-    return Separator(FlowNetwork(g)._cut(a, b, sides_cuttable=True), a, b)
+    return Separator(_network(g)._cut(a, b, sides_cuttable=True), a, b)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterable
+from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
-from .connectivity import FlowNetwork
-from .graph import Graph, components, is_connected, neighborhood
+from .connectivity import _network
+from .graph import Graph, components
 from .tree import RootedTree
 
 SPANNING = "spanning"
@@ -130,16 +131,22 @@ def _extend(
     parent: dict[int, int],
     depth: dict[int, int],
     d: frozenset[int],
-    nbrs: frozenset[int],
+    nbrs: AbstractSet[int],
     targets: frozenset[int],
-) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+) -> tuple[int, int, tuple[tuple[int, int], ...], list[frozenset[int]]]:
     """Grow the tree given by parent and depth into component d, in place.
 
     The extension enters d at the least-id neighbor r_d of the deepest
     tree neighbor t_d of d, builds a depth-first tree of d from there,
     and keeps only the down-closures of the targets. Keeping a
-    down-closed subtree preserves normality. Returns t_d, r_d and the
-    new (child, parent) edges in ascending order.
+    down-closed subtree preserves normality. Returns t_d, r_d, the
+    new (child, parent) edges in ascending order, and the components
+    d leaves outside the tree, by their first vertex in depth-first
+    order.
+
+    Every edge inside d joins an ancestor and a descendant of the
+    depth-first tree, and the kept part is down-closed, so those
+    components are exactly the subtrees hanging off kept vertices.
     """
     t_d = max(nbrs, key=depth.__getitem__)
     # a normal tree's neighborhood of d is a chain: all of it lies on
@@ -162,11 +169,21 @@ def _extend(
             keep.add(x)
             x = sub[x]
     added = [(r_d, t_d)]
-    added.extend((v, p) for v, p in sub.items() if v in keep)
+    hanging: dict[int, list[int]] = {}  # vertex -> the subtree it hangs in
+    rest: list[list[int]] = []
+    for v, p in sub.items():
+        if v in keep:
+            added.append((v, p))
+        elif p in keep:
+            hanging[v] = [v]
+            rest.append(hanging[v])
+        else:
+            hanging[v] = hanging[p]
+            hanging[v].append(v)
     for v, p in added:
         parent[v] = p
         depth[v] = depth[p] + 1
-    return t_d, r_d, tuple(sorted(added))
+    return t_d, r_d, tuple(sorted(added)), [frozenset(c) for c in rest]
 
 
 def omega_nst(
@@ -267,7 +284,10 @@ def _run(
 ) -> RunTrace:
     if r not in g:
         raise ValueError(f"root {r} not in graph")
-    if not is_connected(g):
+    # the components of g - tree, by least vertex; g is disconnected
+    # exactly when one of them misses every neighbor of r
+    comps = components(g, {r})
+    if any(d.isdisjoint(g.neighbors(r)) for d in comps):
         raise ValueError("graph is disconnected")
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
@@ -280,7 +300,7 @@ def _run(
     debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
     info = logger is not None and logger.isEnabledFor(logging.INFO)
 
-    net = FlowNetwork(g)
+    net = _network(g)
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
     families: dict[tuple[int, int], tuple[tuple[int, ...], ...] | None] = {}
@@ -299,20 +319,22 @@ def _run(
     steps: list[ExtensionStep] = []
     sweep = 0
     while True:
-        tree = frozenset(depth)
-        if tree == g.vertex_set:
+        if not comps:
             return RunTrace(tuple(steps), RootedTree(r, parent), SPANNING)
-        if goal is not None and goal(tree):
+        if goal is not None and goal(frozenset(depth)):
             return RunTrace(tuple(steps), RootedTree(r, parent), TARGET_COVERED)
         if step_budget is not None and sweep >= step_budget:
             return RunTrace(tuple(steps), RootedTree(r, parent), BUDGET_EXHAUSTED)
         # extending into one component never changes another component
         # or its tree neighborhood, so the sweep may grow the tree freely
-        comps = components(g, tree)
-        if skip is not None:
-            comps = [d for d in comps if not skip(d)]
+        # and re-split only the component it extended into
+        after: list[frozenset[int]] = []
         for d in comps:
-            nbrs = sorted(neighborhood(g, d, tree))
+            if skip is not None and skip(d):
+                after.append(d)
+                continue
+            near = {y for x in d for y in g.neighbors(x) if y in depth}
+            nbrs = sorted(near)
             selections: list[tuple[tuple[int, int], int]] = []
             targets: set[int] = set()
             for i, v in enumerate(nbrs):
@@ -337,7 +359,8 @@ def _run(
             if not targets:
                 fallback = min(d)
                 targets.add(fallback)
-            t_d, r_d, added = _extend(g, parent, depth, d, frozenset(nbrs), frozenset(targets))
+            t_d, r_d, added, rest = _extend(g, parent, depth, d, near, frozenset(targets))
+            after += rest
             steps.append(ExtensionStep(
                 step=sweep, component=d, attach_vertex=t_d, entry_vertex=r_d,
                 targets=frozenset(targets), selections=tuple(selections),
@@ -348,4 +371,5 @@ def _run(
                     "sweep %d: extended at %d into component %s, entry %d, %d targets",
                     sweep, t_d, sorted(d), r_d, len(targets),
                 )
+        comps = sorted(after, key=min)
         sweep += 1

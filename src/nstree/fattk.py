@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
 from ._record import Record, _set
-from .connectivity import FlowNetwork
+from .connectivity import FlowNetwork, _network
 from .graph import Graph
 
 
@@ -210,7 +210,7 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     missing = [v for v in branch if v not in g]
     if missing:
         raise ValueError(f"branch vertices not in graph: {missing}")
-    return _route(FlowNetwork(g), branch, m)
+    return _route(_network(g), branch, m)
 
 
 def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
@@ -245,7 +245,7 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    net = FlowNetwork(g)
+    net = _network(g)
     return all(net.kappa(a, b) >= m for a, b in combinations(branch, 2))
 
 
@@ -290,7 +290,7 @@ def is_dispersed(
         raise ValueError(f"need n >= 2, m >= 1, s >= 0, got n={n}, m={m}, s={s}")
     if search_budget < 1:
         raise ValueError(f"search budget must be positive, got {search_budget}")
-    net = FlowNetwork(g)
+    net = _network(g)
     examined: list[tuple[FatTKCertificate, frozenset[int]]] = []
     for _score, cand in _ranked(net, n, m, search_budget):
         found = _route(net, cand, m)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -22,7 +25,8 @@ from nstree import (
     min_separator,
     truncate,
 )
-from nstree.connectivity import FlowNetwork
+from nstree import connectivity
+from nstree.connectivity import FlowNetwork, _network
 from oracles import (
     brute_kappa,
     brute_min_blocking_size,
@@ -310,7 +314,8 @@ def _search_matches_layered_search(
     cap = [c for k in range(n) for c in (through[k], 0)]
     cap += [edge_cap, 0] * (len(net._head) // 2 - n)
     ref = list(cap)
-    assert net._max_flow(cap, starts, sinks, limit) == ref_max_flow(
+    into = list(range(len(net._arcs)))
+    assert net._max_flow(cap, into, starts, sinks, limit) == ref_max_flow(
         net._head, net._arcs, ref, starts, sinks, limit
     )
     assert cap == ref
@@ -418,3 +423,170 @@ def test_kappa_and_separators_match_networkx(n):
         sep = min_separator(g, {v}, {w})
         assert len(sep.s) == k == len(minimum_node_cut(h, v, w))
         assert not any(v in c and w in c for c in components(g, sep.s))
+
+
+def _answers(g: Graph) -> list:
+    """Every public query on a few pairs of g."""
+    out = []
+    for v, w in combinations(g.vertices[:5], 2):
+        out.append(kappa(g, v, w))
+        out.append([p.vertices for p in max_independent_paths(g, v, w)])
+        out.append(min_blocking_set(g, {v}, {w}).s)
+        if not g.has_edge(v, w):
+            out.append(min_separator(g, {v}, {w}).s)
+    return out
+
+
+def _fresh_answers(g: Graph) -> list:
+    """_answers(g) with a freshly built network for every query."""
+    out = []
+    for v, w in combinations(g.vertices[:5], 2):
+        out.append(FlowNetwork(g).kappa(v, w))
+        out.append([p.vertices for p in FlowNetwork(g).family(v, w)])
+        out.append(FlowNetwork(g)._cut(frozenset({v}), frozenset({w}), True))
+        if not g.has_edge(v, w):
+            out.append(FlowNetwork(g)._cut(frozenset({v}), frozenset({w}), False))
+    return out
+
+
+def test_interleaved_graphs_answer_as_fresh_networks():
+    a = _larger_graph("random-1")
+    b = _larger_graph("grid-4")
+    expected = {id(a): _fresh_answers(a), id(b): _fresh_answers(b)}
+    for g in (a, b, a, b, b, a):
+        assert _answers(g) == expected[id(g)]
+
+
+def test_equal_graphs_get_a_network_each():
+    a = _larger_graph("random-2")
+    b = Graph(a.vertices, a.edges)
+    assert a == b and a is not b
+    expected = _fresh_answers(a)
+    assert _answers(a) == expected
+    assert _network(b).graph is b
+    assert _answers(b) == expected
+    assert _network(a).graph is a
+
+
+def test_repeated_queries_on_one_graph_build_one_network(monkeypatch):
+    g = truncate(make_generator("grid"), 4)
+    builds = []
+    real = FlowNetwork.__init__
+
+    def counted(self, graph):
+        builds.append(graph)
+        real(self, graph)
+
+    monkeypatch.setattr(FlowNetwork, "__init__", counted)
+    rng = random.Random(5)
+    for _ in range(20):
+        kappa(g, *rng.sample(g.vertices, 2))
+    assert len(builds) == 1 and builds[0] is g
+
+
+def test_at_most_one_network_is_held():
+    graphs = [_larger_graph(f"random-{s}") for s in range(5)]
+    for g in graphs:
+        kappa(g, *g.vertices[:2])
+        del g
+    gc.collect()
+    held = [o for o in gc.get_objects()
+            if type(o) is FlowNetwork and any(o.graph is g for g in graphs)]
+    assert len(held) == 1 and held[0].graph is graphs[-1]
+
+
+def test_two_threads_share_the_network_slot():
+    graphs = [_larger_graph("random-3"), truncate(make_generator("grid"), 3)]
+    pairs = {id(g): random.Random(len(g)).choices(list(combinations(g.vertices, 2)), k=200)
+             for g in graphs}
+
+    def run(g: Graph) -> list:
+        return [[p.vertices for p in max_independent_paths(g, v, w)] for v, w in pairs[id(g)]]
+
+    expected = [run(g) for g in graphs]
+    got: list = [None, None]
+
+    def work(i: int) -> None:
+        got[i] = run(graphs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def _counted_searches(monkeypatch) -> list[int]:
+    """Record what every augmenting-path search returns."""
+    ends: list[int] = []
+    real = connectivity._bfs
+
+    def bfs(*args):
+        ends.append(real(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(connectivity, "_bfs", bfs)
+    return ends
+
+
+@pytest.mark.parametrize("case", ["k23", "grid"])
+def test_blocked_neighbors_lower_the_bound(case, monkeypatch):
+    """A blocked neighbor of an end cannot start or end a path, so a flow
+    as strong as the unblocked neighbors is maximum without a search
+    that fails."""
+    if case == "k23":
+        # 0 and 1 share the three neighbors 2, 3 and 4; 4 is blocked
+        g = Graph(edges=[(e, x) for e in (0, 1) for x in (2, 3, 4)] + [(4, 5)])
+        v, w, blocked = 0, 1, frozenset({4})
+    else:
+        g = truncate(make_generator("grid"), 3)
+        v, w = 0, max(g.vertices)
+        blocked = frozenset(g.neighbors(v)[:1] + g.neighbors(w)[:1])
+    ends = _counted_searches(monkeypatch)
+    fam = FlowNetwork(g).family(v, w, blocked=blocked)
+    assert -1 not in ends
+    assert len(ends) == len(fam) < min(g.degree(v), g.degree(w))
+    sub = induced_subgraph(g, g.vertex_set - blocked)
+    assert [p.vertices for p in fam] == ref_family(sub, v, w)
+
+
+def _corrupt_k4_flow(monkeypatch, how: str) -> None:
+    """Make FlowNetwork._pair_flow hand a damaged K4 flow from 1 to 2,
+    whose paths are 1-2, 1-3-2 and 1-4-2, to the decomposition."""
+    real = FlowNetwork._pair_flow
+
+    def pair_flow(self, *args):
+        total, cap, into = real(self, *args)
+        rank, head = self._rank, self._head
+        in3, out3, in4 = 2 * rank[3], 2 * rank[3] + 1, 2 * rank[4]
+        if how == "inflow":
+            into[in3] = in3  # as if nothing entered 3
+        elif how == "meet":
+            # 4 entered from 3 as well
+            a = next(e for e in self._arcs[out3] if head[e] == in4)
+            cap[a], cap[a ^ 1] = 0, 1
+            into[in4] = a ^ 1
+        else:
+            total += 1
+        return total, cap, into
+
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("inflow", "flow from 1 to 2 is not conserved at 3"),
+    ("meet", "paths from 1 to 2 meet at 3"),
+    ("value", "3 paths from 1 to 2 carry a flow of 4"),
+])
+def test_decomposition_checks_the_recorded_flow(how, message, monkeypatch):
+    assert FlowNetwork(K4)._paths(1, 2, None) == ((1, 2), (1, 3, 2), (1, 4, 2))
+    _corrupt_k4_flow(monkeypatch, how)
+    with pytest.raises(AssertionError, match=message):
+        FlowNetwork(K4)._paths(1, 2, None)

@@ -113,7 +113,7 @@ def test_attach_cycle_completion():
     parent = {2: 1, 3: 2}
     depth = {1: 0, 2: 1, 3: 2}
     out = _extend(C4, parent, depth, frozenset({4}), frozenset({1, 3}), frozenset({4}))
-    assert out == (3, 4, ((4, 3),))
+    assert out == (3, 4, ((4, 3),), [])
     assert parent == {2: 1, 3: 2, 4: 3}
     assert depth[4] == 3
     assert is_normal(C4, RootedTree(1, parent)).normal
@@ -123,7 +123,8 @@ def test_extend_into_component_path_pruning():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
     parent: dict[int, int] = {}
     depth = {0: 0}
-    _extend(g, parent, depth, frozenset({1, 2, 3}), frozenset({0}), frozenset({2}))
+    out = _extend(g, parent, depth, frozenset({1, 2, 3}), frozenset({0}), frozenset({2}))
+    assert out[3] == [frozenset({3})]
     t = RootedTree(0, parent)
     assert t.vertex_set == {0, 1, 2}
     assert t.parent_map == {1: 0, 2: 1}
@@ -237,6 +238,21 @@ def test_omega_kappa_small_still_spans():
 def test_omega_rejects_disconnected():
     with pytest.raises(ValueError):
         omega_nst(Graph([1, 2]), 1)
+
+
+@pytest.mark.parametrize("edges, root", [
+    ([(0, 1), (2, 3)], 0),  # the root has a neighbor, but not in {2, 3}
+    ([(0, 1), (1, 2), (3, 4)], 1),
+    ([(1, 2)], 0),  # an isolated root
+])
+def test_disconnected_is_reported_before_the_budget_checks(edges, root):
+    g = Graph([0], edges)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        omega_nst(g, root, step_budget=-1, kappa_small=-1)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        local_normal_tree(g, {root}, root, step_budget=-1)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        nst_from_dispersed_cover(g, DispersedCover((g.vertex_set,)), root, kappa_small=-1)
 
 
 def test_local_root_only():
@@ -391,4 +407,23 @@ def test_every_component_is_extended_each_sweep():
         t = trace.prefix_tree(count)
         expect = set(components(g, t.vertex_set))
         assert by_sweep[sweep] == expect
+        count += len(by_sweep[sweep])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_extends_the_components_meeting_u_each_sweep(seed):
+    """Components that miss u are passed over and carried to the next
+    sweep; every sweep extends into exactly the components of G - T
+    that meet u."""
+    rng = random.Random(40 + seed)
+    g = random_connected_graph(rng, 14, 0.2)
+    u = frozenset(rng.sample(g.vertices, 3))
+    trace = local_normal_tree(g, u, 0)
+    by_sweep: dict[int, list[frozenset[int]]] = {}
+    for step in trace.steps:
+        by_sweep.setdefault(step.step, []).append(step.component)
+    count = 0
+    for sweep in sorted(by_sweep):
+        t = trace.prefix_tree(count)
+        assert by_sweep[sweep] == [d for d in components(g, t.vertex_set) if d & u]
         count += len(by_sweep[sweep])
