@@ -4,11 +4,11 @@ Everything here reduces to unit-vertex-capacity maximum flow. A graph
 vertex splits into an in-node and an out-node joined by a through-arc
 whose capacity is 1 when the vertex may be consumed or cut, effectively
 unbounded otherwise. Augmenting paths are found breadth-first over
-ascending node ids, source and sink last, and the final flow is
-decomposed choosing the least next node, so every result is a
-deterministic function of the graph alone. That determinism is
-load-bearing: the construction algorithms select paths by index out of
-these families, and reruns must pick the same paths. The network of a
+ascending node ids, source and sink last, and the paths the final
+flow splits into are sorted, so every result is a deterministic
+function of the graph alone. That determinism is load-bearing: the
+construction algorithms select paths by index out of these families,
+and reruns must pick the same paths. The network of a
 graph is built once (FlowNetwork) and answers any number of queries;
 the public functions and the constructions reuse the network of the
 graph they were called with last (_network).
@@ -224,7 +224,7 @@ class FlowNetwork:
         kv, kw = self._rank[v], self._rank[w]
         seen = {w}
         seqs = []
-        # the residual of a flow arc into in(w) has capacity 1
+        # in(w) lists the residual arc of each arc into it, 1 under flow
         for r in self._arcs[2 * kw]:
             if r == 2 * kw or not cap[r]:
                 continue
