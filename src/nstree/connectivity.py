@@ -11,7 +11,9 @@ construction algorithms select paths by index out of these families,
 and reruns must pick the same paths. The network of a
 graph is built once (FlowNetwork) and answers any number of queries;
 the public functions and the constructions reuse the network of the
-graph they were called with last (_network).
+graph they were called with last (_network). That network also holds
+the families the sweeps have computed on its graph, so sweeps on one
+graph share them.
 """
 
 from __future__ import annotations
@@ -137,9 +139,16 @@ class FlowNetwork:
     other nodes are found in the order of the induced subgraph's network
     and every path, family and cut is that subgraph's. find_fat_tk and
     is_dispersed each run all their routings and cuts on one network.
+
+    The arc lists never change once built. The one mutable part is
+    _families, the sweeps' memo: the vertex sequences _paths(v, w,
+    limit) gave, unmasked, keyed (v, w, limit). A family depends on the
+    graph alone, so the memo is valid for as long as the network lives.
+    Only construct._run reads and fills it; other queries neither read
+    nor write it, so a loop over all pairs does not pile families up.
     """
 
-    __slots__ = ("graph", "_rank", "_head", "_arcs")
+    __slots__ = ("graph", "_rank", "_head", "_arcs", "_families")
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
@@ -166,6 +175,7 @@ class FlowNetwork:
         self._rank = rank
         self._head = head
         self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
+        self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
     def kappa(self, v: int, w: int) -> int:
         """Largest number of independent v-w paths."""
@@ -279,6 +289,7 @@ class FlowNetwork:
     def _cut(
         self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool,
         blocked: AbstractSet[int] = frozenset(), excluded: tuple[int, int] | None = None,
+        value: int = _INF,
     ) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum a-b cut.
 
@@ -286,6 +297,14 @@ class FlowNetwork:
         those of a and b are unbounded too unless sides_cuttable. The
         cut is that of the subgraph induced by the unblocked vertices,
         without the edge `excluded` if its ends are adjacent.
+
+        A caller that knows the flow's value passes it as `value`, and
+        the flow stops there; with cuttable sides it stops at
+        min(|a|, |b|) too, since every unit of flow leaves through one
+        of a's through-arcs and arrives through one of b's. A maximum
+        flow reached that way spares the search that would fail and
+        leaves the residual network that search would have left, so
+        the cut is the same.
         """
         rank = self._rank
         head, arcs = self._head, self._arcs
@@ -295,6 +314,8 @@ class FlowNetwork:
         if not sides_cuttable:
             for x in a | b:
                 cap[2 * rank[x]] = _INF
+        else:
+            value = min(value, len(a), len(b))
         skip = []
         if excluded is not None:
             # the edge arcs out(u) -> in(v) and out(v) -> in(u)
@@ -304,7 +325,7 @@ class FlowNetwork:
         for e in skip:
             cap[e] = 0
         sinks = {2 * rank[x] + 1 for x in b}
-        self._max_flow(cap, list(range(len(arcs))), sorted(2 * rank[x] for x in a), sinks, _INF)
+        self._max_flow(cap, list(range(len(arcs))), sorted(2 * rank[x] for x in a), sinks, value)
         # nodes that still reach a sink-side out-node in the residual network
         side = bytearray(len(arcs))
         for y in sinks:
@@ -429,10 +450,14 @@ def _network(g: Graph) -> FlowNetwork:
 
     One network is held, never more: a sweep or a fat-TK search asks
     about one graph many times in a row, and a slot per graph would
-    keep the network of every live graph in memory. A network is
-    read-only once built and each query allocates its own capacities,
-    so concurrent callers may share it; the entry is replaced in one
-    assignment, and a caller racing another reads one of the two.
+    keep the network of every live graph in memory. The sweeps' family
+    memo lives on the network, so it is dropped with it as soon as
+    another graph is asked about. Each query allocates its own
+    capacities, and the memo's entries are immutable and stored by one
+    dict assignment each, so concurrent callers may share a network:
+    two sweeps that race on one key compute the same family and store
+    equal values. The held entry is replaced in one assignment, and a
+    caller racing another reads one of the two.
     """
     global _last
     net = _last

@@ -303,15 +303,11 @@ def _run(
     net = _network(g)
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
-    families: dict[tuple[int, int], tuple[tuple[int, ...], ...] | None] = {}
-
-    def family(v: int, w: int) -> tuple[tuple[int, ...], ...] | None:
-        # the canonical family's vertex sequences, frozen on first use;
-        # the selection indices in the trace refer to this enumeration
-        key = (v, w)
-        if key not in families:
-            families[key] = net._paths(v, w, limit)
-        return families[key]
+    # the canonical families' vertex sequences, computed once per graph
+    # and kept on its network for every later sweep on it; they depend
+    # on the graph alone, and the selection indices in the trace refer
+    # to these enumerations
+    families = net._families
 
     # the tree grows in place; a RootedTree is built only for the result
     parent: dict[int, int] = {}
@@ -339,7 +335,11 @@ def _run(
             targets: set[int] = set()
             for i, v in enumerate(nbrs):
                 for w in nbrs[i + 1 :]:
-                    fam = family(v, w)
+                    key = (v, w, limit)
+                    if key in families:
+                        fam = families[key]
+                    else:
+                        fam = families[key] = net._paths(v, w, limit)
                     if fam is None:
                         continue
                     for k, seq in enumerate(fam, 1):

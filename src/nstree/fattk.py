@@ -223,7 +223,9 @@ def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificat
         fam = net._paths(a, b, None, blocked)
         assert fam is not None  # no limit given
         if len(fam) < m:
-            sep = net._cut(frozenset({a}), frozenset({b}), False, blocked, excluded=(a, b))
+            # the cut's flow is the family without the a-b edge, if any
+            value = len(fam) - net.graph.has_edge(a, b)
+            sep = net._cut(frozenset({a}), frozenset({b}), False, blocked, (a, b), value)
             return FatTKFailure((a, b), len(fam), sep)
         chosen = fam[:m]
         for seq in chosen:
@@ -263,10 +265,14 @@ def is_dispersed(
     connectivity κ is at least m (the others cannot host a
     certificate), ranked by descending least κ, ties by the sorted set.
     The search_budget first of them are run through the greedy router,
-    in rank order. Every certificate found is tested: the minimum
-    blocking set between probe and the certificate's vertices may use
-    vertices of either side, since the certificate may touch or contain
-    probe vertices.
+    in rank order, except the sets with a vertex of degree below
+    (n - 1) * m: a branch vertex's (n - 1) * m paths leave it by
+    distinct neighbors, so such a set can only fail to route, and a
+    failed routing adds nothing to the verdict. Skipping them changes
+    neither the ranking nor the budget. Every certificate found is
+    tested: the minimum blocking set between probe and the
+    certificate's vertices may use vertices of either side, since the
+    certificate may touch or contain probe vertices.
 
     The ranking is found best-first, without scoring every n-set.
     κ(a, b) is at most min(deg a, deg b), so a set scores at most its
@@ -281,7 +287,8 @@ def is_dispersed(
 
     The verdict is relative to this bounded search: it covers at most
     search_budget certificates, and it is vacuously true when no
-    candidate routes.
+    candidate routes or none passes the degree test. It does not say
+    which of these happened.
     """
     probe = frozenset(probe)
     if not probe <= g.vertex_set:
@@ -293,6 +300,8 @@ def is_dispersed(
     net = _network(g)
     examined: list[tuple[FatTKCertificate, frozenset[int]]] = []
     for _score, cand in _ranked(net, n, m, search_budget):
+        if min(map(g.degree, cand)) < (n - 1) * m:
+            continue  # cannot route, see above
         found = _route(net, cand, m)
         if isinstance(found, FatTKFailure):
             continue

@@ -17,12 +17,15 @@ from nstree import (
     Path,
     PathFamily,
     components,
+    find_fat_tk,
     induced_subgraph,
+    is_dispersed,
     kappa,
     make_generator,
     max_independent_paths,
     min_blocking_set,
     min_separator,
+    omega_nst,
     truncate,
 )
 from nstree import connectivity
@@ -495,6 +498,22 @@ def test_at_most_one_network_is_held():
     assert len(held) == 1 and held[0].graph is graphs[-1]
 
 
+def _in_two_threads(work) -> None:
+    """Run work(0) and work(1) in two threads that switch as often as
+    the interpreter lets them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_two_threads_share_the_network_slot():
     graphs = [_larger_graph("random-3"), truncate(make_generator("grid"), 3)]
     pairs = {id(g): random.Random(len(g)).choices(list(combinations(g.vertices, 2)), k=200)
@@ -509,18 +528,43 @@ def test_two_threads_share_the_network_slot():
     def work(i: int) -> None:
         got[i] = run(graphs[i])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _in_two_threads(work)
     assert got == expected
+
+
+def test_two_threads_fill_one_family_memo():
+    g = truncate(make_generator("grid"), 5)
+    roots = [g.vertices[i::2] for i in range(2)]
+    copy = Graph(g.vertices, g.edges)
+    expected = [[omega_nst(copy, r) for r in rs] for rs in roots]
+    memo = _network(copy)._families
+    got: list = [None, None]
+
+    def work(i: int) -> None:
+        got[i] = [omega_nst(g, r) for r in roots[i]]
+
+    _in_two_threads(work)
+    assert got == expected
+    assert _network(g)._families == memo
+
+
+def test_only_the_sweeps_fill_the_family_memo():
+    g = truncate(make_generator("grid"), 4)
+    net = _network(g)
+    for v, w in combinations(g.vertices[:6], 2):
+        kappa(g, v, w)
+        max_independent_paths(g, v, w)
+        blocked = frozenset(x for x in g.vertices[6:12] if x not in (v, w))
+        net.family(v, w, blocked=blocked)
+        net.family(v, w, limit=2)
+        min_blocking_set(g, {v}, {w})
+        if not g.has_edge(v, w):
+            min_separator(g, {v}, {w})
+    find_fat_tk(g, g.vertices[:3], 2)
+    is_dispersed(g, {0}, 3, 2, 1)
+    assert _network(g) is net and net._families == {}
+    omega_nst(g, 0)
+    assert net._families
 
 
 def _counted_searches(monkeypatch) -> list[int]:

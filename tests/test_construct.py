@@ -26,6 +26,7 @@ from nstree import (
     tree_leq,
     truncate,
 )
+from nstree.connectivity import FlowNetwork, _network
 from nstree.construct import _dfs, _extend
 from nstree.generators import fat_tk, grid
 from oracles import normal_spanning_trees
@@ -427,3 +428,63 @@ def test_local_extends_the_components_meeting_u_each_sweep(seed):
         t = trace.prefix_tree(count)
         assert by_sweep[sweep] == [d for d in components(g, t.vertex_set) if d & u]
         count += len(by_sweep[sweep])
+
+
+def _counted_pair_flows(monkeypatch) -> list[tuple[int, int]]:
+    """Record the ends of every flow a FlowNetwork computes for a pair."""
+    flows: list[tuple[int, int]] = []
+    real = FlowNetwork._pair_flow
+
+    def pair_flow(self, v, w, *args):
+        flows.append((v, w))
+        return real(self, v, w, *args)
+
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
+    return flows
+
+
+def _copy(g: Graph) -> Graph:
+    """An equal Graph object, which gets a network (and memo) of its own."""
+    return Graph(g.vertices, g.edges)
+
+
+def test_a_second_sweep_on_one_graph_reuses_the_families(monkeypatch):
+    g = truncate(grid(), 6)
+    flows = _counted_pair_flows(monkeypatch)
+    fresh = omega_nst(_copy(g), 2)
+    fresh_flows = len(flows)
+    omega_nst(g, 0)
+    del flows[:]
+    assert omega_nst(g, 2) == fresh
+    assert len(flows) < fresh_flows
+    # a run from a root already swept finds every family it needs
+    del flows[:]
+    omega_nst(g, 0)
+    assert flows == []
+
+
+def test_sweeps_on_alternating_graphs_match_fresh_networks():
+    a = truncate(grid(), 5)
+    b = random_connected_graph(random.Random(3), 14, 0.3)
+    expected = {id(g): omega_nst(_copy(g), 0) for g in (a, b)}
+    for g in (a, b, a):
+        assert omega_nst(g, 0) == expected[id(g)]
+
+
+def test_sweeps_with_and_without_kappa_small_match_fresh_networks():
+    a = truncate(grid(), 5)
+    u = frozenset(a.vertices[-3:])
+    cover = levels_of(dfs_nst(a, 0))
+    runs = [
+        lambda g: omega_nst(g, 4),
+        lambda g: omega_nst(g, 4, kappa_small=2),
+        lambda g: local_normal_tree(g, u, 4, kappa_small=2),
+        lambda g: nst_from_dispersed_cover(g, cover, 4),
+        lambda g: omega_nst(g, 4),
+    ]
+    expected = [run(_copy(a)) for run in runs]
+    assert expected[0] != expected[1]
+    assert [run(a) for run in runs] == expected
+    # the memo is keyed by the path limit as well as by the pair
+    net = _network(a)
+    assert net.graph is a and {limit for _v, _w, limit in net._families} == {None, 3}

@@ -25,6 +25,7 @@ from nstree import (
     truncate,
     verify_fat_tk,
 )
+from nstree import connectivity, fattk
 from nstree.connectivity import FlowNetwork
 from nstree.fattk import _ranked
 from oracles import brute_fat_tk_exists, ref_dispersed_ranking
@@ -305,7 +306,7 @@ def test_dispersed_search_is_bounded_on_grid_r12(monkeypatch, n):
     calls = _recording_kappa(monkeypatch)
     verdict = is_dispersed(g, {0}, n, 2, 1, search_budget=100)
     # a grid vertex has degree 4 at most, too few for fat TK(4, 2) branch
-    # vertices, so every n = 4 candidate fails to route
+    # vertices, so no n = 4 candidate routes
     assert verdict.dispersed and bool(verdict.examined) == (n == 3)
     assert len(calls) <= 300
 
@@ -342,15 +343,46 @@ def test_verify_rejects_tampered_certificates(g, rng):
     assert not verify_fat_tk(g, tampered).ok
 
 
-def test_failure_separator_blocks_residual_routing():
-    failures = 0
+def _searches_in_cuts(monkeypatch) -> list[int]:
+    """Record what every augmenting-path search inside FlowNetwork._cut
+    returns."""
+    ends: list[int] = []
+    depth = [0]
+    real_cut, real_bfs = FlowNetwork._cut, connectivity._bfs
+
+    def cut(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_cut(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def bfs(*args):
+        y = real_bfs(*args)
+        if depth[0]:
+            ends.append(y)
+        return y
+
+    monkeypatch.setattr(FlowNetwork, "_cut", cut)
+    monkeypatch.setattr(connectivity, "_bfs", bfs)
+    return ends
+
+
+def test_failure_separator_blocks_residual_routing(monkeypatch):
+    ends = _searches_in_cuts(monkeypatch)
+    failures = cut_searches = 0
     for seed in range(21, 61):
         g = random_connected_graph(random.Random(seed), 9, 0.3)
         branch = (0, 1, 2)
+        del ends[:]
         out = find_fat_tk(g, branch, 3)
         if not isinstance(out, FatTKFailure):
             continue
         failures += 1
+        # the cut stops at the flow value the routing found, so none of
+        # its searches fails
+        assert -1 not in ends
+        cut_searches += len(ends)
         assert out.routed < 3
         assert out.separator <= g.vertex_set - set(out.pair)
         # rebuild the residual graph the failing pair saw, as an induced
@@ -368,4 +400,27 @@ def test_failure_separator_blocks_residual_routing():
         assert len(out.separator) == len(min_separator(without_ab, {a}, {b}).s)
         assert len(out.separator) == out.routed - g.has_edge(a, b)
         assert not any(a in c and b in c for c in components(without_ab, out.separator))
-    assert failures
+    assert failures and cut_searches
+
+
+def test_dispersed_routes_no_set_of_too_small_degree(monkeypatch):
+    """A branch vertex of a fat TK(n, m) has (n - 1) * m paths leaving it
+    by distinct neighbors, so is_dispersed does not route a set with a
+    vertex of lower degree; such a routing could only fail."""
+    g = truncate(make_generator("grid"), 12)
+    routed: list[tuple[int, ...]] = []
+    real = fattk._route
+
+    def route(net, branch, m):
+        routed.append(branch)
+        return real(net, branch, m)
+
+    monkeypatch.setattr(fattk, "_route", route)
+    # all 100 ranked 4-sets have least degree 4 < 6
+    assert len(_ranked(FlowNetwork(g), 4, 2, 100)) == 100
+    verdict = is_dispersed(g, {0}, 4, 2, 1, search_budget=100)
+    assert routed == [] and verdict.dispersed and verdict.examined == ()
+    # 3-sets need degree 4, which the inner grid vertices have
+    verdict = is_dispersed(g, {0}, 3, 2, 1, search_budget=100)
+    assert routed and all(min(map(g.degree, b)) >= 4 for b in routed)
+    assert verdict.examined
