@@ -25,6 +25,21 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return Graph(range(n), edges)
 
 
+def chorded_graph(rng: random.Random, n: int, chords: int) -> Graph:
+    """Random spanning tree on 0..n-1 plus `chords` distinct random chords."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.add((u, v) if u < v else (v, u))
+    target = len(edges) + chords
+    while len(edges) < target:
+        u, v = rng.sample(range(n), 2)
+        edges.add((u, v) if u < v else (v, u))
+    return Graph(range(n), edges)
+
+
 def clique_chain(count: int, size: int) -> Graph:
     """count disjoint K_size on consecutive ids, each joined to the next by
     an edge from its last vertex to the next clique's first."""

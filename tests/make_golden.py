@@ -13,7 +13,7 @@ Regenerate (only on purpose, recording why in CHANGES.md) with
     PYTHONPATH=src python tests/make_golden.py
 
 One run rewrites the whole corpus: families/*.txt, traces.txt,
-order.txt, fattk.txt, dispersed.txt and cli/*. To pin a new file before changing the
+order.txt, fattk.txt, dispersed.txt, cuts.txt and cli/*. To pin a new file before changing the
 code it covers, add its writer here and run this at the parent commit:
 `git status` must then list only the new file, since every existing
 one comes out byte-identical.
@@ -31,9 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import bfs_tree, random_connected_graph, random_rooted_spanning_tree, random_subtree
+from helpers import bfs_tree, chorded_graph, random_connected_graph, random_rooted_spanning_tree, random_subtree
 from nstree import (
     DispersedCover,
+    FatTKCertificate,
     FatTKFailure,
     Graph,
     RootedTree,
@@ -47,12 +48,15 @@ from nstree import (
     local_normal_tree,
     make_generator,
     max_independent_paths,
+    min_blocking_set,
+    min_separator,
     nst_from_dispersed_cover,
     omega_nst,
     tree_leq,
     truncate,
 )
 from nstree.cli import main as cli_main
+from nstree.connectivity import FlowNetwork
 from nstree.io import dumps, trace_to_obj, tree_to_obj
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -276,6 +280,72 @@ def dispersed_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def cut_graphs() -> dict[str, Graph]:
+    """Six seeded 40-vertex graphs: a random spanning tree plus 80
+    chords, the density of the fat-TK benchmark's graphs."""
+    return {f"chorded-40-seed{seed}": chorded_graph(random.Random(8000 + seed), 40, 80)
+            for seed in range(6)}
+
+
+def cuts_text() -> str:
+    """Every-pair families and the cuts of the flow engine on cut_graphs().
+
+    families: one line per source vertex v, the sha256 of the
+    family_text lines "v w: ..." of every w. separator and blocking:
+    min_separator on 30 pairs of disjoint, non-adjacent sides of 1-3
+    vertices, and min_blocking_set on 30 pairs of sides of 1-8 and 1-12
+    vertices that may overlap or touch. route: the failure cut
+    fattk._route makes, FlowNetwork._cut({a}, {b}) with the routing's
+    blocked vertices (0-13 others), the a-b edge excluded and the value
+    of the blocked a-b family, on 30 pairs, a third of them adjacent.
+    dispersed: the blocker cut is_dispersed makes, with cuttable sides,
+    between a probe of 4-12 vertices and the vertex set of a fat-TK
+    certificate found on 3 random branch vertices with m = 2.
+    """
+    lines = []
+    for name, g in cut_graphs().items():
+        rng = random.Random(f"cuts {name}")
+        text = family_text(g).splitlines()
+        n = len(g)
+        for i, v in enumerate(g.vertices):
+            block = "\n".join(text[i * (n - 1):(i + 1) * (n - 1)])
+            lines.append(f"{name} families v={v} {_sha(block)}")
+        count = 0
+        while count < 30:
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
+            if a & b or any(g.has_edge(x, y) for x in a for y in b):
+                continue
+            count += 1
+            s = min_separator(g, a, b).s
+            lines.append(f"{name} separator a={sorted(a)} b={sorted(b)} s={sorted(s)}")
+        for _ in range(30):
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, 8)))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, 12)))
+            s = min_blocking_set(g, a, b).s
+            lines.append(f"{name} blocking a={sorted(a)} b={sorted(b)} s={sorted(s)}")
+        net = FlowNetwork(g)
+        for j in range(30):
+            a, b = rng.sample(rng.choice(g.edges), 2) if j % 3 == 0 else rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (a, b)]
+            blocked = frozenset(rng.sample(rest, rng.randint(0, 13)))
+            value = len(net._paths(a, b, None, blocked)) - g.has_edge(a, b)
+            cut = net._cut(frozenset({a}), frozenset({b}), False, blocked, (a, b), value)
+            lines.append(f"{name} route a={a} b={b} blocked={sorted(blocked)} value={value} "
+                         f"cut={sorted(cut)}")
+        count = 0
+        while count < 10:
+            found = find_fat_tk(g, rng.sample(g.vertices, 3), 2)
+            if not isinstance(found, FatTKCertificate):
+                continue
+            count += 1
+            probe = frozenset(rng.sample(g.vertices, rng.randint(4, 12)))
+            cut = net._cut(probe, found.vertices, True)
+            lines.append(f"{name} dispersed probe={sorted(probe)} branch={found.branch} "
+                         f"cut={sorted(cut)}")
+    return "\n".join(lines) + "\n"
+
+
 # name -> (argv, cover JSON written to a file passed as --cover, or None)
 CLI_CASES: dict[str, tuple[list[str], str | None]] = {
     "omega-grid-r6": (["omega", "--gen", "grid", "--radius", "6", "--root", "0"], None),
@@ -356,6 +426,7 @@ def main() -> None:
     (GOLDEN / "order.txt").write_text(order_text())
     (GOLDEN / "fattk.txt").write_text(fattk_text())
     (GOLDEN / "dispersed.txt").write_text(dispersed_text())
+    (GOLDEN / "cuts.txt").write_text(cuts_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

@@ -11,6 +11,7 @@ from make_golden import (
     GOLDEN,
     LOG_CASES,
     cli_argv,
+    cuts_text,
     dispersed_text,
     family_graphs,
     family_text,
@@ -68,3 +69,7 @@ def test_fat_tk_digests_match_golden():
 
 def test_dispersed_digests_match_golden():
     assert dispersed_text() == (GOLDEN / "dispersed.txt").read_text()
+
+
+def test_cut_digests_match_golden():
+    assert cuts_text() == (GOLDEN / "cuts.txt").read_text()
