@@ -1,19 +1,21 @@
 """Vertex connectivity: independent path families and minimum separators.
 
-Everything here reduces to unit-vertex-capacity maximum flow. A graph
-vertex splits into an in-node and an out-node joined by a through-arc
-whose capacity is 1 when the vertex may be consumed or cut, effectively
-unbounded otherwise. Augmenting paths are found breadth-first over
-ascending node ids, source and sink last, and the paths the final
-flow splits into are sorted, so every result is a deterministic
-function of the graph alone. That determinism is load-bearing: the
-construction algorithms select paths by index out of these families,
-and reruns must pick the same paths. The network of a
-graph is built once (FlowNetwork) and answers any number of queries;
-the public functions and the constructions reuse the network of the
-graph they were called with last (_network). That network also holds
-the families the sweeps have computed on its graph, so sweeps on one
-graph share them.
+Everything here reduces to unit-vertex-capacity maximum flow in the
+split-vertex network, where a graph vertex becomes an in-node and an
+out-node joined by a through-arc whose capacity is 1 when the vertex
+may be consumed or cut, unbounded otherwise. The network is never
+built as arcs: with unit through-arcs, a vertex's residual arcs follow
+from its predecessor and successor on its path, so a flow is two links
+per vertex. Augmenting paths are found breadth-first over ascending
+node ids, source and sink last, and the paths the final flow splits
+into are sorted, so every result is a deterministic function of the
+graph alone. That determinism is load-bearing: the construction
+algorithms select paths by index out of these families, and reruns
+must pick the same paths. The network of a graph is built once
+(FlowNetwork) and answers any number of queries; the public functions
+and the constructions reuse the network of the graph they were called
+with last (_network). That network also holds the families the sweeps
+have computed on its graph, so sweeps on one graph share them.
 """
 
 from __future__ import annotations
@@ -108,39 +110,43 @@ class InseparableError(ValueError):
 
 
 class FlowNetwork:
-    """Split-vertex network of a graph, built once and queried many times.
+    """Unit-vertex-capacity flow network of a graph, built once and
+    queried many times.
 
-    The vertex of ascending rank k becomes in-node 2k and out-node 2k+1,
-    joined by the through-arc 2k; every edge u-v gives the arcs
-    out(u)->in(v) and out(v)->in(u). Arcs come in pairs: a forward arc
-    a (even) and its residual a ^ 1. Each node lists its arcs by
-    ascending head node, the tie-break of the breadth-first search.
+    The flow is that of the split-vertex network: the vertex of
+    ascending rank k has an in-node and an out-node joined by a
+    through-arc, and every edge u-v gives the arcs out(u)->in(v) and
+    out(v)->in(u). The network keeps the rank map and, for each rank,
+    the tuple of its neighbors' ranks with its own rank in its ascending
+    place (_nbrs). That tuple lists the residual arcs of the vertex's
+    out-node by ascending head, the tie-break of the breadth-first
+    search: edge arcs to the neighbors' in-nodes, and at the own rank
+    the reverse of the through-arc.
 
-    A query copies a base capacity list (through-arcs 1, edge arcs 1 for
-    path counting or unbounded for cuts), raises the through-arcs its
-    endpoints or sides may not be cut at, and augments. Source and sink
-    are implicit: the search starts from the sources' in-nodes in
-    ascending order and stops at the first sink-side out-node it
-    discovers. That is exactly the augmenting path an explicit source
-    and sink carrying the two largest node ids would give, so results
-    match the canonical order defined by that network.
+    A flow keeps no arc capacities. Every interior vertex carries at
+    most one unit, so its state is two links, the ranks before and after
+    it on its path (pred and succ, -1 while it carries none), and every
+    residual arc follows from them. An unused vertex is left by its
+    through-arc, a used one back to pred; its out-node reaches every
+    neighbor but succ, and its own in-node while used. The source v is
+    never entered, and pred[y] == v marks each first vertex y of a
+    path, w itself for a direct v-w edge. The search stops at the first
+    path into w, so w is never left either.
 
-    Every arc joins an in-node to an out-node, so the search alternates
-    between them, and an in-node with a unit through-arc has one
-    residual arc at most: the through-arc while unused, the reverse of
-    its one inflow arc while used, none when blocked. The search
-    therefore expands an in-node the moment it discovers it (see _bfs),
-    and a query records each in-node's inflow arc as it augments. The
-    decomposition walks those records back from the sink (_decompose).
+    Results match the canonical order of the network with an explicit
+    source and sink carrying the two largest node ids: augmenting paths
+    are found breadth-first over ascending node ids, and the paths a
+    flow splits into are sorted, so every result is a deterministic
+    function of the graph alone.
 
-    Capacity masks let one network answer for its subgraphs: a blocked
-    vertex's through-arc and an excluded edge's two arcs get capacity 0.
-    A blocked in-node can be discovered but discovers nothing, so the
-    other nodes are found in the order of the induced subgraph's network
-    and every path, family and cut is that subgraph's. find_fat_tk and
-    is_dispersed each run all their routings and cuts on one network.
+    Blocked vertices are never entered, so one network answers for its
+    induced subgraphs: the other vertices are found in the order of the
+    subgraph's network, and every path, family and cut is that
+    subgraph's. find_fat_tk and is_dispersed each run all their routings
+    and cuts on one network. Cuts (_cut) run on the same links with
+    unbounded edges and an excluded edge skipped.
 
-    The arc lists never change once built. The one mutable part is
+    The neighbor tuples never change once built. The one mutable part is
     _families, the sweeps' memo: the vertex sequences _paths(v, w,
     limit) gave, unmasked, keyed (v, w, limit). A family depends on the
     graph alone, so the memo is valid for as long as the network lives.
@@ -148,33 +154,14 @@ class FlowNetwork:
     nor write it, so a loop over all pairs does not pile families up.
     """
 
-    __slots__ = ("graph", "_rank", "_head", "_arcs", "_families")
+    __slots__ = ("graph", "_rank", "_nbrs", "_families")
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        vs = g.vertices
-        n = len(vs)
-        rank = {v: k for k, v in enumerate(vs)}
-        head = [0] * (2 * n)
-        head[0::2] = range(1, 2 * n, 2)
-        head[1::2] = range(0, 2 * n, 2)
-        ins: list[list[int]] = [[] for _ in range(n)]
-        outs: list[list[int]] = []
-        # visiting vertices in ascending order appends every in-node's
-        # arcs in ascending head order too
-        for k, v in enumerate(vs):
-            below = len(ins[k])  # one arc per lower neighbor so far
-            ins[k].append(2 * k)
-            out = []
-            for x in g.neighbors(v):
-                j = rank[x]
-                out.append(len(head))
-                ins[j].append(len(head) + 1)
-                head += (2 * j, 2 * k + 1)
-            outs.append(out[:below] + [2 * k + 1] + out[below:])
+        rank = {v: k for k, v in enumerate(g.vertices)}
         self._rank = rank
-        self._head = head
-        self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
+        self._nbrs = [tuple(sorted([k, *map(rank.__getitem__, g.neighbors(v))]))
+                      for k, v in enumerate(g.vertices)]
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
     def kappa(self, v: int, w: int) -> int:
@@ -207,53 +194,33 @@ class FlowNetwork:
     ) -> tuple[tuple[int, ...], ...] | None:
         """Vertex sequences of the canonical family, sorted; None once
         `limit` paths are found. Arguments are taken as valid.
+
+        Each path starts at a neighbor y of v with pred[y] == v and
+        follows succ to w. Raises AssertionError unless the paths are
+        simple, their interiors pairwise disjoint and free of v and w,
+        and as many as the flow value: the invariants a PathFamily holds.
         """
-        total, cap, into = self._pair_flow(v, w, limit, blocked)
+        total, pred, succ = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
-        return self._decompose(v, w, total, cap, into)
-
-    def _decompose(
-        self, v: int, w: int, total: int, cap: list[int], into: list[int]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Vertex sequences of the v-w flow of value `total` that cap and
-        into hold after _pair_flow, sorted.
-
-        Each flow arc into w's in-node starts a path; from there the
-        walk goes back along the recorded inflow into[in(x)] of every
-        interior x, the residual arc of x's one inflow, until it reaches
-        v. An interior vertex has one inflow and one outflow, so these
-        are the paths a least-next walk forward from v gives.
-
-        Raises AssertionError unless the paths are simple, their
-        interiors pairwise disjoint and free of v and w, and as many as
-        the flow value: the invariants a PathFamily holds.
-        """
         vs = self.graph.vertices
-        head = self._head
         kv, kw = self._rank[v], self._rank[w]
-        seen = {w}
+        seen = {v}
         seqs = []
-        # in(w) lists the residual arc of each arc into it, 1 under flow
-        for r in self._arcs[2 * kw]:
-            if r == 2 * kw or not cap[r]:
+        for y in self._nbrs[kv]:
+            if pred[y] != kv:
                 continue
-            seq = [w]
-            while True:
-                k = head[r] >> 1
-                if k == kv:
-                    break
-                x = vs[k]
+            seq = [v]
+            while y != kw:
+                x = vs[y]
                 if x in seen:
                     raise AssertionError(f"paths from {v} to {w} meet at {x}")
                 seen.add(x)
                 seq.append(x)
-                # into[y] == y: the through-arc is unused, nothing enters x
-                r = into[2 * k]
-                if r == 2 * k or not cap[r]:
+                y = succ[y]
+                if y < 0:
                     raise AssertionError(f"flow from {v} to {w} is not conserved at {x}")
-            seq.append(v)
-            seq.reverse()
+            seq.append(w)
             seqs.append(tuple(seq))
         if len(seqs) != total:
             raise AssertionError(f"{len(seqs)} paths from {v} to {w} carry a flow of {total}")
@@ -263,28 +230,34 @@ class FlowNetwork:
     def _pair_flow(
         self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
     ) -> tuple[int, list[int], list[int]]:
-        """Value, residual capacities and recorded inflows of the
-        maximum v-w flow avoiding the blocked vertices, or of the first
-        `limit` augmenting paths."""
+        """Value and path links (pred, succ) of the maximum v-w flow
+        avoiding the blocked vertices, or of the first `limit`
+        augmenting paths."""
         rank = self._rank
         kv, kw = rank[v], rank[w]
-        cap = [1, 0] * (len(self._head) // 2)
-        cap[2 * kv] = cap[2 * kw] = _INF
+        n = len(rank)
+        pred = [-1] * n
+        succ = [-1] * n
+        # in-nodes the search never enters: v's and the blocked ones
+        fresh = [-1] * n
+        fresh[kv] = -2
         # every path leaves v and enters w by an edge of its own to an
         # unblocked neighbor, so a flow that many strong is maximum
         # without a failing search
         nbrs = self.graph.neighbors
         if blocked:
             for x in blocked:
-                cap[2 * rank[x]] = 0
+                fresh[rank[x]] = -2
             bound = min(len([x for x in nbrs(v) if x not in blocked]),
                         len([x for x in nbrs(w) if x not in blocked]))
         else:
             bound = min(len(nbrs(v)), len(nbrs(w)))
         if limit is not None:
             bound = min(bound, limit)
-        into = list(range(len(self._arcs)))
-        return self._max_flow(cap, into, [2 * kv], {2 * kw + 1}, bound), cap, into
+        total = 0
+        while total < bound and _pair_search(self._nbrs, fresh, pred, succ, kv, kw):
+            total += 1
+        return total, pred, succ
 
     def _cut(
         self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool,
@@ -293,10 +266,11 @@ class FlowNetwork:
     ) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum a-b cut.
 
-        Edge arcs are unbounded, so the cut consists of through-arcs;
-        those of a and b are unbounded too unless sides_cuttable. The
-        cut is that of the subgraph induced by the unblocked vertices,
-        without the edge `excluded` if its ends are adjacent.
+        Edges are unbounded, so the cut consists of through-arcs: 0 for
+        a blocked vertex, 1 for any other, and unbounded for a and b
+        unless sides_cuttable. The cut is that of the subgraph induced
+        by the unblocked vertices, without the edge `excluded` if its
+        ends are adjacent.
 
         A caller that knows the flow's value passes it as `value`, and
         the flow stops there; with cuttable sides it stops at
@@ -305,140 +279,186 @@ class FlowNetwork:
         flow reached that way spares the search that would fail and
         leaves the residual network that search would have left, so
         the cut is the same.
+
+        Raises AssertionError unless the cut has as many vertices as the
+        flow is strong, the max-flow min-cut identity.
         """
-        rank = self._rank
-        head, arcs = self._head, self._arcs
-        cap = [1, 0] * len(rank) + [_INF, 0] * (len(head) // 2 - len(rank))
-        for x in blocked:
-            cap[2 * rank[x]] = 0
-        if not sides_cuttable:
-            for x in a | b:
-                cap[2 * rank[x]] = _INF
-        else:
+        rank, nbrs = self._rank, self._nbrs
+        n = len(rank)
+        if sides_cuttable:
             value = min(value, len(a), len(b))
-        skip = []
+        else:
+            blocked = blocked - a - b
         if excluded is not None:
-            # the edge arcs out(u) -> in(v) and out(v) -> in(u)
-            u, v = excluded
-            skip = [e for x, y in ((u, v), (v, u))
-                    for e in arcs[2 * rank[x] + 1] if head[e] == 2 * rank[y]]
-        for e in skip:
-            cap[e] = 0
-        sinks = {2 * rank[x] + 1 for x in b}
-        self._max_flow(cap, list(range(len(arcs))), sorted(2 * rank[x] for x in a), sinks, value)
-        # nodes that still reach a sink-side out-node in the residual network
-        side = bytearray(len(arcs))
-        for y in sinks:
-            side[y] = 1
-        frontier = list(sinks)
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for r in arcs[y]:
-                    x = head[r]
-                    if not side[x] and cap[r ^ 1]:
-                        side[x] = 1
-                        nxt.append(x)
-            frontier = nxt
-        for e in range(len(rank) * 2, len(head), 2):
-            if side[head[e]] and not side[head[e ^ 1]] and e not in skip:
-                raise AssertionError(f"minimum cut crosses edge arc {e}")
-        # a blocked vertex's out-node may reach the sink, its in-node never
-        vs = self.graph.vertices
-        cut = frozenset(vs[k] for k in range(len(vs)) if side[2 * k + 1] and not side[2 * k])
-        return cut - blocked
-
-    def _max_flow(
-        self, cap: list[int], into: list[int], starts: list[int], sinks: set[int], limit: int
-    ) -> int:
-        """Augment along breadth-first paths from the in-nodes `starts` to
-        the out-nodes `sinks` until none is left or `limit` are found;
-        cap holds the residual capacities afterwards.
-
-        into[y] is the residual arc of in-node y's inflow while its unit
-        through-arc is used, and y itself, the through-arc, while it is
-        not; the caller passes list(range(len(arcs))), the empty flow.
-        """
-        head, arcs = self._head, self._arcs
-        size = len(arcs)
+            u, x = rank[excluded[0]], rank[excluded[1]]
+            nbrs = list(nbrs)
+            nbrs[u] = tuple(y for y in nbrs[u] if y != x)
+            nbrs[x] = tuple(y for y in nbrs[x] if y != u)
+        # pred is -2 for a blocked vertex, x for a used cuttable source x,
+        # and never set for a vertex whose through-arc is unbounded
+        pred = [-1] * n
+        succ = [-1] * n
+        fresh = [-1] * n
+        for x in blocked:
+            pred[rank[x]] = fresh[rank[x]] = -2
+        starts = sorted(rank[x] for x in a)
+        for k in starts:
+            fresh[k] = -2
+        sink = bytearray(n)
+        for x in b:
+            sink[rank[x]] = 1
         total = 0
-        while total < limit:
-            prev = [-1] * size
-            for s in starts:
-                prev[s] = -2
-            y = _bfs(head, arcs, cap, into, prev, starts, sinks)
-            if y < 0:
-                return total
-            a = prev[y]
-            while a >= 0:
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                into[y] = a ^ 1
-                y = head[a ^ 1]
-                a = prev[y]
+        while total < value and _cut_search(nbrs, fresh, pred, succ, starts, sink, sides_cuttable):
             total += 1
-        return total
+        # the vertices whose in-node or out-node still reaches a sink
+        # out-node in the residual network, found backwards from those
+        side_in = bytearray(n)
+        side_out = bytearray(sink)
+        outs = [k for k in range(n) if sink[k]]
+        ins: list[int] = []
+        while outs or ins:
+            if outs:
+                y = outs.pop()
+                # into out(y): y's through-arc while it has room, and the
+                # reverse of y's outflow (no source's out-node is here
+                # once the flow is maximum, so y has one outflow at most)
+                for t in (y if pred[y] == -1 else -1, succ[y]):
+                    if t >= 0 and not side_in[t]:
+                        side_in[t] = 1
+                        ins.append(t)
+            else:
+                y = ins.pop()
+                # into in(y): every edge, and the reverse of y's
+                # through-arc while y carries flow
+                for x in nbrs[y]:
+                    if not side_out[x] and (x != y or pred[y] >= 0):
+                        side_out[x] = 1
+                        outs.append(x)
+        vs = self.graph.vertices
+        cut = frozenset(vs[k] for k in range(n) if side_out[k] and not side_in[k] and pred[k] != -2)
+        if len(cut) != total:
+            raise AssertionError(f"a cut of {len(cut)} vertices for a flow of {total}")
+        return cut
 
 
-def _bfs(
-    head: list[int],
-    arcs: list[list[int]],
-    cap: list[int],
-    into: list[int],
-    prev: list[int],
-    starts: list[int],
-    sinks: set[int],
-) -> int:
-    """First sink-side out-node discovered breadth-first, recording in
-    prev the arc that reached each node; -1 when no sink is reachable.
+def _pair_search(
+    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int], kv: int, kw: int
+) -> bool:
+    """Augment the v-w flow in pred and succ along its next augmenting
+    path; False when none is left.
 
-    Only out-nodes wait in the queue. An in-node is expanded the moment
-    it is discovered: in O(1) when its through-arc is a unit one, since
-    then it has one residual arc at most (the through-arc if unused,
-    into[y] if used, none if blocked), or by scanning its arcs in order
-    when the through-arc is unbounded. In a layered search every node
-    discovered while scanning layer i lands in layer i + 1 in discovery
-    order; here the out-nodes of layer i + 2 are appended in the order
-    their in-nodes of layer i + 1 were discovered, which is the order a
-    layered search would scan those in-nodes in. So every node is
-    reached by the same arc, and the same augmenting path is found.
+    The search queues out-nodes by vertex rank and scans each one's
+    neighbor tuple as the split-vertex network lists that out-node's
+    arcs. It skips the edge to succ[x], which carries x's flow; for v,
+    the edges that carry v's paths. It enters an in-node at most once,
+    never v's or a blocked one (marked in fresh), and leaves it at once
+    by its one residual arc: an unused vertex by its through-arc, a used
+    one back to pred[y]. So in-nodes are expanded in the order a layered
+    search would scan them, every node is reached by the same arc, and
+    the same augmenting path is found.
+
+    seen[y] is the out-node rank that entered in-node y, y itself when
+    it was entered by the reverse of its own through-arc; came[z] is
+    the in-node rank that reached out-node z.
     """
-    queue: list[int] = []
-    for y in starts:
-        # a start is never entered, so its only residual arc is its through-arc
-        if cap[y]:
-            z = y + 1
-            if prev[z] == -1:
-                prev[z] = y
-                if z in sinks:
-                    return z
-                queue.append(z)
+    seen = fresh.copy()
+    came = [-1] * len(nbrs)
+    came[kv] = kv
+    queue = []
+    for y in nbrs[kv]:
+        if seen[y] == -1 and pred[y] != kv:
+            seen[y] = kv
+            if y == kw:
+                pred[kw] = kv  # the direct edge carries a path
+                return True
+            p = pred[y]
+            if p < 0:
+                p = y
+            if came[p] == -1:
+                came[p] = y
+                queue.append(p)
     for x in queue:  # grows while it is read: a FIFO queue
-        for a in arcs[x]:
-            if cap[a]:
-                y = head[a]
-                if prev[y] == -1:
-                    prev[y] = a
-                    c = cap[y]
-                    if c > 1:
-                        for r in arcs[y]:
-                            if cap[r]:
-                                z = head[r]
-                                if prev[z] == -1:
-                                    prev[z] = r
-                                    if z in sinks:
-                                        return z
-                                    queue.append(z)
-                        continue
-                    r = y if c else into[y]
-                    if cap[r]:
-                        z = head[r]
-                        if prev[z] == -1:
-                            prev[z] = r
-                            if z in sinks:
-                                return z
-                            queue.append(z)
-    return -1
+        sx = succ[x]
+        for y in nbrs[x]:
+            if seen[y] == -1 and y != sx:
+                seen[y] = x
+                if y == kw:
+                    succ[x] = kw
+                    _augment(seen, came, pred, succ, x)
+                    return True
+                p = pred[y]
+                if p < 0:
+                    p = y
+                if came[p] == -1:
+                    came[p] = y
+                    queue.append(p)
+    return False
+
+
+def _cut_search(
+    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int],
+    starts: list[int], sink: bytearray, cuttable: bool,
+) -> bool:
+    """Augment the cut's flow in pred and succ along its next augmenting
+    path from a start's out-node to a sink's; False when none is left.
+
+    The search of _pair_search with unbounded edges: no edge is skipped
+    (the excluded one is already gone from nbrs), and entering a sink's
+    unused in-node ends the search. A start's in-node is never entered;
+    its out-node starts the search while the start has room, always
+    when sides are not cuttable, and once otherwise.
+    """
+    seen = fresh.copy()
+    came = [-1] * len(nbrs)
+    queue = []
+    for s in starts:
+        if pred[s] == -1:
+            came[s] = s
+            if sink[s]:
+                pred[s] = s  # a path of one vertex in a and b
+                return True
+            queue.append(s)
+    for x in queue:
+        for y in nbrs[x]:
+            if seen[y] == -1:
+                seen[y] = x
+                p = pred[y]
+                if p < 0:
+                    if sink[y]:
+                        succ[x] = y
+                        s = _augment(seen, came, pred, succ, x)
+                        if cuttable:
+                            pred[y] = x
+                            pred[s] = s
+                        return True
+                    p = y
+                if came[p] == -1:
+                    came[p] = y
+                    queue.append(p)
+    return False
+
+
+def _augment(seen: list[int], came: list[int], pred: list[int], succ: list[int], x: int) -> int:
+    """Relink pred and succ along the augmenting path that reaches
+    out-node x, walking it back to its start, whose rank is returned.
+
+    Every in-node y on the path is entered from seen[y]: by an edge,
+    which becomes y's inflow, or by the reverse of y's own through-arc,
+    which frees y. Out-node x was reached from in-node came[x]: by x's
+    through-arc, or by the reverse of x's outflow to it, which the
+    path's next arc has already replaced.
+    """
+    while True:
+        y = came[x]
+        u = seen[y]
+        if u < 0:  # in(y) is never entered: out(y) starts the path
+            return x
+        if u == y:
+            pred[y] = succ[y] = -1
+        else:
+            pred[y] = u
+            succ[u] = y
+        x = u
 
 
 _last: FlowNetwork | None = None

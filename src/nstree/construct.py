@@ -339,7 +339,15 @@ def _run(
                     if key in families:
                         fam = families[key]
                     else:
-                        fam = families[key] = net._paths(v, w, limit)
+                        # a limited answer follows from the full family
+                        full = families.get((v, w, None))
+                        if full is None:
+                            fam = net._paths(v, w, limit)
+                            if fam is not None:  # fewer than limit paths: the full family
+                                families[v, w, None] = fam
+                        else:
+                            fam = None if len(full) >= limit else full
+                        families[key] = fam
                     if fam is None:
                         continue
                     for k, seq in enumerate(fam, 1):

@@ -374,6 +374,136 @@ def ref_min_blocking_set(g: Graph, a: frozenset[int], b: frozenset[int]) -> froz
     return net.cut_vertices()
 
 
+# The split-vertex network and its augmenting search as FlowNetwork ran
+# them before it kept per-vertex path links, kept verbatim as the
+# reference for the differential tests: arc lists by ascending head, a
+# capacity per arc, and a breadth-first search that expands each
+# in-node the moment it discovers it.
+
+
+class ArcNetwork:
+    """In-node 2k, out-node 2k+1 and through-arc 2k for the vertex of
+    rank k; arcs come in pairs, a forward arc a (even) and its residual
+    a ^ 1, and each node lists its arcs by ascending head node."""
+
+    def __init__(self, g: Graph) -> None:
+        vs = g.vertices
+        n = len(vs)
+        rank = {v: k for k, v in enumerate(vs)}
+        head = [0] * (2 * n)
+        head[0::2] = range(1, 2 * n, 2)
+        head[1::2] = range(0, 2 * n, 2)
+        ins: list[list[int]] = [[] for _ in range(n)]
+        outs: list[list[int]] = []
+        # visiting vertices in ascending order appends every in-node's
+        # arcs in ascending head order too
+        for k, v in enumerate(vs):
+            below = len(ins[k])  # one arc per lower neighbor so far
+            ins[k].append(2 * k)
+            out = []
+            for x in g.neighbors(v):
+                j = rank[x]
+                out.append(len(head))
+                ins[j].append(len(head) + 1)
+                head += (2 * j, 2 * k + 1)
+            outs.append(out[:below] + [2 * k + 1] + out[below:])
+        self._rank = rank
+        self._head = head
+        self._arcs = [arcs for pair in zip(ins, outs) for arcs in pair]
+
+    def _max_flow(
+        self, cap: list[int], into: list[int], starts: list[int], sinks: set[int], limit: int
+    ) -> int:
+        """Augment along breadth-first paths from the in-nodes `starts` to
+        the out-nodes `sinks` until none is left or `limit` are found;
+        cap holds the residual capacities afterwards.
+
+        into[y] is the residual arc of in-node y's inflow while its unit
+        through-arc is used, and y itself, the through-arc, while it is
+        not; the caller passes list(range(len(arcs))), the empty flow.
+        """
+        head, arcs = self._head, self._arcs
+        size = len(arcs)
+        total = 0
+        while total < limit:
+            prev = [-1] * size
+            for s in starts:
+                prev[s] = -2
+            y = _bfs(head, arcs, cap, into, prev, starts, sinks)
+            if y < 0:
+                return total
+            a = prev[y]
+            while a >= 0:
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                into[y] = a ^ 1
+                y = head[a ^ 1]
+                a = prev[y]
+            total += 1
+        return total
+
+
+def _bfs(
+    head: list[int],
+    arcs: list[list[int]],
+    cap: list[int],
+    into: list[int],
+    prev: list[int],
+    starts: list[int],
+    sinks: set[int],
+) -> int:
+    """First sink-side out-node discovered breadth-first, recording in
+    prev the arc that reached each node; -1 when no sink is reachable.
+
+    Only out-nodes wait in the queue. An in-node is expanded the moment
+    it is discovered: in O(1) when its through-arc is a unit one, since
+    then it has one residual arc at most (the through-arc if unused,
+    into[y] if used, none if blocked), or by scanning its arcs in order
+    when the through-arc is unbounded. In a layered search every node
+    discovered while scanning layer i lands in layer i + 1 in discovery
+    order; here the out-nodes of layer i + 2 are appended in the order
+    their in-nodes of layer i + 1 were discovered, which is the order a
+    layered search would scan those in-nodes in. So every node is
+    reached by the same arc, and the same augmenting path is found.
+    """
+    queue: list[int] = []
+    for y in starts:
+        # a start is never entered, so its only residual arc is its through-arc
+        if cap[y]:
+            z = y + 1
+            if prev[z] == -1:
+                prev[z] = y
+                if z in sinks:
+                    return z
+                queue.append(z)
+    for x in queue:  # grows while it is read: a FIFO queue
+        for a in arcs[x]:
+            if cap[a]:
+                y = head[a]
+                if prev[y] == -1:
+                    prev[y] = a
+                    c = cap[y]
+                    if c > 1:
+                        for r in arcs[y]:
+                            if cap[r]:
+                                z = head[r]
+                                if prev[z] == -1:
+                                    prev[z] = r
+                                    if z in sinks:
+                                        return z
+                                    queue.append(z)
+                        continue
+                    r = y if c else into[y]
+                    if cap[r]:
+                        z = head[r]
+                        if prev[z] == -1:
+                            prev[z] = r
+                            if z in sinks:
+                                return z
+                            queue.append(z)
+    return -1
+
+
 # The augmenting-path search as FlowNetwork ran it before it expanded
 # in-nodes on discovery, kept verbatim as the reference for the
 # differential tests: a layered breadth-first search over the network's

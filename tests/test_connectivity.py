@@ -35,6 +35,7 @@ from oracles import (
     brute_min_blocking_size,
     brute_min_separator_size,
     ref_family,
+    ArcNetwork,
     ref_max_flow,
     ref_min_blocking_set,
     ref_min_separator,
@@ -309,49 +310,73 @@ def test_engine_matches_reference_network_on_larger_graphs(case):
         assert min_blocking_set(g, a, b).s == ref_min_blocking_set(g, a, b)
 
 
-def _search_matches_layered_search(
-    g: Graph, through: list[int], edge_cap: int, starts: list[int], sinks: set[int], limit: int
-) -> None:
+def _search_matches_reference(g: Graph, v: int, w: int, blocked: frozenset[int]) -> None:
+    """After each augmenting path, the v-w flow's path links give the
+    residual network the reference arc network (ArcNetwork) holds after
+    as many paths, and the reference's search equals a layered search
+    scanning every node in arc order."""
     net = FlowNetwork(g)
-    n = len(g)
-    cap = [c for k in range(n) for c in (through[k], 0)]
-    cap += [edge_cap, 0] * (len(net._head) // 2 - n)
-    ref = list(cap)
-    into = list(range(len(net._arcs)))
-    assert net._max_flow(cap, into, starts, sinks, limit) == ref_max_flow(
-        net._head, net._arcs, ref, starts, sinks, limit
-    )
-    assert cap == ref
+    ref = ArcNetwork(g)
+    head, arcs = ref._head, ref._arcs
+    kv, kw = ref._rank[v], ref._rank[w]
+    inner = [k for k in range(len(g)) if k not in (kv, kw)]
+    start = [1, 0] * (len(head) // 2)
+    start[2 * kv] = start[2 * kw] = _INF
+    for x in blocked:
+        start[2 * ref._rank[x]] = 0
+    limit = 0
+    while True:
+        limit += 1
+        total, pred, succ = net._pair_flow(v, w, limit, blocked)
+        cap, into = list(start), list(range(len(arcs)))
+        layered = list(start)
+        assert ref._max_flow(cap, into, [2 * kv], {2 * kw + 1}, limit) == total
+        assert ref_max_flow(head, arcs, layered, [2 * kv], {2 * kw + 1}, limit) == total
+        assert cap == layered
+        # the residual network the links give
+        links = list(start)
+        links[2 * kv] -= total
+        links[2 * kv + 1] = links[2 * kw + 1] = total
+        links[2 * kw] -= total
+        for k in inner:
+            if pred[k] >= 0:
+                links[2 * k], links[2 * k + 1] = 0, 1
+        for e in range(2 * len(g), len(head), 2):
+            x, y = head[e ^ 1] >> 1, head[e] >> 1
+            # v's edges carry its paths, every other vertex's its succ
+            if (pred[y] == kv) if x == kv else (succ[x] == y):
+                links[e], links[e ^ 1] = 0, 1
+        assert links == cap
+        assert [head[into[2 * k]] >> 1 if into[2 * k] != 2 * k else -1 for k in inner] == [
+            pred[k] for k in inner
+        ]
+        if total < limit:
+            return
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_search_matches_layered_search(seed):
-    """_max_flow finds the augmenting paths a layered search scanning
-    every node in arc order finds, also where interior through-arcs are
-    unbounded, which no public query sets up."""
+    """Each augmenting path the vertex search finds, with and without
+    blocked vertices, is the one the split-vertex network's search and
+    a layered search over its arcs find."""
     rng = random.Random(200 + seed)
     for _ in range(30):
         g = _differential_graph(rng)
-        n = len(g)
-        through = [rng.choice((0, 1, 1, 1, _INF, _INF)) for _ in range(n)]
-        ks = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
-        cut = rng.randint(1, len(ks))
-        starts = sorted(2 * k for k in ks[:cut])
-        sinks = {2 * k + 1 for k in ks[cut:] or rng.sample(range(n), 1)}
-        # an all-unbounded start-sink path carries any amount of flow
-        limit = rng.choice((2 * n, rng.randint(1, 3)))
-        _search_matches_layered_search(g, through, rng.choice((1, _INF)), starts, sinks, limit)
+        v, w = rng.sample(g.vertices, 2)
+        rest = [x for x in g.vertices if x not in (v, w)]
+        blocked = frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))
+        _search_matches_reference(g, v, w, frozenset())
+        _search_matches_reference(g, v, w, blocked)
 
 
-def test_search_leaves_an_unbounded_in_node_by_its_inflow():
-    """The first augmenting path is 0-1-4; the second enters vertex 1,
-    whose through-arc is unbounded, and leaves its in-node back along
-    the inflow arc from 0 (path 5-1-0-6-4), which a search expanding
-    every in-node by its through-arc alone would miss."""
-    g = Graph(range(7), [(0, 1), (0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 6),
-                         (3, 5), (3, 6), (4, 6)])
-    through = [1, _INF, _INF, _INF, _INF, 1, _INF]
-    _search_matches_layered_search(g, through, 1, [0, 10], {9}, 14)
+def test_search_leaves_a_used_vertex_by_its_inflow():
+    """The first augmenting path is 0-1-2-5; the second enters vertex 2,
+    which carries it, and leaves its in-node back along its inflow from
+    1 (path 0-3-2-1-4-5), which a search leaving every in-node by its
+    through-arc would miss. The paths are 0-1-4-5 and 0-3-2-5."""
+    g = Graph(range(6), [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 5)])
+    _search_matches_reference(g, 0, 5, frozenset())
+    assert FlowNetwork(g)._paths(0, 5, None) == ((0, 1, 4, 5), (0, 3, 2, 5))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -567,17 +592,18 @@ def test_only_the_sweeps_fill_the_family_memo():
     assert net._families
 
 
-def _counted_searches(monkeypatch) -> list[int]:
-    """Record what every augmenting-path search returns."""
-    ends: list[int] = []
-    real = connectivity._bfs
+def _counted_searches(monkeypatch) -> list[bool]:
+    """Record whether every augmenting-path search of a pair flow found
+    a path."""
+    found: list[bool] = []
+    real = connectivity._pair_search
 
-    def bfs(*args):
-        ends.append(real(*args))
-        return ends[-1]
+    def search(*args):
+        found.append(real(*args))
+        return found[-1]
 
-    monkeypatch.setattr(connectivity, "_bfs", bfs)
-    return ends
+    monkeypatch.setattr(connectivity, "_pair_search", search)
+    return found
 
 
 @pytest.mark.parametrize("case", ["k23", "grid"])
@@ -593,10 +619,10 @@ def test_blocked_neighbors_lower_the_bound(case, monkeypatch):
         g = truncate(make_generator("grid"), 3)
         v, w = 0, max(g.vertices)
         blocked = frozenset(g.neighbors(v)[:1] + g.neighbors(w)[:1])
-    ends = _counted_searches(monkeypatch)
+    found = _counted_searches(monkeypatch)
     fam = FlowNetwork(g).family(v, w, blocked=blocked)
-    assert -1 not in ends
-    assert len(ends) == len(fam) < min(g.degree(v), g.degree(w))
+    assert all(found)
+    assert len(found) == len(fam) < min(g.degree(v), g.degree(w))
     sub = induced_subgraph(g, g.vertex_set - blocked)
     assert [p.vertices for p in fam] == ref_family(sub, v, w)
 
@@ -607,19 +633,15 @@ def _corrupt_k4_flow(monkeypatch, how: str) -> None:
     real = FlowNetwork._pair_flow
 
     def pair_flow(self, *args):
-        total, cap, into = real(self, *args)
-        rank, head = self._rank, self._head
-        in3, out3, in4 = 2 * rank[3], 2 * rank[3] + 1, 2 * rank[4]
+        total, pred, succ = real(self, *args)
+        k3, k4 = self._rank[3], self._rank[4]
         if how == "inflow":
-            into[in3] = in3  # as if nothing entered 3
+            succ[k3] = -1  # 3 takes in flow and passes none on
         elif how == "meet":
-            # 4 entered from 3 as well
-            a = next(e for e in self._arcs[out3] if head[e] == in4)
-            cap[a], cap[a ^ 1] = 0, 1
-            into[in4] = a ^ 1
+            succ[k4] = k3  # 4 goes on to 3
         else:
             total += 1
-        return total, cap, into
+        return total, pred, succ
 
     monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
 
@@ -634,3 +656,31 @@ def test_decomposition_checks_the_recorded_flow(how, message, monkeypatch):
     _corrupt_k4_flow(monkeypatch, how)
     with pytest.raises(AssertionError, match=message):
         FlowNetwork(K4)._paths(1, 2, None)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("value", "a cut of 0 vertices for a flow of 1"),
+    ("links", "a cut of 0 vertices for a flow of 2"),
+])
+def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
+    """The K4 cut between 1 and 2 without their edge is {3, 4}, for a
+    flow of 2. A flow stopped below its maximum, or one whose path links
+    were damaged, leaves a cut of another size."""
+    net = FlowNetwork(K4)
+    one, two = frozenset({1}), frozenset({2})
+    assert net._cut(one, two, False, excluded=(1, 2)) == {3, 4}
+    value = 2
+    if how == "value":
+        value = 1
+    else:
+        real = connectivity._cut_search
+        k3 = net._rank[3]
+
+        def search(nbrs, fresh, pred, succ, *args):
+            found = real(nbrs, fresh, pred, succ, *args)
+            pred[k3] = succ[k3] = -1  # as if 3 carried nothing
+            return found
+
+        monkeypatch.setattr(connectivity, "_cut_search", search)
+    with pytest.raises(AssertionError, match=message):
+        net._cut(one, two, False, excluded=(1, 2), value=value)

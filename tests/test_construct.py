@@ -488,3 +488,16 @@ def test_sweeps_with_and_without_kappa_small_match_fresh_networks():
     # the memo is keyed by the path limit as well as by the pair
     net = _network(a)
     assert net.graph is a and {limit for _v, _w, limit in net._families} == {None, 3}
+
+
+def test_a_kappa_small_sweep_reads_the_held_full_families(monkeypatch):
+    """A limited family follows from the full one held for its pair:
+    None when that has at least `limit` paths, else the full family."""
+    g = truncate(grid(), 6)
+    for r in g.vertices:
+        omega_nst(g, r)
+    flows = _counted_pair_flows(monkeypatch)
+    got = [omega_nst(g, r, kappa_small=2) for r in g.vertices]
+    # 181 when every (v, w, 3) family is computed anew
+    assert len(flows) == 59
+    assert got == [omega_nst(_copy(g), r, kappa_small=2) for r in g.vertices]

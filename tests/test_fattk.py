@@ -343,46 +343,35 @@ def test_verify_rejects_tampered_certificates(g, rng):
     assert not verify_fat_tk(g, tampered).ok
 
 
-def _searches_in_cuts(monkeypatch) -> list[int]:
-    """Record what every augmenting-path search inside FlowNetwork._cut
-    returns."""
-    ends: list[int] = []
-    depth = [0]
-    real_cut, real_bfs = FlowNetwork._cut, connectivity._bfs
+def _searches_in_cuts(monkeypatch) -> list[bool]:
+    """Record whether every augmenting-path search inside
+    FlowNetwork._cut found a path."""
+    found: list[bool] = []
+    real = connectivity._cut_search
 
-    def cut(self, *args, **kwargs):
-        depth[0] += 1
-        try:
-            return real_cut(self, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def search(*args):
+        found.append(real(*args))
+        return found[-1]
 
-    def bfs(*args):
-        y = real_bfs(*args)
-        if depth[0]:
-            ends.append(y)
-        return y
-
-    monkeypatch.setattr(FlowNetwork, "_cut", cut)
-    monkeypatch.setattr(connectivity, "_bfs", bfs)
-    return ends
+    monkeypatch.setattr(connectivity, "_cut_search", search)
+    return found
 
 
 def test_failure_separator_blocks_residual_routing(monkeypatch):
-    ends = _searches_in_cuts(monkeypatch)
+    found = _searches_in_cuts(monkeypatch)
     failures = cut_searches = 0
     for seed in range(21, 61):
         g = random_connected_graph(random.Random(seed), 9, 0.3)
         branch = (0, 1, 2)
-        del ends[:]
+        del found[:]
         out = find_fat_tk(g, branch, 3)
         if not isinstance(out, FatTKFailure):
             continue
         failures += 1
         # the cut stops at the flow value the routing found, so none of
         # its searches fails
-        assert -1 not in ends
-        cut_searches += len(ends)
+        assert all(found)
+        cut_searches += len(found)
         assert out.routed < 3
         assert out.separator <= g.vertex_set - set(out.pair)
         # rebuild the residual graph the failing pair saw, as an induced
