@@ -118,26 +118,18 @@ class FlowNetwork:
     through-arc, and every edge u-v gives the arcs out(u)->in(v) and
     out(v)->in(u). The network keeps the rank map and, for each rank,
     the tuple of its neighbors' ranks with its own rank in its ascending
-    place (_nbrs). That tuple lists the residual arcs of the vertex's
-    out-node by ascending head, the tie-break of the breadth-first
-    search: edge arcs to the neighbors' in-nodes, and at the own rank
-    the reverse of the through-arc.
+    place (_nbrs). That tuple lists the arcs of the vertex's out-node
+    by ascending head, the tie-break of the breadth-first search: edge
+    arcs to the neighbors' in-nodes and, at its own rank, the reverse of
+    its through-arc.
 
     A flow keeps no arc capacities. Every interior vertex carries at
     most one unit, so its state is two links, the ranks before and after
     it on its path (pred and succ, -1 while it carries none), and every
-    residual arc follows from them. An unused vertex is left by its
-    through-arc, a used one back to pred; its out-node reaches every
-    neighbor but succ, and its own in-node while used. The source v is
+    residual arc follows from them (see _pair_search). The source v is
     never entered, and pred[y] == v marks each first vertex y of a
     path, w itself for a direct v-w edge. The search stops at the first
     path into w, so w is never left either.
-
-    Results match the canonical order of the network with an explicit
-    source and sink carrying the two largest node ids: augmenting paths
-    are found breadth-first over ascending node ids, and the paths a
-    flow splits into are sorted, so every result is a deterministic
-    function of the graph alone.
 
     Blocked vertices are never entered, so one network answers for its
     induced subgraphs: the other vertices are found in the order of the
@@ -320,8 +312,9 @@ class FlowNetwork:
             if outs:
                 y = outs.pop()
                 # into out(y): y's through-arc while it has room, and the
-                # reverse of y's outflow (no source's out-node is here
-                # once the flow is maximum, so y has one outflow at most)
+                # reverse of y's outflow (an unbounded source's out-node
+                # is never here once the flow is maximum, so y has one
+                # outflow at most)
                 for t in (y if pred[y] == -1 else -1, succ[y]):
                     if t >= 0 and not side_in[t]:
                         side_in[t] = 1
@@ -329,9 +322,10 @@ class FlowNetwork:
             else:
                 y = ins.pop()
                 # into in(y): every edge, and the reverse of y's
-                # through-arc while y carries flow
+                # through-arc while y carries flow; an unused y's in-node
+                # is only reached from its out-node, which is here then
                 for x in nbrs[y]:
-                    if not side_out[x] and (x != y or pred[y] >= 0):
+                    if not side_out[x]:
                         side_out[x] = 1
                         outs.append(x)
         vs = self.graph.vertices
@@ -349,13 +343,17 @@ def _pair_search(
 
     The search queues out-nodes by vertex rank and scans each one's
     neighbor tuple as the split-vertex network lists that out-node's
-    arcs. It skips the edge to succ[x], which carries x's flow; for v,
-    the edges that carry v's paths. It enters an in-node at most once,
-    never v's or a blocked one (marked in fresh), and leaves it at once
-    by its one residual arc: an unused vertex by its through-arc, a used
-    one back to pred[y]. So in-nodes are expanded in the order a layered
-    search would scan them, every node is reached by the same arc, and
-    the same augmenting path is found.
+    arcs: edges, and at its own rank its own in-node, reached by the
+    reverse of its through-arc while it carries flow and entered already
+    otherwise. It enters an in-node at most once, never v's or a blocked
+    one (marked in fresh), and leaves it at once by its one residual
+    arc: an unused vertex by its through-arc, a used one back to
+    pred[y]. For v it skips the edges that carry v's paths. The edge
+    from any other x to succ[x] needs no test: a used x is only reached
+    back from in(succ[x]), which is then entered already. So in-nodes
+    are expanded in the order a layered search would scan them, every
+    node is reached by the same arc, and the same augmenting path is
+    found.
 
     seen[y] is the out-node rank that entered in-node y, y itself when
     it was entered by the reverse of its own through-arc; came[z] is
@@ -378,9 +376,8 @@ def _pair_search(
                 came[p] = y
                 queue.append(p)
     for x in queue:  # grows while it is read: a FIFO queue
-        sx = succ[x]
         for y in nbrs[x]:
-            if seen[y] == -1 and y != sx:
+            if seen[y] == -1:
                 seen[y] = x
                 if y == kw:
                     succ[x] = kw

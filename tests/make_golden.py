@@ -1,22 +1,26 @@
 """The golden corpus: canonical path families, traces, tree-order answers,
 fat-TK results and CLI outputs, pinned.
 
-"Canonical" is defined by the flow engine's tie-breaks (BFS
-augmentation over ascending node ids, least-next decomposition), and
-trace selections are indices into those families; the fat-TK router
-takes the first members of the same families. A change to the engine
-that reorders paths would still pass every validity test, so the exact
-bytes are kept here and checked by tests/test_golden.py.
+"Canonical" is defined by the flow engine's tie-breaks: each
+augmenting path is the breadth-first one over the ascending node ids of
+the split-vertex network, source and sink last, however the engine
+stores that network, and the final flow's paths are sorted by vertex
+sequence. Trace selections are indices into those families; the
+fat-TK router takes the first members of the same families, and its
+failure separators and is_dispersed's blockers are sink-side minimum
+cuts found by the same search. A change to the engine that reorders
+paths would still pass every validity test, so the exact bytes are
+kept here and checked by tests/test_golden.py.
 
 Regenerate (only on purpose, recording why in CHANGES.md) with
 
     PYTHONPATH=src python tests/make_golden.py
 
 One run rewrites the whole corpus: families/*.txt, traces.txt,
-order.txt, fattk.txt, dispersed.txt, cuts.txt and cli/*. To pin a new file before changing the
-code it covers, add its writer here and run this at the parent commit:
-`git status` must then list only the new file, since every existing
-one comes out byte-identical.
+order.txt, fattk.txt, dispersed.txt, cuts.txt and cli/*. To pin a new
+file before changing the code it covers, add its writer here and run
+this at the parent commit: `git status` must then list only the new
+file, since every existing one comes out byte-identical.
 """
 
 from __future__ import annotations

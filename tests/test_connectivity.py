@@ -379,6 +379,19 @@ def test_search_leaves_a_used_vertex_by_its_inflow():
     assert FlowNetwork(g)._paths(0, 5, None) == ((0, 1, 4, 5), (0, 3, 2, 5))
 
 
+def test_search_frees_a_vertex_it_passes_back_through():
+    """The first augmenting path is 9-3-5-10-1; the second, 9-11-0-10,
+    goes back from 10 to 5, through 5 backwards and back to 3, then on
+    by 7-12-1. Vertex 5 then carries nothing and has neither link."""
+    g = Graph(edges=[(0, 10), (0, 11), (1, 10), (1, 12), (3, 5), (3, 7), (3, 9), (5, 10),
+                     (7, 12), (9, 11)])
+    _search_matches_reference(g, 9, 1, frozenset())
+    total, pred, succ = FlowNetwork(g)._pair_flow(9, 1, None)
+    k5 = FlowNetwork(g)._rank[5]
+    assert total == 2 and pred[k5] == succ[k5] == -1
+    assert FlowNetwork(g)._paths(9, 1, None) == ((9, 3, 7, 12, 1), (9, 11, 0, 10, 1))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_network_answers_do_not_depend_on_earlier_queries(seed):
     """One network interleaving every kind of query answers each as a
