@@ -31,11 +31,11 @@ from nstree import (
 from nstree import connectivity
 from nstree.connectivity import FlowNetwork, _network
 from oracles import (
+    ArcNetwork,
     brute_kappa,
     brute_min_blocking_size,
     brute_min_separator_size,
     ref_family,
-    ArcNetwork,
     ref_max_flow,
     ref_min_blocking_set,
     ref_min_separator,
