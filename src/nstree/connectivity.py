@@ -6,12 +6,14 @@ out-node joined by a through-arc whose capacity is 1 when the vertex
 may be consumed or cut, unbounded otherwise. The network is never
 built as arcs: with unit through-arcs, a vertex's residual arcs follow
 from its predecessor and successor on its path, so a flow is two links
-per vertex. Augmenting paths are found breadth-first over ascending
-node ids, source and sink last, and the paths the final flow splits
-into are sorted, so every result is a deterministic function of the
-graph alone. That determinism is load-bearing: the construction
-algorithms select paths by index out of these families, and reruns
-must pick the same paths. The network of a graph is built once
+per vertex. Every family, connectivity and cut is one kind of flow,
+from a start set to a sink set over unbounded edges, augmented by one
+breadth-first search over ascending vertex ranks; a v-w family is that
+flow from {v} to {w} without a v-w edge, plus the edge. The paths the
+final flow splits into are sorted, so every result is a deterministic
+function of the graph alone. That determinism is load-bearing: the
+construction algorithms select paths by index out of these families,
+and reruns must pick the same paths. The network of a graph is built once
 (FlowNetwork) and answers any number of queries; the public functions
 and the constructions reuse the network of the graph they were called
 with last (_network). That network also holds the families the sweeps
@@ -24,9 +26,6 @@ from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
 from .graph import Graph
-
-_INF = 1 << 30
-
 
 class Path(Record):
     __slots__ = ("vertices",)
@@ -123,20 +122,24 @@ class FlowNetwork:
     arcs to the neighbors' in-nodes and, at its own rank, the reverse of
     its through-arc.
 
-    A flow keeps no arc capacities. Every interior vertex carries at
-    most one unit, so its state is two links, the ranks before and after
-    it on its path (pred and succ, -1 while it carries none), and every
-    residual arc follows from them (see _pair_search). The source v is
-    never entered, and pred[y] == v marks each first vertex y of a
-    path, w itself for a direct v-w edge. The search stops at the first
-    path into w, so w is never left either.
+    Every query runs one kind of flow, found by one search (_search):
+    from the out-nodes of a start set to the in-nodes of a sink set,
+    over unbounded edges. A flow keeps no arc capacities. Every vertex
+    but a start or sink of unbounded capacity carries at most one unit,
+    so its state is two links, the ranks before and after it on its path
+    (pred and succ, -1 while it carries none, -2 when it is blocked),
+    and every residual arc follows from them. A pair flow (_pair_flow)
+    is the {v}-{w} flow on the graph without a v-w edge, plus that edge
+    as a path of its own; pred[y] == v marks each first vertex y of the
+    other paths.
 
     Blocked vertices are never entered, so one network answers for its
     induced subgraphs: the other vertices are found in the order of the
     subgraph's network, and every path, family and cut is that
     subgraph's. find_fat_tk and is_dispersed each run all their routings
-    and cuts on one network. Cuts (_cut) run on the same links with
-    unbounded edges and an excluded edge skipped.
+    and cuts on one network. A cut is read from the residual network a
+    maximum flow leaves (_sink_side): _cut runs a flow for it, and
+    _pair_cut reads one from a pair flow already run.
 
     The neighbor tuples never change once built. The one mutable part is
     _families, the sweeps' memo: the vertex sequences _paths(v, w,
@@ -161,45 +164,40 @@ class FlowNetwork:
         _check_pair(self.graph, v, w)
         return self._pair_flow(v, w, None)[0]
 
-    def family(
-        self, v: int, w: int, limit: int | None = None, blocked: AbstractSet[int] = frozenset()
-    ) -> PathFamily | None:
-        """Canonical maximum family of independent v-w paths.
-
-        With a limit, stops once `limit` paths are found and returns
-        None instead of a family, skipping the decomposition. The paths
-        avoid the blocked vertices: the family is that of the subgraph
-        induced by the other vertices.
-        """
+    def family(self, v: int, w: int) -> PathFamily:
+        """Canonical maximum family of independent v-w paths."""
         _check_pair(self.graph, v, w)
-        if v in blocked or w in blocked:
-            raise ValueError(f"endpoints {v} and {w} must not be blocked")
-        if not blocked <= self.graph.vertex_set:
-            raise ValueError(f"blocked vertices not in graph: {sorted(blocked - self.graph.vertex_set)}")
-        seqs = self._paths(v, w, limit, blocked)
-        if seqs is None:
-            return None
-        return PathFamily(v, w, tuple(map(Path, seqs)))
+        return PathFamily(v, w, tuple(map(Path, self._paths(v, w, None))))
 
     def _paths(
         self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
     ) -> tuple[tuple[int, ...], ...] | None:
-        """Vertex sequences of the canonical family, sorted; None once
-        `limit` paths are found. Arguments are taken as valid.
-
-        Each path starts at a neighbor y of v with pred[y] == v and
-        follows succ to w. Raises AssertionError unless the paths are
-        simple, their interiors pairwise disjoint and free of v and w,
-        and as many as the flow value: the invariants a PathFamily holds.
-        """
+        """Vertex sequences of the canonical family avoiding the blocked
+        vertices, sorted; None once `limit` paths are found, skipping the
+        decomposition. Arguments are taken as valid."""
         total, pred, succ = self._pair_flow(v, w, limit, blocked)
         if limit is not None and total >= limit:
             return None
+        return self._decompose(v, w, total, pred, succ)
+
+    def _decompose(
+        self, v: int, w: int, total: int, pred: list[int], succ: list[int]
+    ) -> tuple[tuple[int, ...], ...]:
+        """Vertex sequences of the paths a v-w pair flow splits into,
+        sorted.
+
+        A direct v-w edge is one path; every other starts at a neighbor
+        y of v with pred[y] == v and follows succ to w. Raises
+        AssertionError unless the paths are simple, their interiors
+        pairwise disjoint and free of v and w, and as many as the flow
+        value: the invariants a PathFamily holds.
+        """
         vs = self.graph.vertices
         kv, kw = self._rank[v], self._rank[w]
         seen = {v}
-        seqs = []
-        for y in self._nbrs[kv]:
+        out = self._nbrs[kv]
+        seqs = [(v, w)] if kw in out else []
+        for y in out:
             if pred[y] != kv:
                 continue
             seq = [v]
@@ -224,7 +222,15 @@ class FlowNetwork:
     ) -> tuple[int, list[int], list[int]]:
         """Value and path links (pred, succ) of the maximum v-w flow
         avoiding the blocked vertices, or of the first `limit`
-        augmenting paths."""
+        augmenting paths.
+
+        A direct v-w edge counts as the first path without a search: a
+        search over unit edges meets in(w) while it scans out(v), and
+        the residual network that path leaves is that of the graph
+        without the edge. The other paths are the {v}-{w} flow there,
+        which unbounded edges do not enlarge, since an edge lets through
+        no more than the unit vertex at one of its ends.
+        """
         rank = self._rank
         kv, kw = rank[v], rank[w]
         n = len(rank)
@@ -233,75 +239,102 @@ class FlowNetwork:
         # in-nodes the search never enters: v's and the blocked ones
         fresh = [-1] * n
         fresh[kv] = -2
+        sink = [0] * n
+        sink[kw] = 1
+        nbrs = self._nbrs
         # every path leaves v and enters w by an edge of its own to an
         # unblocked neighbor, so a flow that many strong is maximum
-        # without a failing search
-        nbrs = self.graph.neighbors
+        # without a failing search (a tuple holds its own rank as well)
         if blocked:
+            adj = self.graph.neighbors
             for x in blocked:
-                fresh[rank[x]] = -2
-            bound = min(len([x for x in nbrs(v) if x not in blocked]),
-                        len([x for x in nbrs(w) if x not in blocked]))
+                pred[rank[x]] = fresh[rank[x]] = -2
+            bound = min(len([x for x in adj(v) if x not in blocked]),
+                        len([x for x in adj(w) if x not in blocked]))
         else:
-            bound = min(len(nbrs(v)), len(nbrs(w)))
+            bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
         if limit is not None:
             bound = min(bound, limit)
         total = 0
-        while total < bound and _pair_search(self._nbrs, fresh, pred, succ, kv, kw):
+        out = nbrs[kv]
+        if kw in out:
+            # out(w) is never scanned, since entering in(w) ends the
+            # search, so the edge is dropped from out(v) alone
+            i = out.index(kw)
+            nbrs = nbrs.copy()
+            nbrs[kv] = out[:i] + out[i + 1:]
+            total = 1
+        starts = [kv]
+        while total < bound and _search(nbrs, fresh, pred, succ, starts, sink, False):
             total += 1
         return total, pred, succ
 
-    def _cut(
-        self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool,
-        blocked: AbstractSet[int] = frozenset(), excluded: tuple[int, int] | None = None,
-        value: int = _INF,
-    ) -> frozenset[int]:
+    def _pair_cut(self, v: int, w: int, total: int, pred: list[int], succ: list[int]) -> frozenset[int]:
+        """Minimum v-w cut of the graph without its v-w edge, read from
+        the residual network of a maximum v-w pair flow: the value and
+        links _pair_flow gave with no limit, whose blocked vertices the
+        cut avoids too. That flow is the cut's flow plus the direct
+        edge, if any, so the cut takes no search of its own."""
+        kv, kw = self._rank[v], self._rank[w]
+        nbrs = self._nbrs
+        if kw in nbrs[kv]:
+            nbrs = nbrs.copy()
+            nbrs[kv] = tuple(y for y in nbrs[kv] if y != kw)
+            nbrs[kw] = tuple(y for y in nbrs[kw] if y != kv)
+            total -= 1
+        sink = [0] * len(nbrs)
+        sink[kw] = 1
+        return self._sink_side(nbrs, pred, succ, [kv], sink, total)
+
+    def _cut(self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum a-b cut.
 
-        Edges are unbounded, so the cut consists of through-arcs: 0 for
-        a blocked vertex, 1 for any other, and unbounded for a and b
-        unless sides_cuttable. The cut is that of the subgraph induced
-        by the unblocked vertices, without the edge `excluded` if its
-        ends are adjacent.
-
-        A caller that knows the flow's value passes it as `value`, and
-        the flow stops there; with cuttable sides it stops at
-        min(|a|, |b|) too, since every unit of flow leaves through one
-        of a's through-arcs and arrives through one of b's. A maximum
+        Edges are unbounded, so the cut consists of through-arcs: 1 for
+        a vertex outside a and b, and for one in a or b too if
+        sides_cuttable, unbounded otherwise. With cuttable sides the flow
+        stops at min(|a|, |b|), since every unit of flow leaves through
+        one of a's through-arcs and arrives through one of b's: a maximum
         flow reached that way spares the search that would fail and
-        leaves the residual network that search would have left, so
-        the cut is the same.
-
-        Raises AssertionError unless the cut has as many vertices as the
-        flow is strong, the max-flow min-cut identity.
+        leaves the residual network that search would have left. Sides
+        that may not be cut must not be joined by an edge: every unit
+        then passes a vertex outside them, so the flow is below n, and a
+        flow stopped at n fails the maximality check instead of growing
+        without end.
         """
-        rank, nbrs = self._rank, self._nbrs
+        rank = self._rank
         n = len(rank)
-        if sides_cuttable:
-            value = min(value, len(a), len(b))
-        else:
-            blocked = blocked - a - b
-        if excluded is not None:
-            u, x = rank[excluded[0]], rank[excluded[1]]
-            nbrs = list(nbrs)
-            nbrs[u] = tuple(y for y in nbrs[u] if y != x)
-            nbrs[x] = tuple(y for y in nbrs[x] if y != u)
-        # pred is -2 for a blocked vertex, x for a used cuttable source x,
-        # and never set for a vertex whose through-arc is unbounded
+        # pred is x for a used cuttable start x, and never set for a
+        # vertex whose through-arc is unbounded
         pred = [-1] * n
         succ = [-1] * n
         fresh = [-1] * n
-        for x in blocked:
-            pred[rank[x]] = fresh[rank[x]] = -2
         starts = sorted(rank[x] for x in a)
         for k in starts:
             fresh[k] = -2
-        sink = bytearray(n)
+        sink = [0] * n
         for x in b:
             sink[rank[x]] = 1
+        bound = min(len(a), len(b)) if sides_cuttable else n
         total = 0
-        while total < value and _cut_search(nbrs, fresh, pred, succ, starts, sink, sides_cuttable):
+        while total < bound and _search(self._nbrs, fresh, pred, succ, starts, sink, sides_cuttable):
             total += 1
+        return self._sink_side(self._nbrs, pred, succ, starts, sink, total)
+
+    def _sink_side(
+        self, nbrs: list[tuple[int, ...]], pred: list[int], succ: list[int],
+        starts: list[int], sink: list[int], total: int,
+    ) -> frozenset[int]:
+        """Vertices whose through-arcs form the sink-side minimum cut of
+        the flow of value `total` that _search left in pred and succ,
+        from starts to sink on the network nbrs.
+
+        Raises AssertionError unless the flow is maximum: the cut must
+        have as many vertices as the flow is strong (the max-flow min-cut
+        identity), and no start the source can still feed may reach the
+        sink side. That is every start when the sides may not be cut,
+        and a start with room otherwise: pred is -1 for both.
+        """
+        n = len(nbrs)
         # the vertices whose in-node or out-node still reaches a sink
         # out-node in the residual network, found backwards from those
         side_in = bytearray(n)
@@ -312,7 +345,7 @@ class FlowNetwork:
             if outs:
                 y = outs.pop()
                 # into out(y): y's through-arc while it has room, and the
-                # reverse of y's outflow (an unbounded source's out-node
+                # reverse of y's outflow (an unbounded start's out-node
                 # is never here once the flow is maximum, so y has one
                 # outflow at most)
                 for t in (y if pred[y] == -1 else -1, succ[y]):
@@ -332,78 +365,42 @@ class FlowNetwork:
         cut = frozenset(vs[k] for k in range(n) if side_out[k] and not side_in[k] and pred[k] != -2)
         if len(cut) != total:
             raise AssertionError(f"a cut of {len(cut)} vertices for a flow of {total}")
+        fed = [vs[k] for k in starts if side_out[k] and pred[k] == -1]
+        if fed:
+            raise AssertionError(f"a flow of {total} is not maximum: starts {fed} still reach the sinks")
         return cut
 
 
-def _pair_search(
-    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int], kv: int, kw: int
+def _search(
+    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int],
+    starts: list[int], sink: list[int], cuttable: bool,
 ) -> bool:
-    """Augment the v-w flow in pred and succ along its next augmenting
-    path; False when none is left.
+    """Augment the flow in pred and succ along its next augmenting path
+    from a start's out-node to a sink's in-node; False when none is left.
 
     The search queues out-nodes by vertex rank and scans each one's
     neighbor tuple as the split-vertex network lists that out-node's
     arcs: edges, and at its own rank its own in-node, reached by the
     reverse of its through-arc while it carries flow and entered already
-    otherwise. It enters an in-node at most once, never v's or a blocked
-    one (marked in fresh), and leaves it at once by its one residual
-    arc: an unused vertex by its through-arc, a used one back to
-    pred[y]. For v it skips the edges that carry v's paths. The edge
-    from any other x to succ[x] needs no test: a used x is only reached
-    back from in(succ[x]), which is then entered already. So in-nodes
-    are expanded in the order a layered search would scan them, every
-    node is reached by the same arc, and the same augmenting path is
-    found.
+    otherwise. It enters an in-node at most once, never a start's or a
+    blocked one (marked in fresh), and leaves it at once by its one
+    residual arc: an unused vertex by its through-arc, to an out-node no
+    other arc reaches, and a used one back to pred[y] unless that is
+    reached already. Entering a sink's unused in-node ends the search. A start's
+    out-node starts the search while the start has room, always when
+    sides are not cuttable, and once otherwise.
+
+    No edge needs a test of its flow. A used x other than a start is
+    only reached back from in(succ[x]), which is then entered already;
+    and the in-node of a vertex that carries a path from a start leads
+    only back to that start's out-node, which is reached already too.
+    So in-nodes are expanded in the order a layered search would scan
+    them, every node is reached by the same arc, and the same augmenting
+    path is found.
 
     seen[y] is the out-node rank that entered in-node y, y itself when
     it was entered by the reverse of its own through-arc; came[z] is
     the in-node rank that reached out-node z.
-    """
-    seen = fresh.copy()
-    came = [-1] * len(nbrs)
-    came[kv] = kv
-    queue = []
-    for y in nbrs[kv]:
-        if seen[y] == -1 and pred[y] != kv:
-            seen[y] = kv
-            if y == kw:
-                pred[kw] = kv  # the direct edge carries a path
-                return True
-            p = pred[y]
-            if p < 0:
-                p = y
-            if came[p] == -1:
-                came[p] = y
-                queue.append(p)
-    for x in queue:  # grows while it is read: a FIFO queue
-        for y in nbrs[x]:
-            if seen[y] == -1:
-                seen[y] = x
-                if y == kw:
-                    succ[x] = kw
-                    _augment(seen, came, pred, succ, x)
-                    return True
-                p = pred[y]
-                if p < 0:
-                    p = y
-                if came[p] == -1:
-                    came[p] = y
-                    queue.append(p)
-    return False
-
-
-def _cut_search(
-    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int],
-    starts: list[int], sink: bytearray, cuttable: bool,
-) -> bool:
-    """Augment the cut's flow in pred and succ along its next augmenting
-    path from a start's out-node to a sink's; False when none is left.
-
-    The search of _pair_search with unbounded edges: no edge is skipped
-    (the excluded one is already gone from nbrs), and entering a sink's
-    unused in-node ends the search. A start's in-node is never entered;
-    its out-node starts the search while the start has room, always
-    when sides are not cuttable, and once otherwise.
     """
     seen = fresh.copy()
     came = [-1] * len(nbrs)
@@ -415,7 +412,7 @@ def _cut_search(
                 pred[s] = s  # a path of one vertex in a and b
                 return True
             queue.append(s)
-    for x in queue:
+    for x in queue:  # grows while it is read: a FIFO queue
         for y in nbrs[x]:
             if seen[y] == -1:
                 seen[y] = x
@@ -428,8 +425,9 @@ def _cut_search(
                             pred[y] = x
                             pred[s] = s
                         return True
-                    p = y
-                if came[p] == -1:
+                    came[y] = y
+                    queue.append(y)
+                elif came[p] == -1:
                     came[p] = y
                     queue.append(p)
     return False
@@ -508,9 +506,7 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
     by vertex sequence. Index 1 is the lexicographically least path.
     Returns the empty family when v and w are in different components.
     """
-    fam = _network(g).family(v, w)
-    assert fam is not None  # no limit given
-    return fam
+    return _network(g).family(v, w)
 
 
 def _check_sides(g: Graph, a: frozenset[int], b: frozenset[int]) -> None:

@@ -87,9 +87,10 @@ class FatTKFailure(Record):
 
     routed is how many disjoint paths the pair admitted in the residual
     graph; separator is a minimum vertex set blocking every further path
-    there (any direct edge between the pair excluded). It is the minimum
-    cut of the router's one network, with the other branch vertices and
-    the interiors routed so far blocked and that edge's arcs masked.
+    there (any direct edge between the pair excluded). It is read from
+    the residual network of the pair's own routing flow, the maximum
+    flow on the router's one network with the other branch vertices and
+    the interiors routed so far blocked, so it takes no flow of its own.
     """
 
     __slots__ = ("pair", "routed", "separator")
@@ -214,19 +215,17 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
 
 
 def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
-    # every pair and its failure separator run on the one network, with
-    # the other branch vertices and the interiors used so far blocked
+    # every pair runs on the one network, with the other branch vertices
+    # and the interiors used so far blocked; a failing pair's separator
+    # is read from the residual network of its own flow
     used: set[int] = set()
     routed: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     for a, b in combinations(branch, 2):
         blocked = used.union(branch).difference((a, b))
-        fam = net._paths(a, b, None, blocked)
-        assert fam is not None  # no limit given
+        total, pred, succ = net._pair_flow(a, b, None, blocked)
+        fam = net._decompose(a, b, total, pred, succ)
         if len(fam) < m:
-            # the cut's flow is the family without the a-b edge, if any
-            value = len(fam) - net.graph.has_edge(a, b)
-            sep = net._cut(frozenset({a}), frozenset({b}), False, blocked, (a, b), value)
-            return FatTKFailure((a, b), len(fam), sep)
+            return FatTKFailure((a, b), len(fam), net._pair_cut(a, b, total, pred, succ))
         chosen = fam[:m]
         for seq in chosen:
             used.update(seq[1:-1])

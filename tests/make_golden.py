@@ -299,9 +299,10 @@ def cuts_text() -> str:
     min_separator on 30 pairs of disjoint, non-adjacent sides of 1-3
     vertices, and min_blocking_set on 30 pairs of sides of 1-8 and 1-12
     vertices that may overlap or touch. route: the failure cut
-    fattk._route makes, FlowNetwork._cut({a}, {b}) with the routing's
-    blocked vertices (0-13 others), the a-b edge excluded and the value
-    of the blocked a-b family, on 30 pairs, a third of them adjacent.
+    fattk._route reads from the residual network of a routing flow, the
+    a-b pair flow with 0-13 other vertices blocked, and the value of the
+    cut's flow, which is the routing's without a direct a-b edge, on 30
+    pairs, a third of them adjacent.
     dispersed: the blocker cut is_dispersed makes, with cuttable sides,
     between a probe of 4-12 vertices and the vertex set of a fat-TK
     certificate found on 3 random branch vertices with m = 2.
@@ -333,8 +334,9 @@ def cuts_text() -> str:
             a, b = rng.sample(rng.choice(g.edges), 2) if j % 3 == 0 else rng.sample(g.vertices, 2)
             rest = [x for x in g.vertices if x not in (a, b)]
             blocked = frozenset(rng.sample(rest, rng.randint(0, 13)))
-            value = len(net._paths(a, b, None, blocked)) - g.has_edge(a, b)
-            cut = net._cut(frozenset({a}), frozenset({b}), False, blocked, (a, b), value)
+            total, pred, succ = net._pair_flow(a, b, None, blocked)
+            cut = net._pair_cut(a, b, total, pred, succ)
+            value = total - g.has_edge(a, b)
             lines.append(f"{name} route a={a} b={b} blocked={sorted(blocked)} value={value} "
                          f"cut={sorted(cut)}")
         count = 0

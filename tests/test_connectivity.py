@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import sys
 import threading
 from itertools import combinations
@@ -65,10 +66,6 @@ def test_family_validation():
     assert fam[1].vertices == (1, 2)
     with pytest.raises(IndexError):
         fam[0]
-    with pytest.raises(ValueError, match="blocked"):
-        FlowNetwork(K4).family(1, 2, blocked={2, 3})
-    with pytest.raises(ValueError, match=r"blocked vertices not in graph: \[99\]"):
-        FlowNetwork(K4).family(1, 2, blocked={3, 99})
 
 
 def test_kappa_k4():
@@ -240,6 +237,18 @@ def test_kappa_symmetric_and_monotone(g, rng):
         assert kappa(bigger, v, w) >= k
 
 
+def _family(net: FlowNetwork, v: int, w: int, limit: int | None = None,
+            blocked: frozenset[int] = frozenset()) -> PathFamily | None:
+    """The family of net._paths, None once `limit` paths are found."""
+    seqs = net._paths(v, w, limit, blocked)
+    return None if seqs is None else PathFamily(v, w, tuple(map(Path, seqs)))
+
+
+def _pair_cut(net: FlowNetwork, v: int, w: int, blocked: frozenset[int]) -> frozenset[int]:
+    """The cut fattk._route reads from the v-w routing flow."""
+    return net._pair_cut(v, w, *net._pair_flow(v, w, None, blocked))
+
+
 def _differential_graph(rng: random.Random) -> Graph:
     """Connected or not, ids spread out so ranks and ids differ."""
     n = rng.randrange(2, 14)
@@ -296,7 +305,7 @@ def test_engine_matches_reference_network_on_larger_graphs(case):
         v, w = rng.sample(g.vertices, 2)
         rest = [x for x in g.vertices if x not in (v, w)]
         blocked = frozenset(rng.sample(rest, len(rest) // 4))
-        fam = net.family(v, w, blocked=blocked)
+        fam = _family(net, v, w, blocked=blocked)
         sub = induced_subgraph(g, g.vertex_set - blocked)
         assert [p.vertices for p in fam] == ref_family(sub, v, w)
     k = max(2, len(g) // 5)
@@ -343,12 +352,14 @@ def _search_matches_reference(g: Graph, v: int, w: int, blocked: frozenset[int])
                 links[2 * k], links[2 * k + 1] = 0, 1
         for e in range(2 * len(g), len(head), 2):
             x, y = head[e ^ 1] >> 1, head[e] >> 1
-            # v's edges carry its paths, every other vertex's its succ
-            if (pred[y] == kv) if x == kv else (succ[x] == y):
+            # v's edges carry its paths, the direct edge among them, and
+            # every other vertex's edge carries its succ
+            if (y == kw or pred[y] == kv) if x == kv else (succ[x] == y):
                 links[e], links[e ^ 1] = 0, 1
         assert links == cap
+        # pred is -2 for a blocked vertex
         assert [head[into[2 * k]] >> 1 if into[2 * k] != 2 * k else -1 for k in inner] == [
-            pred[k] for k in inner
+            max(pred[k], -1) for k in inner
         ]
         if total < limit:
             return
@@ -409,13 +420,12 @@ def test_network_answers_do_not_depend_on_earlier_queries(seed):
                 assert net.family(v, w) == FlowNetwork(g).family(v, w)
             elif kind == 1:
                 limit = rng.randint(1, 3)
-                assert net.family(v, w, limit) == FlowNetwork(g).family(v, w, limit)
+                assert _family(net, v, w, limit) == _family(FlowNetwork(g), v, w, limit)
             elif kind == 2:
-                assert net.family(v, w, blocked=blocked) == FlowNetwork(g).family(v, w, blocked=blocked)
+                assert _family(net, v, w, blocked=blocked) == _family(FlowNetwork(g), v, w, blocked=blocked)
             else:
+                assert _pair_cut(net, v, w, blocked) == _pair_cut(FlowNetwork(g), v, w, blocked)
                 a, b = frozenset({v}), frozenset({w})
-                got = net._cut(a, b, False, blocked, excluded=(v, w))
-                assert got == FlowNetwork(g)._cut(a, b, False, blocked, excluded=(v, w))
                 got = net._cut(a | blocked, b, True)
                 assert got == FlowNetwork(g)._cut(a | blocked, b, True)
 
@@ -440,13 +450,9 @@ def test_masked_queries_match_the_induced_subgraph(seed):
                 # its out-node reaches the sink side, its in-node does not
                 blocked.add(rng.choice(near_sink))
             sub = induced_subgraph(g, g.vertex_set - blocked)
-            assert net.family(a, b, blocked=blocked) == max_independent_paths(sub, a, b)
+            assert _family(net, a, b, blocked=blocked) == max_independent_paths(sub, a, b)
             without_ab = Graph(sub.vertices, [e for e in sub.edges if set(e) != {a, b}])
-            expected = min_separator(without_ab, {a}, {b}).s
-            one_a, one_b = frozenset({a}), frozenset({b})
-            assert net._cut(one_a, one_b, False, blocked, excluded=(a, b)) == expected
-            if not g.has_edge(a, b):
-                assert net._cut(one_a, one_b, False, blocked) == expected
+            assert _pair_cut(net, a, b, blocked) == min_separator(without_ab, {a}, {b}).s
 
 
 @pytest.mark.parametrize("n", [50, 120, 200])
@@ -593,8 +599,8 @@ def test_only_the_sweeps_fill_the_family_memo():
         kappa(g, v, w)
         max_independent_paths(g, v, w)
         blocked = frozenset(x for x in g.vertices[6:12] if x not in (v, w))
-        net.family(v, w, blocked=blocked)
-        net.family(v, w, limit=2)
+        _family(net, v, w, blocked=blocked)
+        _family(net, v, w, limit=2)
         min_blocking_set(g, {v}, {w})
         if not g.has_edge(v, w):
             min_separator(g, {v}, {w})
@@ -606,16 +612,15 @@ def test_only_the_sweeps_fill_the_family_memo():
 
 
 def _counted_searches(monkeypatch) -> list[bool]:
-    """Record whether every augmenting-path search of a pair flow found
-    a path."""
+    """Record whether every augmenting-path search found a path."""
     found: list[bool] = []
-    real = connectivity._pair_search
+    real = connectivity._search
 
     def search(*args):
         found.append(real(*args))
         return found[-1]
 
-    monkeypatch.setattr(connectivity, "_pair_search", search)
+    monkeypatch.setattr(connectivity, "_search", search)
     return found
 
 
@@ -633,7 +638,7 @@ def test_blocked_neighbors_lower_the_bound(case, monkeypatch):
         v, w = 0, max(g.vertices)
         blocked = frozenset(g.neighbors(v)[:1] + g.neighbors(w)[:1])
     found = _counted_searches(monkeypatch)
-    fam = FlowNetwork(g).family(v, w, blocked=blocked)
+    fam = _family(FlowNetwork(g), v, w, blocked=blocked)
     assert all(found)
     assert len(found) == len(fam) < min(g.degree(v), g.degree(w))
     sub = induced_subgraph(g, g.vertex_set - blocked)
@@ -674,26 +679,36 @@ def test_decomposition_checks_the_recorded_flow(how, message, monkeypatch):
 @pytest.mark.parametrize("how, message", [
     ("value", "a cut of 0 vertices for a flow of 1"),
     ("links", "a cut of 0 vertices for a flow of 2"),
+    ("start", "a flow of 0 is not maximum: starts [0] still reach the sinks"),
+    ("edge", "a cut of 0 vertices for a flow of 4"),
 ])
 def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
     """The K4 cut between 1 and 2 without their edge is {3, 4}, for a
     flow of 2. A flow stopped below its maximum, or one whose path links
-    were damaged, leaves a cut of another size."""
+    were damaged, leaves a cut of another size. On grid r=3 no flow from
+    corner 0 to corner 9 leaves a cut of 0 vertices, the right size, but
+    0 still reaches 9. Sides joined by an edge, which cannot be cut apart,
+    stop at a flow of n, 4 in K4, where they would grow without end."""
     net = FlowNetwork(K4)
-    one, two = frozenset({1}), frozenset({2})
-    assert net._cut(one, two, False, excluded=(1, 2)) == {3, 4}
-    value = 2
-    if how == "value":
-        value = 1
-    else:
-        real = connectivity._cut_search
-        k3 = net._rank[3]
+    assert _pair_cut(net, 1, 2, frozenset()) == {3, 4}
+    real = connectivity._search
+    k3 = net._rank[3]
+    searches: list[bool] = []
 
-        def search(nbrs, fresh, pred, succ, *args):
-            found = real(nbrs, fresh, pred, succ, *args)
+    def search(nbrs, fresh, pred, succ, *args):
+        # past 5 searches, so that an unbounded flow fails instead of hanging
+        if how == "start" or (how == "value" and searches) or len(searches) > 4:
+            return False
+        searches.append(real(nbrs, fresh, pred, succ, *args))
+        if how == "links":
             pred[k3] = succ[k3] = -1  # as if 3 carried nothing
-            return found
+        return searches[-1]
 
-        monkeypatch.setattr(connectivity, "_cut_search", search)
-    with pytest.raises(AssertionError, match=message):
-        net._cut(one, two, False, excluded=(1, 2), value=value)
+    monkeypatch.setattr(connectivity, "_search", search)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        if how == "start":
+            FlowNetwork(truncate(make_generator("grid"), 3))._cut(frozenset({0}), frozenset({9}), False)
+        elif how == "edge":
+            net._cut(frozenset({1}), frozenset({2}), False)
+        else:
+            _pair_cut(net, 1, 2, frozenset())

@@ -343,35 +343,50 @@ def test_verify_rejects_tampered_certificates(g, rng):
     assert not verify_fat_tk(g, tampered).ok
 
 
-def _searches_in_cuts(monkeypatch) -> list[bool]:
-    """Record whether every augmenting-path search inside
-    FlowNetwork._cut found a path."""
-    found: list[bool] = []
-    real = connectivity._cut_search
+def _flow_events(monkeypatch) -> list[str]:
+    """Log, in call order, every pair flow, every augmenting-path search
+    and the entry to and return from every FlowNetwork._pair_cut."""
+    events: list[str] = []
+    real_search = connectivity._search
+    real_flow = FlowNetwork._pair_flow
+    real_cut = FlowNetwork._pair_cut
 
     def search(*args):
-        found.append(real(*args))
-        return found[-1]
+        events.append("search")
+        return real_search(*args)
 
-    monkeypatch.setattr(connectivity, "_cut_search", search)
-    return found
+    def pair_flow(self, *args):
+        events.append("flow")
+        return real_flow(self, *args)
+
+    def pair_cut(self, *args):
+        events.append("cut")
+        cut = real_cut(self, *args)
+        events.append("/cut")
+        return cut
+
+    monkeypatch.setattr(connectivity, "_search", search)
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
+    monkeypatch.setattr(FlowNetwork, "_pair_cut", pair_cut)
+    return events
 
 
 def test_failure_separator_blocks_residual_routing(monkeypatch):
-    found = _searches_in_cuts(monkeypatch)
-    failures = cut_searches = 0
+    events = _flow_events(monkeypatch)
+    failures = 0
     for seed in range(21, 61):
         g = random_connected_graph(random.Random(seed), 9, 0.3)
         branch = (0, 1, 2)
-        del found[:]
+        del events[:]
         out = find_fat_tk(g, branch, 3)
         if not isinstance(out, FatTKFailure):
+            assert "cut" not in events
             continue
         failures += 1
-        # the cut stops at the flow value the routing found, so none of
-        # its searches fails
-        assert all(found)
-        cut_searches += len(found)
+        # one flow per pair, the failing one included; its separator is
+        # read from that flow's residual network, with no search of its own
+        assert events.count("flow") == list(combinations(branch, 2)).index(out.pair) + 1
+        assert events[-2:] == ["cut", "/cut"] and events.count("cut") == 1
         assert out.routed < 3
         assert out.separator <= g.vertex_set - set(out.pair)
         # rebuild the residual graph the failing pair saw, as an induced
@@ -389,7 +404,7 @@ def test_failure_separator_blocks_residual_routing(monkeypatch):
         assert len(out.separator) == len(min_separator(without_ab, {a}, {b}).s)
         assert len(out.separator) == out.routed - g.has_edge(a, b)
         assert not any(a in c and b in c for c in components(without_ab, out.separator))
-    assert failures and cut_searches
+    assert failures
 
 
 def test_dispersed_routes_no_set_of_too_small_degree(monkeypatch):
