@@ -398,3 +398,72 @@ def test_unknown_log_mode_warns():
     out = _run_proc(["gen-list"], {"NTK_LOG": "loud"})
     assert out.returncode == 0
     assert "unknown NTK_LOG" in out.stderr
+
+
+_USAGE = """\
+usage: nstree [-h]
+              {nst,omega,local,cover-nst,levels,check-normal,kappa,separator,fat-tk-find,fat-tk-verify,dispersed,gen-list}
+              ...
+"""
+
+_OMEGA_USAGE = """\
+usage: nstree omega [-h] [--input INPUT] [--gen GEN] [--radius RADIUS] --root
+                    ROOT [--budget BUDGET] [--kappa-small KAPPA_SMALL]
+                    [--format {json,dot}]
+"""
+
+# argv -> (exit code, stdout, stderr) of a CLI child on an 80-column terminal
+_PINNED_PARSER_OUTPUT = {
+    ("--help",): (0, _USAGE + """
+Normal spanning trees, tree orders, vertex connectivity, and fat-TK
+certificates on finite graphs.
+
+positional arguments:
+  {nst,omega,local,cover-nst,levels,check-normal,kappa,separator,fat-tk-find,fat-tk-verify,dispersed,gen-list}
+    nst                 depth-first normal spanning tree
+    omega               path-guided normal spanning tree construction
+    local               normal tree covering a prescribed vertex set
+    cover-nst           normal spanning tree guided by an ordered cover
+    levels              root-distance classes of a tree
+    check-normal        is the tree normal in the graph?
+    kappa               independent-path count and family
+    separator           minimum separator between vertex sets
+    fat-tk-find         greedy fat TK(n,m) search
+    fat-tk-verify       check a claimed certificate
+    dispersed           bounded dispersedness check
+    gen-list            list built-in generators
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (): (2, "", _USAGE + "nstree: error: the following arguments are required: command\n"),
+    ("bogus",): (2, "", _USAGE + "nstree: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'nst', 'omega', 'local', 'cover-nst', 'levels', 'check-normal', "
+                 "'kappa', 'separator', 'fat-tk-find', 'fat-tk-verify', 'dispersed', "
+                 "'gen-list')\n"),
+    ("omega", "--help"): (0, _OMEGA_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         graph file, JSON or edge-list
+  --gen GEN             built-in generator name (see gen-list)
+  --radius RADIUS       truncation radius for --gen
+  --root ROOT
+  --budget BUDGET       maximum number of sweeps
+  --kappa-small KAPPA_SMALL
+                        ignore vertex pairs with connectivity above this
+  --format {json,dot}
+""", ""),
+    ("omega", "--gen", "grid", "--radius", "2"): (
+        2, "", _OMEGA_USAGE + "nstree omega: error: the following arguments are required: --root\n"),
+    # a command's stray argument is reported by the top-level parser
+    ("omega", "--gen", "grid", "--radius", "2", "--root", "0", "extra"): (
+        2, "", _USAGE + "nstree: error: unrecognized arguments: extra\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_PARSER_OUTPUT))
+def test_parser_output_is_pinned(argv):
+    """Help, usage and argparse errors, byte for byte, exit code included
+    (argparse wraps them to the COLUMNS width)."""
+    proc = _run_proc(list(argv), {"COLUMNS": "80", "NTK_LOG": "off"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == _PINNED_PARSER_OUTPUT[argv]
