@@ -32,8 +32,14 @@ _GEN_WITH_ARGS = re.compile(r"fat-tk-gen\(([^,]*),([^,]*)\)")
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known command needs its own parser alone; anything else is help or
+    # an error whose usage line names every command
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    args, extra = _build_parser(command).parse_known_args(argv)
+    if extra:
+        _build_parser().parse_args(argv)  # exits with the top-level error
     handler = _HANDLERS[args.command]
     try:
         _parse_integers(args)
@@ -78,30 +84,45 @@ def _setup_logging() -> None:
         logging.basicConfig(level=level[mode], format="%(message)s", stream=sys.stderr)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "nst": "depth-first normal spanning tree",
+    "omega": "path-guided normal spanning tree construction",
+    "local": "normal tree covering a prescribed vertex set",
+    "cover-nst": "normal spanning tree guided by an ordered cover",
+    "levels": "root-distance classes of a tree",
+    "check-normal": "is the tree normal in the graph?",
+    "kappa": "independent-path count and family",
+    "separator": "minimum separator between vertex sets",
+    "fat-tk-find": "greedy fat TK(n,m) search",
+    "fat-tk-verify": "check a claimed certificate",
+    "dispersed": "bounded dispersedness check",
+    "gen-list": "list built-in generators",
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="nstree",
         description="Normal spanning trees, tree orders, vertex connectivity, "
         "and fat-TK certificates on finite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in _COMMANDS.items():
+        if command is None or name == command:
+            _add_options(sub.add_parser(name, help=help_text), name)
+    return parser
 
-    def with_graph(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    if name not in ("levels", "gen-list"):
         p.add_argument("--input", help="graph file, JSON or edge-list")
         p.add_argument("--gen", help="built-in generator name (see gen-list)")
         p.add_argument("--radius", help="truncation radius for --gen")
-        return p
-
-    p = with_graph(sub.add_parser("nst", help="depth-first normal spanning tree"))
-    p.add_argument("--root", required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-
-    for name, help_text in (
-        ("omega", "path-guided normal spanning tree construction"),
-        ("local", "normal tree covering a prescribed vertex set"),
-        ("cover-nst", "normal spanning tree guided by an ordered cover"),
-    ):
-        p = with_graph(sub.add_parser(name, help=help_text))
+    if name == "nst":
+        p.add_argument("--root", required=True)
+        p.add_argument("--format", choices=("json", "dot"), default="json")
+    elif name in ("omega", "local", "cover-nst"):
         p.add_argument("--root", required=True)
         p.add_argument("--budget", help="maximum number of sweeps")
         p.add_argument("--kappa-small", dest="kappa_small",
@@ -111,36 +132,24 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--targets", required=True, help="comma-separated vertex ids")
         if name == "cover-nst":
             p.add_argument("--cover", required=True, help="JSON file with the cover sets")
-
-    p = sub.add_parser("levels", help="root-distance classes of a tree")
-    p.add_argument("--tree", required=True, help="tree JSON file")
-
-    p = with_graph(sub.add_parser("check-normal", help="is the tree normal in the graph?"))
-    p.add_argument("--tree", required=True, help="tree JSON file")
-
-    p = with_graph(sub.add_parser("kappa", help="independent-path count and family"))
-    p.add_argument("--pair", nargs=2, required=True, metavar=("V", "W"))
-
-    p = with_graph(sub.add_parser("separator", help="minimum separator between vertex sets"))
-    p.add_argument("--a", required=True, help="comma-separated vertex ids")
-    p.add_argument("--b", required=True, help="comma-separated vertex ids")
-
-    p = with_graph(sub.add_parser("fat-tk-find", help="greedy fat TK(n,m) search"))
-    p.add_argument("--branch", required=True, help="comma-separated branch vertex ids")
-    p.add_argument("--m", required=True, help="paths per branch pair")
-
-    p = with_graph(sub.add_parser("fat-tk-verify", help="check a claimed certificate"))
-    p.add_argument("--cert", required=True, help="certificate JSON file")
-
-    p = with_graph(sub.add_parser("dispersed", help="bounded dispersedness check"))
-    p.add_argument("--probe", required=True, help="comma-separated vertex ids")
-    p.add_argument("--n", required=True, help="branch vertex count")
-    p.add_argument("--m", required=True, help="paths per branch pair")
-    p.add_argument("--s", required=True, help="separator size bound")
-    p.add_argument("--search-budget", default="100", dest="search_budget")
-
-    sub.add_parser("gen-list", help="list built-in generators")
-    return parser
+    elif name in ("levels", "check-normal"):
+        p.add_argument("--tree", required=True, help="tree JSON file")
+    elif name == "kappa":
+        p.add_argument("--pair", nargs=2, required=True, metavar=("V", "W"))
+    elif name == "separator":
+        p.add_argument("--a", required=True, help="comma-separated vertex ids")
+        p.add_argument("--b", required=True, help="comma-separated vertex ids")
+    elif name == "fat-tk-find":
+        p.add_argument("--branch", required=True, help="comma-separated branch vertex ids")
+        p.add_argument("--m", required=True, help="paths per branch pair")
+    elif name == "fat-tk-verify":
+        p.add_argument("--cert", required=True, help="certificate JSON file")
+    elif name == "dispersed":
+        p.add_argument("--probe", required=True, help="comma-separated vertex ids")
+        p.add_argument("--n", required=True, help="branch vertex count")
+        p.add_argument("--m", required=True, help="paths per branch pair")
+        p.add_argument("--s", required=True, help="separator size bound")
+        p.add_argument("--search-budget", default="100", dest="search_budget")
 
 
 def _read(path: str) -> str:

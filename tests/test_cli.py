@@ -467,3 +467,23 @@ def test_parser_output_is_pinned(argv):
     (argparse wraps them to the COLUMNS width)."""
     proc = _run_proc(list(argv), {"COLUMNS": "80", "NTK_LOG": "off"})
     assert (proc.returncode, proc.stdout, proc.stderr) == _PINNED_PARSER_OUTPUT[argv]
+
+
+def test_a_known_command_builds_its_own_parser_alone(capsys, monkeypatch):
+    import nstree.cli as cli
+
+    built: list[str] = []
+    real = cli._add_options
+
+    def add_options(p, name):
+        built.append(name)
+        real(p, name)
+
+    monkeypatch.setattr(cli, "_add_options", add_options)
+    assert main(["gen-list"]) == 0
+    assert built == ["gen-list"]
+    del built[:]
+    with pytest.raises(SystemExit):
+        main(["gen-lis"])
+    assert built == list(cli._COMMANDS)
+    capsys.readouterr()
