@@ -8,7 +8,10 @@ built as arcs: with unit through-arcs, a vertex's residual arcs follow
 from its predecessor and successor on its path, so a flow is two links
 per vertex. Every family, connectivity and cut is one kind of flow,
 from a start set to a sink set over unbounded edges, augmented by one
-breadth-first search over ascending vertex ranks; a v-w family is that
+breadth-first search over ascending vertex ranks. The search stops as
+soon as it queues an out-node next to a sink it may enter, which the
+search that scanned every queued out-node would have scanned first, so
+the augmenting paths are those of that search. A v-w family is that
 flow from {v} to {w} without a v-w edge, plus the edge. The paths the
 final flow splits into are sorted, so every result is a deterministic
 function of the graph alone. That determinism is load-bearing: the
@@ -133,6 +136,15 @@ class FlowNetwork:
     as a path of its own; pred[y] == v marks each first vertex y of the
     other paths.
 
+    The search ends when it queues a hot out-node: one whose tuple holds
+    the in-node of a sink the search may enter, unused and neither a
+    start nor blocked. A flow keeps the marks (hot) beside its links. A
+    pair flow marks w's neighbors once; a cut marks its sinks' neighbors
+    again before each search when a path uses up the sink it ends at
+    (_mark_hot). The search never scans the out-nodes queued after the
+    first hot one, most of the last breadth-first layer, and finds the
+    path the search that scanned them would have found.
+
     Blocked vertices are never entered, so one network answers for its
     induced subgraphs: the other vertices are found in the order of the
     subgraph's network, and every path, family and cut is that
@@ -239,9 +251,14 @@ class FlowNetwork:
         # in-nodes the search never enters: v's and the blocked ones
         fresh = [-1] * n
         fresh[kv] = -2
-        sink = [0] * n
-        sink[kw] = 1
         nbrs = self._nbrs
+        # the out-nodes whose arc into in(w) ends the search: w's
+        # neighbors, save v when the v-w edge is sliced out below (a
+        # blocked neighbor's out-node is never reached)
+        hot = [-1] * n
+        for x in nbrs[kw]:
+            hot[x] = kw
+        hot[kv] = hot[kw] = -1
         # every path leaves v and enters w by an edge of its own to an
         # unblocked neighbor, so a flow that many strong is maximum
         # without a failing search (a tuple holds its own rank as well)
@@ -265,7 +282,7 @@ class FlowNetwork:
             nbrs[kv] = out[:i] + out[i + 1:]
             total = 1
         starts = [kv]
-        while total < bound and _search(nbrs, fresh, pred, succ, starts, sink, False):
+        while total < bound and _search(nbrs, fresh, pred, succ, starts, hot, False):
             total += 1
         return total, pred, succ
 
@@ -282,9 +299,7 @@ class FlowNetwork:
             nbrs[kv] = tuple(y for y in nbrs[kv] if y != kw)
             nbrs[kw] = tuple(y for y in nbrs[kw] if y != kv)
             total -= 1
-        sink = [0] * len(nbrs)
-        sink[kw] = 1
-        return self._sink_side(nbrs, pred, succ, [kv], sink, total)
+        return self._sink_side(nbrs, pred, succ, [kv], [kw], total)
 
     def _cut(self, a: frozenset[int], b: frozenset[int], sides_cuttable: bool) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum a-b cut.
@@ -299,7 +314,10 @@ class FlowNetwork:
         that may not be cut must not be joined by an edge: every unit
         then passes a vertex outside them, so the flow is below n, and a
         flow stopped at n fails the maximality check instead of growing
-        without end.
+        without end. Sinks of unbounded capacity are never used up, so
+        their hot marks (see _search) are made once; a cuttable sink is
+        used up by the path that ends at it, so the marks are made again
+        before each search, at the cost of the sinks' degrees.
         """
         rank = self._rank
         n = len(rank)
@@ -311,22 +329,26 @@ class FlowNetwork:
         starts = sorted(rank[x] for x in a)
         for k in starts:
             fresh[k] = -2
-        sink = [0] * n
-        for x in b:
-            sink[rank[x]] = 1
+        sinks = sorted(rank[x] for x in b)
+        nbrs = self._nbrs
+        hot = [-1] * n
         bound = min(len(a), len(b)) if sides_cuttable else n
         total = 0
-        while total < bound and _search(self._nbrs, fresh, pred, succ, starts, sink, sides_cuttable):
+        while total < bound:
+            if sides_cuttable or not total:
+                _mark_hot(nbrs, fresh, pred, sinks, hot)
+            if not _search(nbrs, fresh, pred, succ, starts, hot, sides_cuttable):
+                break
             total += 1
-        return self._sink_side(self._nbrs, pred, succ, starts, sink, total)
+        return self._sink_side(nbrs, pred, succ, starts, sinks, total)
 
     def _sink_side(
         self, nbrs: list[tuple[int, ...]], pred: list[int], succ: list[int],
-        starts: list[int], sink: list[int], total: int,
+        starts: list[int], sinks: list[int], total: int,
     ) -> frozenset[int]:
         """Vertices whose through-arcs form the sink-side minimum cut of
         the flow of value `total` that _search left in pred and succ,
-        from starts to sink on the network nbrs.
+        from starts to sinks on the network nbrs.
 
         Raises AssertionError unless the flow is maximum: the cut must
         have as many vertices as the flow is strong (the max-flow min-cut
@@ -338,8 +360,10 @@ class FlowNetwork:
         # the vertices whose in-node or out-node still reaches a sink
         # out-node in the residual network, found backwards from those
         side_in = bytearray(n)
-        side_out = bytearray(sink)
-        outs = [k for k in range(n) if sink[k]]
+        side_out = bytearray(n)
+        for k in sinks:
+            side_out[k] = 1
+        outs = list(sinks)
         ins: list[int] = []
         while outs or ins:
             if outs:
@@ -371,9 +395,32 @@ class FlowNetwork:
         return cut
 
 
+def _mark_hot(
+    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], sinks: list[int],
+    hot: list[int],
+) -> None:
+    """Mark in hot, for _search, the out-nodes next to the sinks of a
+    cut: hot[x] is the least sink whose in-node x's tuple holds and the
+    search may enter, one that is unused and neither a start nor
+    blocked, and -1 if there is none. A start that is a sink marks
+    itself while it has room, for its path of one vertex. Only the
+    marks of the sinks' neighbors (in ascending rank, sinks) change.
+    """
+    for y in sinks:
+        for x in nbrs[y]:
+            hot[x] = -1
+    for y in reversed(sinks):  # the least sink in a tuple marks it last
+        if pred[y] == -1 and fresh[y] == -1:
+            for x in nbrs[y]:
+                hot[x] = y
+    for y in sinks:
+        if pred[y] == -1 and fresh[y] == -2:
+            hot[y] = y
+
+
 def _search(
     nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int],
-    starts: list[int], sink: list[int], cuttable: bool,
+    starts: list[int], hot: list[int], cuttable: bool,
 ) -> bool:
     """Augment the flow in pred and succ along its next augmenting path
     from a start's out-node to a sink's in-node; False when none is left.
@@ -386,9 +433,21 @@ def _search(
     blocked one (marked in fresh), and leaves it at once by its one
     residual arc: an unused vertex by its through-arc, to an out-node no
     other arc reaches, and a used one back to pred[y] unless that is
-    reached already. Entering a sink's unused in-node ends the search. A start's
-    out-node starts the search while the start has room, always when
-    sides are not cuttable, and once otherwise.
+    reached already. A start's out-node starts the search while the
+    start has room, always when sides are not cuttable, and once
+    otherwise.
+
+    The search ends when it queues a hot out-node x, one whose tuple
+    holds the in-node of a sink it may enter: unused, and neither a
+    start nor blocked. hot[x] is the least such sink, and -1 marks the
+    other out-nodes; a start that is a sink and has room is marked with
+    itself and ends the search at once, as a path of one vertex. The
+    search that scanned every out-node would end at the same place: the
+    queue is first in, first out, so the first hot out-node queued is
+    the first one scanned, the out-nodes queued before it are not hot,
+    and scanning it enters hot[x] first. The starts are checked once
+    all of them are queued, in queue order. The path back from x is
+    fixed when x is queued, so the augmenting path is the same.
 
     No edge needs a test of its flow. A used x other than a start is
     only reached back from in(succ[x]), which is then entered already;
@@ -408,51 +467,63 @@ def _search(
     for s in starts:
         if pred[s] == -1:
             came[s] = s
-            if sink[s]:
+            if hot[s] == s:
                 pred[s] = s  # a path of one vertex in a and b
                 return True
             queue.append(s)
+    for x in queue:
+        if hot[x] >= 0:
+            _augment(seen, came, pred, succ, x, hot[x], cuttable)
+            return True
     for x in queue:  # grows while it is read: a FIFO queue
         for y in nbrs[x]:
             if seen[y] == -1:
                 seen[y] = x
                 p = pred[y]
                 if p < 0:
-                    if sink[y]:
-                        succ[x] = y
-                        s = _augment(seen, came, pred, succ, x)
-                        if cuttable:
-                            pred[y] = x
-                            pred[s] = s
-                        return True
                     came[y] = y
+                    if hot[y] >= 0:
+                        _augment(seen, came, pred, succ, y, hot[y], cuttable)
+                        return True
                     queue.append(y)
                 elif came[p] == -1:
                     came[p] = y
+                    if hot[p] >= 0:
+                        _augment(seen, came, pred, succ, p, hot[p], cuttable)
+                        return True
                     queue.append(p)
     return False
 
 
-def _augment(seen: list[int], came: list[int], pred: list[int], succ: list[int], x: int) -> int:
+def _augment(
+    seen: list[int], came: list[int], pred: list[int], succ: list[int], x: int, y: int,
+    cuttable: bool,
+) -> None:
     """Relink pred and succ along the augmenting path that reaches
-    out-node x, walking it back to its start, whose rank is returned.
+    out-node x and ends in the in-node of sink y, walking it back to its
+    start. With cuttable sides the path uses up the start and y.
 
-    Every in-node y on the path is entered from seen[y]: by an edge,
-    which becomes y's inflow, or by the reverse of y's own through-arc,
-    which frees y. Out-node x was reached from in-node came[x]: by x's
+    Every in-node z on the path is entered from seen[z]: by an edge,
+    which becomes z's inflow, or by the reverse of z's own through-arc,
+    which frees z. Out-node x was reached from in-node came[x]: by x's
     through-arc, or by the reverse of x's outflow to it, which the
     path's next arc has already replaced.
     """
+    succ[x] = y
+    if cuttable:
+        pred[y] = x
     while True:
-        y = came[x]
-        u = seen[y]
-        if u < 0:  # in(y) is never entered: out(y) starts the path
-            return x
-        if u == y:
-            pred[y] = succ[y] = -1
+        z = came[x]
+        u = seen[z]
+        if u < 0:  # in(z) is never entered: out(z) starts the path
+            if cuttable:
+                pred[x] = x
+            return
+        if u == z:
+            pred[z] = succ[z] = -1
         else:
-            pred[y] = u
-            succ[u] = y
+            pred[z] = u
+            succ[u] = z
         x = u
 
 

@@ -553,6 +553,64 @@ def _ref_bfs(
     return -1
 
 
+# The augmenting search on per-vertex path links as FlowNetwork ran it
+# before it stopped on queueing an out-node next to a sink, kept
+# verbatim as the reference for the differential tests of that stop:
+# it ends only when it scans such an out-node and enters the sink, and
+# takes the sinks as a list of 0/1 marks.
+
+
+def ref_search(
+    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], succ: list[int],
+    starts: list[int], sink: list[int], cuttable: bool,
+) -> bool:
+    """Augment pred and succ along the next augmenting path from a
+    start's out-node to a sink's in-node; False when none is left."""
+    seen = fresh.copy()
+    came = [-1] * len(nbrs)
+    queue = []
+    for s in starts:
+        if pred[s] == -1:
+            came[s] = s
+            if sink[s]:
+                pred[s] = s  # a path of one vertex in a and b
+                return True
+            queue.append(s)
+    for x in queue:  # grows while it is read: a FIFO queue
+        for y in nbrs[x]:
+            if seen[y] == -1:
+                seen[y] = x
+                p = pred[y]
+                if p < 0:
+                    if sink[y]:
+                        succ[x] = y
+                        s = _ref_augment(seen, came, pred, succ, x)
+                        if cuttable:
+                            pred[y] = x
+                            pred[s] = s
+                        return True
+                    came[y] = y
+                    queue.append(y)
+                elif came[p] == -1:
+                    came[p] = y
+                    queue.append(p)
+    return False
+
+
+def _ref_augment(seen: list[int], came: list[int], pred: list[int], succ: list[int], x: int) -> int:
+    while True:
+        y = came[x]
+        u = seen[y]
+        if u < 0:  # in(y) is never entered: out(y) starts the path
+            return x
+        if u == y:
+            pred[y] = succ[y] = -1
+        else:
+            pred[y] = u
+            succ[u] = y
+        x = u
+
+
 # The tree order as the library computed it before RootedTree numbered
 # its vertices in preorder, kept verbatim as the reference for the
 # differential tests: parent walks, and a chain test by down-closure.

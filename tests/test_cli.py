@@ -454,7 +454,8 @@ options:
   --format {json,dot}
 """, ""),
     ("omega", "--gen", "grid", "--radius", "2"): (
-        2, "", _OMEGA_USAGE + "nstree omega: error: the following arguments are required: --root\n"),
+        2, "", _OMEGA_USAGE
+        + "nstree omega: error: the following arguments are required: --root\n"),
     # a command's stray argument is reported by the top-level parser
     ("omega", "--gen", "grid", "--radius", "2", "--root", "0", "extra"): (
         2, "", _USAGE + "nstree: error: unrecognized arguments: extra\n"),

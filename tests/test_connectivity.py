@@ -40,6 +40,7 @@ from oracles import (
     ref_max_flow,
     ref_min_blocking_set,
     ref_min_separator,
+    ref_search,
 )
 
 _INF = 1 << 30
@@ -401,6 +402,97 @@ def test_search_frees_a_vertex_it_passes_back_through():
     k5 = FlowNetwork(g)._rank[5]
     assert total == 2 and pred[k5] == succ[k5] == -1
     assert FlowNetwork(g)._paths(9, 1, None) == ((9, 3, 7, 12, 1), (9, 11, 0, 10, 1))
+
+
+def _search_against_reference(monkeypatch) -> tuple[list[list[int]], dict[bool, int]]:
+    """Patch the augmenting search to run ref_search first, the search
+    that stops only when it scans an out-node next to a sink, on a copy
+    of the same flow, and to require the same answer and the same pred
+    and succ after both. The caller puts the running flow's sinks, as
+    0/1 marks by rank, in sink[0]; counts tallies the searches by their
+    answer."""
+    sink: list[list[int]] = [[]]
+    counts = {True: 0, False: 0}
+    real = connectivity._search
+
+    def search(nbrs, fresh, pred, succ, starts, hot, cuttable):
+        ref_pred, ref_succ = pred.copy(), succ.copy()
+        want = ref_search(nbrs, fresh, ref_pred, ref_succ, starts, sink[0], cuttable)
+        got = real(nbrs, fresh, pred, succ, starts, hot, cuttable)
+        assert (got, pred, succ) == (want, ref_pred, ref_succ)
+        counts[got] += 1
+        return got
+
+    monkeypatch.setattr(connectivity, "_search", search)
+    return sink, counts
+
+
+def _sink_marks(net: FlowNetwork, b) -> list[int]:
+    marks = [0] * len(net._rank)
+    for x in b:
+        marks[net._rank[x]] = 1
+    return marks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_stops_where_the_scanning_search_does(seed, monkeypatch):
+    """Every search of pair flows (with and without limits and blocked
+    vertices, adjacent pairs included), of min_separator and of cuts
+    with cuttable, often overlapping, sides finds the path the search
+    that scans every out-node it queues finds."""
+    sink, counts = _search_against_reference(monkeypatch)
+    rng = random.Random(500 + seed)
+    overlaps = 0
+    for _ in range(25):
+        if rng.random() < 0.7:
+            g = _differential_graph(rng)
+        else:
+            g = _larger_graph(f"random-{rng.randrange(99)}")
+        net = FlowNetwork(g)
+        for _ in range(8):
+            if g.edges and rng.random() < 0.4:
+                v, w = rng.sample(rng.choice(g.edges), 2)
+            else:
+                v, w = rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (v, w)]
+            blocked = frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))
+            sink[0] = _sink_marks(net, {w})
+            net._pair_flow(v, w, rng.choice([None, 1, 2, 3]), rng.choice([frozenset(), blocked]))
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, min(4, len(g)))))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, min(4, len(g)))))
+            sink[0] = _sink_marks(net, b)
+            net._cut(a, b, True)
+            overlaps += bool(a & b)
+            if not a & b:
+                try:
+                    min_separator(g, a, b)
+                except InseparableError:
+                    pass
+    assert counts[True] > 500 and counts[False] > 50 and overlaps > 30
+
+
+def test_a_used_sink_ends_no_later_search(monkeypatch):
+    """From {0, 1} to {2, 4} with cuttable sides, the first path is 0-2.
+    Out-node 1 then reaches only sink 2, used up, so the second search
+    goes on back through 0 to 0-3-4: paths 0-3-4 and 1-2."""
+    g = Graph(range(5), [(0, 2), (1, 2), (0, 3), (3, 4)])
+    sink, counts = _search_against_reference(monkeypatch)
+    net = FlowNetwork(g)
+    sink[0] = _sink_marks(net, {2, 4})
+    assert net._cut(frozenset({0, 1}), frozenset({2, 4}), True) == {2, 4}
+    assert counts == {True: 2, False: 0}
+
+
+def test_a_sliced_direct_edge_ends_no_search(monkeypatch):
+    """In K4 minus the 3-4 edge, out-node 1 no longer reaches in(2) once
+    the direct 1-2 edge is sliced out, so the search goes on to 3 and 4:
+    paths 1-2, 1-3-2 and 1-4-2."""
+    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    sink, counts = _search_against_reference(monkeypatch)
+    net = FlowNetwork(g)
+    sink[0] = _sink_marks(net, {2})
+    assert net._paths(1, 2, None) == ((1, 2), (1, 3, 2), (1, 4, 2))
+    assert counts == {True: 2, False: 0}
 
 
 @pytest.mark.parametrize("seed", range(4))
