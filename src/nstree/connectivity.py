@@ -136,14 +136,13 @@ class FlowNetwork:
     as a path of its own; pred[y] == v marks each first vertex y of the
     other paths.
 
-    The search ends when it queues a hot out-node: one whose tuple holds
-    the in-node of a sink the search may enter, unused and neither a
-    start nor blocked. A flow keeps the marks (hot) beside its links. A
-    pair flow marks w's neighbors once; a cut marks its sinks' neighbors
-    again before each search when a path uses up the sink it ends at
-    (_mark_hot). The search never scans the out-nodes queued after the
-    first hot one, most of the last breadth-first layer, and finds the
-    path the search that scanned them would have found.
+    The search ends when it queues a hot out-node, one whose tuple holds
+    the in-node of a sink it may enter, and skips the out-nodes queued
+    after it, most of the last breadth-first layer, with the same path.
+    A flow keeps these marks (hot) beside its links: a pair flow marks
+    w's neighbors once, and a cut marks its sinks' neighbors, again
+    before each search when a path uses up the sink it ends at
+    (_mark_hot).
 
     Blocked vertices are never entered, so one network answers for its
     induced subgraphs: the other vertices are found in the order of the
@@ -314,10 +313,9 @@ class FlowNetwork:
         that may not be cut must not be joined by an edge: every unit
         then passes a vertex outside them, so the flow is below n, and a
         flow stopped at n fails the maximality check instead of growing
-        without end. Sinks of unbounded capacity are never used up, so
-        their hot marks (see _search) are made once; a cuttable sink is
-        used up by the path that ends at it, so the marks are made again
-        before each search, at the cost of the sinks' degrees.
+        without end. A cuttable sink is used up by the path that ends
+        at it, so its hot marks (_mark_hot) are made again before each
+        search; those of unbounded sinks, once.
         """
         rank = self._rank
         n = len(rank)
