@@ -36,11 +36,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     # a known command needs its own parser alone; anything else is help or
     # an error whose usage line names every command
-    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     args, extra = _build_parser(command).parse_known_args(argv)
     if extra:
         _build_parser().parse_args(argv)  # exits with the top-level error
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][1]
     try:
         _parse_integers(args)
         return handler(args)
@@ -84,22 +84,6 @@ def _setup_logging() -> None:
         logging.basicConfig(level=level[mode], format="%(message)s", stream=sys.stderr)
 
 
-_COMMANDS = {
-    "nst": "depth-first normal spanning tree",
-    "omega": "path-guided normal spanning tree construction",
-    "local": "normal tree covering a prescribed vertex set",
-    "cover-nst": "normal spanning tree guided by an ordered cover",
-    "levels": "root-distance classes of a tree",
-    "check-normal": "is the tree normal in the graph?",
-    "kappa": "independent-path count and family",
-    "separator": "minimum separator between vertex sets",
-    "fat-tk-find": "greedy fat TK(n,m) search",
-    "fat-tk-verify": "check a claimed certificate",
-    "dispersed": "bounded dispersedness check",
-    "gen-list": "list built-in generators",
-}
-
-
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone."""
     parser = argparse.ArgumentParser(
@@ -108,7 +92,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "and fat-TK certificates on finite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         if command is None or name == command:
             _add_options(sub.add_parser(name, help=help_text), name)
     return parser
@@ -305,19 +289,20 @@ def _cmd_gen_list(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "nst": _cmd_nst,
-    "omega": _cmd_omega,
-    "local": _cmd_local,
-    "cover-nst": _cmd_cover_nst,
-    "levels": _cmd_levels,
-    "check-normal": _cmd_check_normal,
-    "kappa": _cmd_kappa,
-    "separator": _cmd_separator,
-    "fat-tk-find": _cmd_fat_tk_find,
-    "fat-tk-verify": _cmd_fat_tk_verify,
-    "dispersed": _cmd_dispersed,
-    "gen-list": _cmd_gen_list,
+# each command's help line and handler, in the order help lists them
+_COMMANDS = {
+    "nst": ("depth-first normal spanning tree", _cmd_nst),
+    "omega": ("path-guided normal spanning tree construction", _cmd_omega),
+    "local": ("normal tree covering a prescribed vertex set", _cmd_local),
+    "cover-nst": ("normal spanning tree guided by an ordered cover", _cmd_cover_nst),
+    "levels": ("root-distance classes of a tree", _cmd_levels),
+    "check-normal": ("is the tree normal in the graph?", _cmd_check_normal),
+    "kappa": ("independent-path count and family", _cmd_kappa),
+    "separator": ("minimum separator between vertex sets", _cmd_separator),
+    "fat-tk-find": ("greedy fat TK(n,m) search", _cmd_fat_tk_find),
+    "fat-tk-verify": ("check a claimed certificate", _cmd_fat_tk_verify),
+    "dispersed": ("bounded dispersedness check", _cmd_dispersed),
+    "gen-list": ("list built-in generators", _cmd_gen_list),
 }
 
 

@@ -154,10 +154,11 @@ class FlowNetwork:
 
     The neighbor tuples never change once built. The one mutable part is
     _families, the sweeps' memo: the vertex sequences _paths(v, w,
-    limit) gave, unmasked, keyed (v, w, limit). A family depends on the
-    graph alone, so the memo is valid for as long as the network lives.
-    Only construct._run reads and fills it; other queries neither read
-    nor write it, so a loop over all pairs does not pile families up.
+    limit) gave, keyed (v, w, limit). A family depends on the graph
+    alone, so the memo is valid for as long as the network lives.
+    _sweep_paths, which the sweeps call, is its one reader and writer;
+    other queries neither read nor write it, so a loop over all pairs
+    does not pile families up.
     """
 
     __slots__ = ("graph", "_rank", "_nbrs", "_families")
@@ -180,16 +181,32 @@ class FlowNetwork:
         _check_pair(self.graph, v, w)
         return PathFamily(v, w, tuple(map(Path, self._paths(v, w, None))))
 
-    def _paths(
-        self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
-    ) -> tuple[tuple[int, ...], ...] | None:
-        """Vertex sequences of the canonical family avoiding the blocked
-        vertices, sorted; None once `limit` paths are found, skipping the
-        decomposition. Arguments are taken as valid."""
-        total, pred, succ = self._pair_flow(v, w, limit, blocked)
+    def _paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
+        """Vertex sequences of the canonical family, sorted; None once
+        `limit` paths are found, skipping the decomposition. Arguments
+        are taken as valid."""
+        total, pred, succ = self._pair_flow(v, w, limit)
         if limit is not None and total >= limit:
             return None
         return self._decompose(v, w, total, pred, succ)
+
+    def _sweep_paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
+        """_paths(v, w, limit) through the sweeps' memo, _families. A
+        limited answer follows from a held full family: None when that
+        has at least `limit` paths, else the family itself; and a limited
+        flow that stops short of its limit is kept as the full family."""
+        families = self._families
+        key = (v, w, limit)
+        if key not in families:
+            full = families.get((v, w, None))
+            if full is None:
+                fam = self._paths(v, w, limit)
+                if fam is not None:
+                    families[v, w, None] = fam
+            else:
+                fam = None if len(full) >= limit else full
+            families[key] = fam
+        return families[key]
 
     def _decompose(
         self, v: int, w: int, total: int, pred: list[int], succ: list[int]

@@ -202,7 +202,7 @@ def omega_nst(
     or after step_budget sweeps. kappa_small, when given, ignores
     pairs whose connectivity exceeds it.
     """
-    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=None, goal=None)
+    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=None)
 
 
 def local_normal_tree(
@@ -229,7 +229,6 @@ def local_normal_tree(
         kappa_small,
         skip=lambda d: not (u & d),
         extra_target=lambda d: min(u & d),
-        goal=lambda covered: u <= covered,
     )
 
 
@@ -258,7 +257,7 @@ def nst_from_dispersed_cover(
                 return min(s & d)
         raise AssertionError("cover validated to span the graph")
 
-    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=first_class_target, goal=None)
+    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=first_class_target)
 
 
 def levels_of(t: RootedTree) -> DispersedCover:
@@ -280,7 +279,6 @@ def _run(
     kappa_small: int | None,
     skip: Callable[[frozenset[int]], bool] | None,
     extra_target: Callable[[frozenset[int]], int] | None,
-    goal: Callable[[frozenset[int]], bool] | None,
 ) -> RunTrace:
     if r not in g:
         raise ValueError(f"root {r} not in graph")
@@ -300,14 +298,12 @@ def _run(
     debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
     info = logger is not None and logger.isEnabledFor(logging.INFO)
 
-    net = _network(g)
+    # the canonical families' vertex sequences, computed once per graph
+    # and kept on its network for every later sweep on it; the selection
+    # indices in the trace refer to these enumerations
+    sweep_paths = _network(g)._sweep_paths
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
-    # the canonical families' vertex sequences, computed once per graph
-    # and kept on its network for every later sweep on it; they depend
-    # on the graph alone, and the selection indices in the trace refer
-    # to these enumerations
-    families = net._families
 
     # the tree grows in place; a RootedTree is built only for the result
     parent: dict[int, int] = {}
@@ -317,7 +313,9 @@ def _run(
     while True:
         if not comps:
             return RunTrace(tuple(steps), RootedTree(r, parent), SPANNING)
-        if goal is not None and goal(frozenset(depth)):
+        # the components partition the vertices outside the tree, so the
+        # targets lie in the tree once every component is skipped
+        if skip is not None and all(map(skip, comps)):
             return RunTrace(tuple(steps), RootedTree(r, parent), TARGET_COVERED)
         if step_budget is not None and sweep >= step_budget:
             return RunTrace(tuple(steps), RootedTree(r, parent), BUDGET_EXHAUSTED)
@@ -335,19 +333,7 @@ def _run(
             targets: set[int] = set()
             for i, v in enumerate(nbrs):
                 for w in nbrs[i + 1 :]:
-                    key = (v, w, limit)
-                    if key in families:
-                        fam = families[key]
-                    else:
-                        # a limited answer follows from the full family
-                        full = families.get((v, w, None))
-                        if full is None:
-                            fam = net._paths(v, w, limit)
-                            if fam is not None:  # fewer than limit paths: the full family
-                                families[v, w, None] = fam
-                        else:
-                            fam = None if len(full) >= limit else full
-                        families[key] = fam
+                    fam = sweep_paths(v, w, limit)
                     if fam is None:
                         continue
                     for k, seq in enumerate(fam, 1):

@@ -9,6 +9,7 @@ given radius around the root.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from math import isqrt
 
 from ._record import Record, _set
 from .graph import Graph
@@ -98,9 +99,8 @@ def _pair_id(x: int, y: int) -> int:
 
 
 def _unpair(z: int) -> tuple[int, int]:
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= z:
-        s += 1
+    # the diagonal s is the largest with s * (s + 1) // 2 <= z
+    s = (isqrt(8 * z + 1) - 1) // 2
     y = z - s * (s + 1) // 2
     return s - y, y
 

@@ -70,7 +70,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj.get(u, ())
+        return v in self._adj.get(u, ())
 
     def __contains__(self, v: object) -> bool:
         return v in self._vset

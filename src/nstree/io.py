@@ -20,6 +20,14 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json(text: str) -> Any:
+    """The value JSON text holds; malformed text is an input error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def parse_id(text: str) -> int:
     """A vertex id written as text (a JSON object key, an edge-list field,
     a CLI list item), in canonical decimal only: "01", " 3 ", "+3" and
@@ -86,11 +94,7 @@ def graph_to_edge_list(g: Graph) -> str:
 def loads_graph(text: str) -> Graph:
     """Parse a graph from JSON or from the edge-list format, sniffing."""
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from None
-        return graph_from_obj(obj)
+        return graph_from_obj(_json(text))
     return graph_from_edge_list(text)
 
 
@@ -139,11 +143,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
 
 
 def loads_tree(text: str) -> RootedTree:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return tree_from_obj(obj)
+    return tree_from_obj(_json(text))
 
 
 def tree_to_dot(t: RootedTree, g: Graph | None = None) -> str:
@@ -220,11 +220,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
 
 
 def loads_cert(text: str) -> FatTKCertificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return cert_from_obj(obj)
+    return cert_from_obj(_json(text))
 
 
 def failure_to_obj(failure: FatTKFailure) -> dict[str, Any]:
@@ -260,11 +256,7 @@ def cover_from_obj(obj: Any) -> DispersedCover:
 
 
 def loads_cover(text: str) -> DispersedCover:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return cover_from_obj(obj)
+    return cover_from_obj(_json(text))
 
 
 def cover_to_obj(cover: DispersedCover) -> dict[str, Any]:

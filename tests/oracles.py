@@ -679,3 +679,16 @@ def ref_dispersed_ranking(
             scored.append((score, cand))
     scored.sort(key=lambda it: (-it[0], it[1]))
     return scored[:search_budget]
+
+
+# The inverse Cantor pairing as the grid generator computed it before it
+# used the closed form, kept verbatim as the reference: the diagonal is
+# found by stepping along it.
+
+
+def ref_unpair(z: int) -> tuple[int, int]:
+    s = 0
+    while (s + 1) * (s + 2) // 2 <= z:
+        s += 1
+    y = z - s * (s + 1) // 2
+    return s - y, y

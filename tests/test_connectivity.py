@@ -240,9 +240,13 @@ def test_kappa_symmetric_and_monotone(g, rng):
 
 def _family(net: FlowNetwork, v: int, w: int, limit: int | None = None,
             blocked: frozenset[int] = frozenset()) -> PathFamily | None:
-    """The family of net._paths, None once `limit` paths are found."""
-    seqs = net._paths(v, w, limit, blocked)
-    return None if seqs is None else PathFamily(v, w, tuple(map(Path, seqs)))
+    """The family of the v-w pair flow avoiding the blocked vertices,
+    None once `limit` paths are found."""
+    total, pred, succ = net._pair_flow(v, w, limit, blocked)
+    if limit is not None and total >= limit:
+        return None
+    seqs = net._decompose(v, w, total, pred, succ)
+    return PathFamily(v, w, tuple(map(Path, seqs)))
 
 
 def _pair_cut(net: FlowNetwork, v: int, w: int, blocked: frozenset[int]) -> frozenset[int]:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from nstree import Graph, is_connected, make_generator, truncate
-from nstree.generators import binary_tree, double_ray, fat_tk, grid, ray
+from nstree.generators import _pair_id, _unpair, binary_tree, double_ray, fat_tk, grid, ray
+from oracles import ref_unpair
 
 
 def test_ray_truncation():
@@ -106,3 +107,11 @@ def test_generator_rule_failure_propagates():
     gen = fat_tk(2, 1)
     with pytest.raises(ValueError):
         gen.neighbors(-5)
+
+
+def test_unpair_closed_form_matches_the_diagonal_walk():
+    for z in range(10**5):
+        assert _unpair(z) == ref_unpair(z)
+    for x in range(300):
+        for y in range(300):
+            assert _unpair(_pair_id(x, y)) == (x, y)
