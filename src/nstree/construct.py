@@ -100,29 +100,34 @@ def dfs_nst(g: Graph, r: int) -> RootedTree:
     parent = _dfs(g, r, g.vertex_set)
     if len(parent) + 1 != len(g):
         raise ValueError("graph is disconnected")
-    return RootedTree(r, parent)
+    # the map's keys run in preorder with ascending children
+    return RootedTree._from_preorder(r, parent)
 
 
 def _dfs(g: Graph, r: int, inside: frozenset[int]) -> dict[int, int]:
     """Parent map of the depth-first tree from r of the subgraph induced
     by inside, children in ascending id order.
 
-    Vertices enter the map in discovery order, so every parent precedes
-    its children.
+    Vertices enter the map in discovery order, which is the tree's
+    preorder with ascending children; so every parent precedes its
+    children. The search is the recursive one, kept by hand: each open
+    vertex holds an iterator over its neighbours, and the top one
+    descends into its next unseen neighbour inside, or closes.
     """
+    adj = g._adj
     parent: dict[int, int] = {}
-    seen: set[int] = set()
-    stack: list[tuple[int, int | None]] = [(r, None)]
+    seen = {r}
+    stack = [(r, iter(adj[r]))]
     while stack:
-        x, p = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        if p is not None:
-            parent[x] = p
-        for y in reversed(g.neighbors(x)):
+        x, nbrs = stack[-1]
+        for y in nbrs:
             if y in inside and y not in seen:
-                stack.append((y, x))
+                seen.add(y)
+                parent[y] = x
+                stack.append((y, iter(adj[y])))
+                break
+        else:
+            stack.pop()
     return parent
 
 
@@ -266,10 +271,15 @@ def levels_of(t: RootedTree) -> DispersedCover:
     Levels of a normal tree are antichains: two vertices at the same
     depth are never ancestor and descendant.
     """
-    by_depth: dict[int, set[int]] = {}
-    for v in t.vertices:
-        by_depth.setdefault(t.depth(v), set()).add(v)
-    return DispersedCover(tuple(frozenset(by_depth[d]) for d in sorted(by_depth)))
+    levels: list[list[int]] = []
+    # a parent precedes its children in preorder, so each depth is at
+    # most one past the deepest level yet
+    for v, d in zip(t._pre, t._depths()):
+        if d < len(levels):
+            levels[d].append(v)
+        else:
+            levels.append([v])
+    return DispersedCover(tuple(map(frozenset, levels)))
 
 
 def _run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from operator import contains
 
 from ._record import Record, _set
 from .graph import Graph, components, neighborhood
@@ -18,7 +19,8 @@ class RootedTree:
     The constructor also numbers the vertices in preorder, children in
     ascending order. The subtree of the vertex numbered i is then the
     index range [i, end[i]), so u <= v in the tree order exactly when
-    i_u <= i_v < end[i_u].
+    i_u <= i_v < end[i_u]. Depths, and the breadth-first vertex order
+    of a tree made by _from_preorder, are computed on first read.
     """
 
     __slots__ = ("_root", "_parent", "_index", "_pre", "_end", "_depth", "_order")
@@ -72,7 +74,35 @@ class RootedTree:
         self._end = end
         # the tree order needs no depths, so they are counted on first use
         self._depth: list[int] | None = None
-        self._order = tuple(order)
+        self._order: tuple[int, ...] | None = tuple(order)
+
+    @classmethod
+    def _from_preorder(cls, root: int, parent: dict[int, int]) -> RootedTree:
+        """The tree of a parent map whose keys run in preorder with
+        ascending children, as a depth-first search that scans neighbours
+        in ascending order discovers them. The map is trusted and kept,
+        not copied: nothing is checked, and the numbering is the map's
+        own order, so no breadth-first pass or sort is made.
+        """
+        pre = [root, *parent]
+        n = len(pre)
+        index = dict(zip(pre, range(n)))
+        # a subtree ends where the subtree of its last child ends, and a
+        # leaf's right after itself; children follow their parent, so a
+        # backward pass sees every end before it passes it up
+        end = list(range(1, n + 1))
+        for i, p in zip(range(n - 1, 0, -1), map(index.__getitem__, reversed(parent.values()))):
+            if end[p] < end[i]:
+                end[p] = end[i]
+        t = cls.__new__(cls)
+        t._root = root
+        t._parent = parent
+        t._index = index
+        t._pre = pre
+        t._end = end
+        t._depth = None
+        t._order = None
+        return t
 
     @property
     def root(self) -> int:
@@ -85,6 +115,12 @@ class RootedTree:
     @property
     def vertices(self) -> tuple[int, ...]:
         """Tree vertices in breadth-first order from the root."""
+        if self._order is None:
+            # breadth-first order with ascending children is the preorder
+            # sorted stably by depth
+            depth = self._depths()
+            by_depth = sorted(range(len(depth)), key=depth.__getitem__)
+            self._order = tuple(map(self._pre.__getitem__, by_depth))
         return self._order
 
     @property
@@ -109,7 +145,10 @@ class RootedTree:
         return tuple(out)
 
     def depth(self, v: int) -> int:
-        i = self._num(v)
+        return self._depths()[self._num(v)]
+
+    def _depths(self) -> list[int]:
+        """The depth of every vertex, by preorder number."""
         if self._depth is None:
             # a parent precedes its children in preorder
             index, parent, pre = self._index, self._parent, self._pre
@@ -117,7 +156,7 @@ class RootedTree:
             for j, p in enumerate(map(index.__getitem__, map(parent.__getitem__, pre[1:])), 1):
                 depth[j] = depth[p] + 1
             self._depth = depth
-        return self._depth[i]
+        return self._depth
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((v, p) if v < p else (p, v) for v, p in self._parent.items()))
@@ -197,12 +236,15 @@ def is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     when every member is an ancestor of (or equal to) the member with
     the largest preorder number, which takes one interval test each.
     """
-    s = set(s)
+    if iter(s) is s:  # an iterator is read once, and kept for the message
+        s = tuple(s)
     index = t._index
     try:
-        nums = [index[v] for v in s]
-    except KeyError as exc:
-        raise ValueError(f"vertex {exc.args[0]} not in tree") from None
+        nums = list(map(index.__getitem__, s))
+    except KeyError:
+        # name the non-member that comes first in set order
+        v = next(v for v in set(s) if v not in index)
+        raise ValueError(f"vertex {v} not in tree") from None
     if len(nums) <= 1:
         return True
     return min(map(t._end.__getitem__, nums)) > max(nums)
@@ -219,18 +261,19 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
     comparable ends and (b) the tree neighborhood of every such
     component is a chain. With the preorder intervals of t each
     comparison is O(1), so the check is O(n + m) plus the test that
-    every tree edge is an edge of g.
+    every tree edge is an edge of g. A spanning tree leaves no
+    component, so (b) is skipped for it.
     """
-    tv = t.vertex_set
-    if not tv <= g.vertex_set:
-        raise ValueError(f"tree vertices not in graph: {sorted(tv - g.vertex_set)}")
+    index, end = t._index, t._end
+    if not g.vertex_set.issuperset(index):
+        raise ValueError(f"tree vertices not in graph: {sorted(index.keys() - g.vertex_set)}")
     parent = t._parent
-    if not all(map(g.has_edge, parent, parent.values())):
+    # every child is in its parent's neighbour tuple
+    if not all(map(contains, map(g._adj.__getitem__, parent.values()), parent)):
         # name the least missing edge
         for u, v in t.edges():
             if not g.has_edge(u, v):
                 raise ValueError(f"tree edge {u}-{v} is not an edge of the graph")
-    index, end = t._index, t._end
     for u, v in g.edges:
         i = index.get(u)
         j = index.get(v)
@@ -238,6 +281,9 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
             continue
         if not (i <= j < end[i] or j <= i < end[j]):
             return NormalityReport(False, (u, v, (u, v)))
+    if len(index) == len(g):  # spanning: no component is left outside
+        return NormalityReport(True)
+    tv = t.vertex_set
     for comp in components(g, removed=tv):
         nbrs = neighborhood(g, comp, tv)
         if is_chain(t, nbrs):

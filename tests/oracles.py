@@ -654,6 +654,31 @@ def ref_is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     return s <= ref_down_closure(t, deepest)
 
 
+# The depth-first search as the library ran it before it kept one
+# neighbour iterator per open vertex, kept verbatim as the reference for
+# the differential tests: a stack of (vertex, parent) entries, one pushed
+# per edge, each vertex taken at its first pop.
+
+
+def ref_dfs(g: Graph, r: int, inside: frozenset[int]) -> dict[int, int]:
+    """Parent map of the depth-first tree from r of the subgraph induced
+    by inside, children in ascending id order, keys in discovery order."""
+    parent: dict[int, int] = {}
+    seen: set[int] = set()
+    stack: list[tuple[int, int | None]] = [(r, None)]
+    while stack:
+        x, p = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        if p is not None:
+            parent[x] = p
+        for y in reversed(g.neighbors(x)):
+            if y in inside and y not in seen:
+                stack.append((y, x))
+    return parent
+
+
 # The candidate ranking is_dispersed ran before it searched best-first
 # under the degree bound, kept verbatim as the reference for the
 # differential tests: κ of every pair, every n-set scored, then sorted.

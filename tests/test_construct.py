@@ -29,7 +29,7 @@ from nstree import (
 from nstree.connectivity import FlowNetwork, _network
 from nstree.construct import _dfs, _extend
 from nstree.generators import fat_tk, grid
-from oracles import normal_spanning_trees
+from oracles import normal_spanning_trees, ref_dfs
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -77,6 +77,36 @@ def test_dfs_inside_matches_dfs_of_induced_subgraph():
         r = rng.choice(sorted(inside))
         expected = dfs_nst(induced_subgraph(g, inside), r).parent_map
         assert _dfs(g, r, inside) == expected
+
+
+def _seeded_graphs():
+    """120 seeded random connected graphs with 2-45 vertices and a root."""
+    for seed in range(120):
+        rng = random.Random(900 + seed)
+        g = random_connected_graph(rng, rng.randint(2, 45), rng.choice([0.02, 0.1, 0.3]))
+        yield rng, g, rng.choice(g.vertices)
+
+
+def test_dfs_matches_the_reference_stack_search_in_key_order():
+    for rng, g, r in _seeded_graphs():
+        for inside in (
+            g.vertex_set,
+            frozenset(rng.sample(g.vertices, rng.randint(0, len(g))) + [r]),
+        ):
+            assert list(_dfs(g, r, inside).items()) == list(ref_dfs(g, r, inside).items())
+
+
+def test_dfs_nst_matches_the_checked_constructor():
+    for _, g, r in _seeded_graphs():
+        got = dfs_nst(g, r)
+        want = RootedTree(r, ref_dfs(g, r, g.vertex_set))
+        assert got == want
+        assert (got._pre, got._end, got._index) == (want._pre, want._end, want._index)
+        assert got.vertices == want.vertices
+        for v in g.vertices:
+            assert got.children(v) == want.children(v)
+            assert got.depth(v) == want.depth(v)
+        assert levels_of(got) == levels_of(want)
 
 
 def test_local_prunes_to_target_down_closures():

@@ -102,6 +102,13 @@ def test_is_normal_rejects_foreign_tree_edge():
         is_normal(C4, RootedTree(1, {3: 1}))
 
 
+def test_is_normal_names_a_foreign_tree_edge_before_an_incomparable_edge():
+    # 2-3 and 3-4 are graph edges between incomparable tree vertices;
+    # the tree edges 1-3 and 2-4 are not graph edges, and 1-3 is the least
+    with pytest.raises(ValueError, match="^tree edge 1-3 is not an edge of the graph$"):
+        is_normal(C4, RootedTree(1, {2: 1, 3: 1, 4: 2}))
+
+
 def test_witness_is_a_real_t_path():
     g = Graph(edges=[(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])
     t = RootedTree(0, {1: 0, 2: 0})
@@ -223,11 +230,20 @@ def test_non_members_raise_value_error(call):
         call(t)
 
 
-@pytest.mark.parametrize("s", [{9}, [0, 9], {2, 9, 8, 1}, range(20, 60)])
+@pytest.mark.parametrize("s", [{9}, [0, 9], {2, 9, 8, 1}, range(20, 60), [9, 8], [9, 40, 2]])
 def test_is_chain_names_the_same_non_member_as_the_reference(s):
     t = RootedTree(0, {1: 0, 2: 1, 3: 0})
     with pytest.raises(ValueError) as got:
         is_chain(t, s)
     with pytest.raises(ValueError) as want:
         ref_is_chain(t, s)
+    assert str(got.value) == str(want.value)
+
+
+def test_is_chain_of_an_iterator_names_the_non_member_of_its_list():
+    t = RootedTree(0, {1: 0, 2: 1, 3: 0})
+    with pytest.raises(ValueError) as got:
+        is_chain(t, iter([9, 40, 2]))
+    with pytest.raises(ValueError) as want:
+        ref_is_chain(t, [9, 40, 2])
     assert str(got.value) == str(want.value)
