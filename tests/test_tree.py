@@ -30,12 +30,18 @@ C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
 
 
 def test_rooted_tree_validation():
-    with pytest.raises(ValueError):
-        RootedTree(1, {1: 2})  # root with a parent
-    with pytest.raises(ValueError):
-        RootedTree(1, {2: 3})  # parent outside the tree
-    with pytest.raises(ValueError):
-        RootedTree(1, {2: 3, 3: 2})  # cycle
+    for parent, message in [
+        ({1: 2}, "root 1 must not have a parent"),
+        ({2: 3}, "parent 3 of 2 is not a tree vertex"),
+        ({2: 3, 3: 2}, r"parent map has a cycle through \[2, 3\]"),
+        ({2: 2}, r"parent map has a cycle through \[2\]"),
+        # a cycle stranded next to a valid branch
+        ({2: 1, 3: 4, 4: 3}, r"parent map has a cycle through \[3, 4\]"),
+        # a bad parent is named before a cycle
+        ({2: 3, 3: 2, 4: 9}, "parent 9 of 4 is not a tree vertex"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RootedTree(1, parent)
 
 
 def test_rooted_tree_queries():
@@ -222,6 +228,8 @@ def test_tree_order_matches_parent_walk_reference():
         lambda t: is_chain(t, {2, 9, 8, 1}),
         lambda t: t.depth(9),
         lambda t: t.children(9),
+        lambda t: t.parent(9),
+        lambda t: down_closure(t, 9),
     ],
 )
 def test_non_members_raise_value_error(call):
