@@ -16,11 +16,13 @@ class RootedTree:
     must be acyclic with every vertex reaching the root, which the
     constructor verifies once; all queries after that are cheap.
 
-    The constructor also numbers the vertices in preorder, children in
-    ascending order. The subtree of the vertex numbered i is then the
+    Every tree is numbered the one way, by _number: in preorder with
+    ascending children, the subtree of the vertex numbered i being the
     index range [i, end[i]), so u <= v in the tree order exactly when
-    i_u <= i_v < end[i_u]. Depths, and the breadth-first vertex order
-    of a tree made by _from_preorder, are computed on first read.
+    i_u <= i_v < end[i_u]. The constructor checks the map and lists its
+    preorder; _from_preorder, for a map already in preorder, skips both.
+    The breadth-first vertex order and the depths are computed on first
+    read.
     """
 
     __slots__ = ("_root", "_parent", "_index", "_pre", "_end", "_depth", "_order")
@@ -36,45 +38,22 @@ class RootedTree:
                 children[p].append(v)
             except KeyError:
                 raise ValueError(f"parent {p} of {v} is not a tree vertex") from None
-        # breadth-first from the root, the growing order list serving as
-        # the queue, with the BFS position of each vertex's parent; a cycle
-        # in the parent map is unreachable from the root and left out
-        order: list[int] = [root]
-        up = [0]
-        for i, v in enumerate(order):
+        # preorder with ascending children, from a stack holding each
+        # listed vertex's children greatest first; a cycle in the parent
+        # map is unreachable from the root and left out
+        pre: list[int] = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
             cs = children[v]
             if cs:
-                cs.sort()
-                order += cs
-                up += [i] * len(cs)
-        n = len(order)
-        if n != len(parent) + 1:
-            stranded = sorted(set(parent) - set(order))
+                cs.sort(reverse=True)
+                stack += cs
+        if len(pre) != len(parent) + 1:
+            stranded = sorted(set(parent).difference(pre))
             raise ValueError(f"parent map has a cycle through {stranded}")
-        # subtree sizes bottom-up, then preorder numbers top-down: the
-        # children of a vertex sit side by side in the BFS order, least
-        # first, and each one's number is where its elder sibling's
-        # subtree ends
-        size = [1] * n
-        for i in range(n - 1, 0, -1):
-            size[up[i]] += size[i]
-        free = [1] * n  # the number that the next child placed gets
-        pre = [root] * n
-        end = [n] * n
-        for i, p, v, s in zip(range(1, n), up[1:], order[1:], size[1:]):
-            j = free[p]
-            free[p] = k = j + s
-            free[i] = j + 1
-            pre[j] = v
-            end[j] = k
-        self._root = root
-        self._parent = parent
-        self._index = dict(zip(pre, range(n)))
-        self._pre = pre
-        self._end = end
-        # the tree order needs no depths, so they are counted on first use
-        self._depth: list[int] | None = None
-        self._order: tuple[int, ...] | None = tuple(order)
+        self._number(root, parent, pre, map(parent.__getitem__, pre[:0:-1]))
 
     @classmethod
     def _from_preorder(cls, root: int, parent: dict[int, int]) -> RootedTree:
@@ -82,27 +61,33 @@ class RootedTree:
         ascending children, as a depth-first search that scans neighbours
         in ascending order discovers them. The map is trusted and kept,
         not copied: nothing is checked, and the numbering is the map's
-        own order, so no breadth-first pass or sort is made.
+        own order.
         """
-        pre = [root, *parent]
+        t = cls.__new__(cls)
+        t._number(root, parent, [root, *parent], reversed(parent.values()))
+        return t
+
+    def _number(
+        self, root: int, parent: dict[int, int], pre: list[int], ups: Iterable[int]
+    ) -> None:
+        """Set up the tree with preorder pre, given ups, the parents of
+        pre[n-1], ..., pre[1] in that order."""
         n = len(pre)
         index = dict(zip(pre, range(n)))
         # a subtree ends where the subtree of its last child ends, and a
         # leaf's right after itself; children follow their parent, so a
         # backward pass sees every end before it passes it up
         end = list(range(1, n + 1))
-        for i, p in zip(range(n - 1, 0, -1), map(index.__getitem__, reversed(parent.values()))):
+        for i, p in zip(range(n - 1, 0, -1), map(index.__getitem__, ups)):
             if end[p] < end[i]:
                 end[p] = end[i]
-        t = cls.__new__(cls)
-        t._root = root
-        t._parent = parent
-        t._index = index
-        t._pre = pre
-        t._end = end
-        t._depth = None
-        t._order = None
-        return t
+        self._root = root
+        self._parent = parent
+        self._index = index
+        self._pre = pre
+        self._end = end
+        self._depth: list[int] | None = None
+        self._order: tuple[int, ...] | None = None
 
     @property
     def root(self) -> int:
@@ -128,7 +113,7 @@ class RootedTree:
         return frozenset(self._index)
 
     def parent(self, v: int) -> int | None:
-        self._check(v)
+        self._num(v)
         return self._parent.get(v)
 
     def children(self, v: int) -> tuple[int, ...]:
@@ -178,10 +163,6 @@ class RootedTree:
     def __repr__(self) -> str:
         return f"RootedTree(root={self._root}, {len(self._index)} vertices)"
 
-    def _check(self, v: int) -> None:
-        if v not in self._index:
-            raise ValueError(f"vertex {v} not in tree")
-
     def _num(self, v: int) -> int:
         """The preorder number of v."""
         try:
@@ -220,7 +201,7 @@ def tree_leq(t: RootedTree, u: int, v: int) -> bool:
 
 def down_closure(t: RootedTree, v: int) -> frozenset[int]:
     """All vertices on the root-to-v path, v and root included."""
-    t._check(v)
+    t._num(v)
     parent, root = t._parent, t._root
     out = {v}
     while v != root:

@@ -7,7 +7,7 @@ tautology. Only run these on small graphs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from itertools import combinations
 
 from nstree import Graph, RootedTree, is_connected
@@ -612,14 +612,20 @@ def _ref_augment(seen: list[int], came: list[int], pred: list[int], succ: list[i
 
 
 # The tree order as the library computed it before RootedTree numbered
-# its vertices in preorder, kept verbatim as the reference for the
-# differential tests: parent walks, and a chain test by down-closure.
+# its vertices in preorder, kept as the reference for the differential
+# tests: parent walks, and a chain test by down-closure. The membership
+# check RootedTree no longer has is _ref_check.
+
+
+def _ref_check(t: RootedTree, v: int) -> None:
+    if v not in t:
+        raise ValueError(f"vertex {v} not in tree")
 
 
 def ref_tree_leq(t: RootedTree, u: int, v: int) -> bool:
     """True iff u lies on the root-to-v path, i.e. u is an ancestor of v or u == v."""
-    t._check(u)
-    t._check(v)
+    _ref_check(t, u)
+    _ref_check(t, v)
     du, dv = t.depth(u), t.depth(v)
     if du > dv:
         return False
@@ -631,7 +637,7 @@ def ref_tree_leq(t: RootedTree, u: int, v: int) -> bool:
 
 def ref_down_closure(t: RootedTree, v: int) -> frozenset[int]:
     """All vertices on the root-to-v path, v and root included."""
-    t._check(v)
+    _ref_check(t, v)
     out = {v}
     while v != t.root:
         v = t._parent[v]
@@ -648,7 +654,7 @@ def ref_is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     s = set(s)
     if len(s) <= 1:
         for v in s:
-            t._check(v)
+            _ref_check(t, v)
         return True
     deepest = max(s, key=lambda v: (t.depth(v), v))
     return s <= ref_down_closure(t, deepest)
@@ -717,3 +723,49 @@ def ref_unpair(z: int) -> tuple[int, int]:
         s += 1
     y = z - s * (s + 1) // 2
     return s - y, y
+
+
+# The preorder numbering as RootedTree's constructor computed it before
+# it listed the preorder with a stack and found the subtree ends in one
+# backward pass, kept verbatim as the reference for the differential
+# tests: a BFS recording each vertex's parent position, subtree sizes
+# bottom-up, then preorder numbers top-down. The parent map is trusted.
+
+
+def ref_numbering(
+    root: int, parent: Mapping[int, int]
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """(pre, end, vertices): the preorder with ascending children, the
+    end of each numbered subtree's range, and the breadth-first order."""
+    children: dict[int, list[int]] = {v: [] for v in parent}
+    children[root] = []
+    for v, p in parent.items():
+        children[p].append(v)
+    # breadth-first from the root, the growing order list serving as
+    # the queue, with the BFS position of each vertex's parent
+    order: list[int] = [root]
+    up = [0]
+    for i, v in enumerate(order):
+        cs = children[v]
+        if cs:
+            cs.sort()
+            order += cs
+            up += [i] * len(cs)
+    n = len(order)
+    # subtree sizes bottom-up, then preorder numbers top-down: the
+    # children of a vertex sit side by side in the BFS order, least
+    # first, and each one's number is where its elder sibling's
+    # subtree ends
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
+    free = [1] * n  # the number that the next child placed gets
+    pre = [root] * n
+    end = [n] * n
+    for i, p, v, s in zip(range(1, n), up[1:], order[1:], size[1:]):
+        j = free[p]
+        free[p] = k = j + s
+        free[i] = j + 1
+        pre[j] = v
+        end[j] = k
+    return pre, end, tuple(order)

@@ -20,10 +20,11 @@ from nstree import (
     down_closure,
     is_chain,
     is_normal,
+    levels_of,
     separates_incomparable,
     tree_leq,
 )
-from oracles import brute_is_normal, ref_is_chain, ref_tree_leq
+from oracles import brute_is_normal, ref_is_chain, ref_numbering, ref_tree_leq
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -215,6 +216,44 @@ def test_tree_order_matches_parent_walk_reference():
         for v in vs:
             assert t.children(v) == tuple(sorted(c for c, p in parent.items() if p == v))
             assert t.depth(v) == len(down_closure(t, v)) - 1
+
+
+def _numbering_inputs():
+    """(root, parent map) pairs: the seeded trees, the same maps with
+    their keys shuffled and relabelled with negative, non-contiguous
+    ids, a 3000-vertex path and a 3000-vertex star."""
+    for rng, t in _seeded_trees():
+        parent = t.parent_map
+        yield t.root, parent
+        items = list(parent.items())
+        rng.shuffle(items)
+        yield t.root, dict(items)
+        ids = dict(zip(t.vertices, rng.sample(range(-5000, 5000, 3), len(t))))
+        yield ids[t.root], {ids[v]: ids[p] for v, p in items}
+    yield 0, {v: v - 1 for v in range(1, 3000)}
+    yield 0, {v: 0 for v in range(2999, 0, -1)}
+
+
+def test_numbering_matches_the_bfs_reference():
+    for root, parent in _numbering_inputs():
+        t = RootedTree(root, parent)
+        pre, end, order = ref_numbering(root, parent)
+        assert t._pre == pre
+        assert t._end == end
+        assert t.vertices == order
+        assert list(t.parent_map) == list(parent)
+        kids: dict[int, list[int]] = {v: [] for v in order}
+        depth = {root: 0}
+        for v in order[1:]:
+            kids[parent[v]].append(v)
+            depth[v] = depth[parent[v]] + 1
+        for v in order:
+            assert t.children(v) == tuple(sorted(kids[v]))
+            assert t.depth(v) == depth[v]
+        levels: dict[int, set[int]] = {}
+        for v in order:
+            levels.setdefault(depth[v], set()).add(v)
+        assert levels_of(t).sets == tuple(frozenset(levels[d]) for d in range(len(levels)))
 
 
 @pytest.mark.parametrize(
