@@ -220,8 +220,8 @@ def test_tree_order_matches_parent_walk_reference():
 
 def _numbering_inputs():
     """(root, parent map) pairs: the seeded trees, the same maps with
-    their keys shuffled and relabelled with negative, non-contiguous
-    ids, a 3000-vertex path and a 3000-vertex star."""
+    their keys shuffled, the shuffled maps relabelled with negative,
+    non-contiguous ids, a 3000-vertex path and a 3000-vertex star."""
     for rng, t in _seeded_trees():
         parent = t.parent_map
         yield t.root, parent
