@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from itertools import combinations
 
-from nstree import Graph, RootedTree, is_connected
+from nstree import CertificateReport, FatTKCertificate, Graph, RootedTree, is_connected
 
 _INF = 1 << 30
 
@@ -769,3 +769,75 @@ def ref_numbering(
         pre[j] = v
         end[j] = k
     return pre, end, tuple(order)
+
+
+# The certificate check as verify_fat_tk ran it before it walked the
+# branch pairs in one pass without per-step calls, kept verbatim as the
+# reference for the differential tests: the pair keys compared as sets,
+# a has_edge call per path step, fresh sets for the ends and interiors.
+# Unlike the library's, it raises TypeError on a multiplicity that does
+# not compare with 1 and on an unhashable vertex.
+
+
+def ref_verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
+    """Check every certificate invariant against the host graph.
+
+    Never raises on bad certificates; the report carries the first
+    violated condition.
+    """
+    n = len(cert.branch)
+    if n < 2:
+        return CertificateReport(False, f"need at least 2 branch vertices, have {n}")
+    if len(set(cert.branch)) != n:
+        return CertificateReport(False, "branch vertices are not distinct")
+    if cert.m < 1:
+        return CertificateReport(False, f"multiplicity must be at least 1, got {cert.m}")
+    missing = [v for v in cert.branch if v not in g]
+    if missing:
+        return CertificateReport(False, f"branch vertices not in graph: {missing}")
+    branch = set(cert.branch)
+    expected = {(a, b) for a, b in combinations(cert.branch, 2)}
+    have = set(cert.pair_keys())
+    if have != expected:
+        off = sorted(expected ^ have)
+        return CertificateReport(False, f"pair lists wrong or missing for {off}")
+    used_interior: set[int] = set()
+    for a, b in sorted(expected):
+        plist = cert.paths_for(a, b)
+        if len(plist) != cert.m:
+            return CertificateReport(
+                False, f"pair ({a},{b}) has {len(plist)} paths, expected {cert.m}"
+            )
+        bare = 0
+        for seq in plist:
+            if len(seq) < 2:
+                return CertificateReport(False, f"pair ({a},{b}) has a degenerate path {seq}")
+            if len(set(seq)) != len(seq):
+                return CertificateReport(False, f"path {seq} repeats a vertex")
+            if {seq[0], seq[-1]} != {a, b}:
+                return CertificateReport(
+                    False, f"path {seq} does not join {a} and {b}"
+                )
+            for x, y in zip(seq, seq[1:]):
+                if not g.has_edge(x, y):
+                    return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
+            inner = set(seq[1:-1])
+            if inner & branch:
+                return CertificateReport(
+                    False,
+                    f"path {seq} passes through branch vertices {sorted(inner & branch)}",
+                )
+            if inner & used_interior:
+                return CertificateReport(
+                    False,
+                    f"interior vertices {sorted(inner & used_interior)} are used twice",
+                )
+            used_interior |= inner
+            if len(seq) == 2:
+                bare += 1
+        if bare > 1:
+            return CertificateReport(
+                False,
+                f"pair ({a},{b}) uses the edge {a}-{b} as {bare} parallel paths",
+            )
+    return CertificateReport(True)

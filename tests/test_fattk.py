@@ -28,7 +28,7 @@ from nstree import (
 from nstree import connectivity, fattk
 from nstree.connectivity import FlowNetwork
 from nstree.fattk import _ranked
-from oracles import brute_fat_tk_exists, ref_dispersed_ranking
+from oracles import brute_fat_tk_exists, ref_dispersed_ranking, ref_verify_fat_tk
 
 # triangle on {1,2,3} with every edge replaced by two length-2 paths
 DST = Graph(
@@ -78,30 +78,80 @@ def test_verify_rejects_shared_interior():
 
 
 @pytest.mark.parametrize(
-    "branch, m, paths, fragment",
+    "branch, m, paths, reason",
     [
-        ([1], 1, {}, "at least 2"),
-        ([1, 2], 0, {(1, 2): []}, "multiplicity"),
-        ([1, 99], 1, {(1, 99): [(1, 99)]}, "not in graph"),
-        ([1, 2, 3], 1, {(1, 2): [(1, 4, 2)]}, "pair lists"),
-        ([1, 2], 2, {(1, 2): [(1, 4, 2)]}, "expected 2"),
-        ([1, 2], 1, {(1, 2): [(1,)]}, "degenerate"),
-        ([1, 2], 1, {(1, 2): [(1, 4, 1)]}, "repeats"),
-        ([1, 2], 1, {(1, 2): [(1, 4, 3)]}, "does not join"),
-        ([1, 2], 1, {(1, 2): [(1, 9, 2)]}, "not in the graph"),
+        ([1], 1, {}, "need at least 2 branch vertices, have 1"),
+        ([1, 1], 1, {(1, 1): [(1, 1)]}, "branch vertices are not distinct"),
+        ([1, 2], 0, {(1, 2): []}, "multiplicity must be at least 1, got 0"),
+        ([1, 99], 1, {(1, 99): [(1, 99)]}, "branch vertices not in graph: [99]"),
+        (
+            [1, 2, 3],
+            1,
+            {(1, 2): [(1, 4, 2)]},
+            "pair lists wrong or missing for [(1, 3), (2, 3)]",
+        ),
+        ([1, 2], 2, {(1, 2): [(1, 4, 2)]}, "pair (1,2) has 1 paths, expected 2"),
+        ([1, 2], 1, {(1, 2): [(1,)]}, "pair (1,2) has a degenerate path (1,)"),
+        ([1, 2], 1, {(1, 2): [(1, 4, 1)]}, "path (1, 4, 1) repeats a vertex"),
+        ([1, 2], 1, {(1, 2): [(1, 4, 3)]}, "path (1, 4, 3) does not join 1 and 2"),
+        ([1, 2], 1, {(1, 2): [(1, 9, 2)]}, "claimed edge 1-9 is not in the graph"),
+        # a vertex outside the graph is a claimed edge that is not there
+        ([1, 2], 1, {(1, 2): [(1, 77, 2)]}, "claimed edge 1-77 is not in the graph"),
         (
             [1, 2, 4],
             1,
             {(1, 2): [(1, 4, 2)], (1, 4): [(1, 4)], (2, 4): [(2, 4)]},
-            "branch",
+            "path (1, 4, 2) passes through branch vertices [4]",
+        ),
+        (
+            [1, 2, 3],
+            1,
+            {(1, 2): [(1, 4, 2)], (1, 3): [(1, 4, 3)], (2, 3): [(2, 3)]},
+            "interior vertices [4] are used twice",
+        ),
+        (
+            [1, 2],
+            2,
+            {(1, 2): [(1, 2), (2, 1)]},
+            "pair (1,2) uses the edge 1-2 as 2 parallel paths",
+        ),
+        # two faults each: the one checked first is named
+        # a repeated vertex before the non-edge 1-9 of the same path
+        ([1, 2], 1, {(1, 2): [(1, 9, 1, 2)]}, "path (1, 9, 1, 2) repeats a vertex"),
+        # the non-edge 3-9 before the branch vertex 3, though 3 comes first
+        (
+            [1, 2, 3],
+            1,
+            {(1, 2): [(1, 3, 9, 2)], (1, 3): [(1, 3)], (2, 3): [(2, 3)]},
+            "claimed edge 3-9 is not in the graph",
+        ),
+        # faults in two pairs: the lexicographically first pair, not
+        # the first key given
+        (
+            [1, 2, 3],
+            1,
+            {(2, 3): [(2, 9, 3)], (1, 3): [(1, 9, 3)], (1, 2): [(1, 2)]},
+            "claimed edge 1-9 is not in the graph",
+        ),
+        # a missing and an extra pair key: the sorted symmetric difference
+        (
+            [1, 2, 3],
+            1,
+            {(1, 2): [(1, 2)], (1, 3): [(1, 3)], (1, 4): [(1, 4)]},
+            "pair lists wrong or missing for [(1, 4), (2, 3)]",
         ),
     ],
 )
-def test_verify_rejection_reasons(branch, m, paths, fragment):
+def test_verify_rejection_reasons(branch, m, paths, reason):
     g = Graph([9], [(1, 2), (1, 3), (3, 2), (1, 4), (4, 2), (4, 3)])
     report = verify_fat_tk(g, FatTKCertificate(branch, m, paths))
     assert not report.ok
-    assert fragment in report.reason
+    assert report.reason == reason
+
+
+def test_verify_accepts_a_path_written_from_its_far_end():
+    g = Graph(edges=[(1, 4), (4, 2)])
+    assert verify_fat_tk(g, FatTKCertificate([1, 2], 1, {(1, 2): [(2, 4, 1)]})).ok
 
 
 def test_verify_rejects_doubled_bare_edge():
@@ -341,6 +391,85 @@ def test_verify_rejects_tampered_certificates(g, rng):
     broken = tuple(p[:-1] if p == long[0] else p for p in plist)
     tampered = FatTKCertificate(out.branch, out.m, {(a, b): broken})
     assert not verify_fat_tk(g, tampered).ok
+
+
+def _one_fault_away(g: Graph, cert: FatTKCertificate, rng: random.Random):
+    """Certificates that differ from cert by one edit: a path with an
+    interior vertex dropped, a non-neighbour swapped in, its direction
+    reversed, its last vertex cut off, repeated, cut to a bare edge or
+    led through a branch vertex; a pair key dropped or added; the
+    multiplicity changed."""
+    paths = {key: cert.paths_for(*key) for key in cert.pair_keys()}
+    branch = cert.branch
+
+    def edit(key, plist):
+        return FatTKCertificate(branch, cert.m, {**paths, key: plist})
+
+    for key, plist in paths.items():
+        for i, seq in enumerate(plist):
+            def put(new, i=i, plist=plist, key=key):
+                return edit(key, plist[:i] + (new,) + plist[i + 1:])
+
+            if len(seq) > 2:
+                j = rng.randrange(1, len(seq) - 1)
+                yield put(seq[:j] + seq[j + 1:])
+                far = [x for x in g.vertices if not g.has_edge(seq[j - 1], x)]
+                yield put(seq[:j] + (rng.choice(far),) + seq[j + 1:])
+            yield put(seq[::-1])
+            yield put(seq[:-1])
+            yield edit(key, plist + (seq,))
+            yield put(plist[(i + 1) % len(plist)])
+            yield put((seq[0], seq[-1]))
+            for c in branch:
+                yield put(seq[:1] + (c,) + seq[1:])
+        yield FatTKCertificate(branch, cert.m, {k: v for k, v in paths.items() if k != key})
+    outside = min(v for v in g.vertices if v not in branch)
+    yield FatTKCertificate(branch, cert.m, {**paths, (branch[0], outside): paths[branch[:2]]})
+    for m in (cert.m - 1, cert.m + 1):
+        yield FatTKCertificate(branch, m, paths)
+
+
+def test_verify_matches_the_reference_on_found_and_edited_certificates():
+    rng = random.Random(1803)
+    found = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randrange(6, 13), rng.choice((0.4, 0.6, 0.8)))
+        branch = rng.sample(g.vertices, rng.randrange(2, 5))
+        cert = find_fat_tk(g, branch, rng.randrange(1, 4))
+        if not isinstance(cert, FatTKCertificate):
+            continue
+        found += 1
+        assert verify_fat_tk(g, cert) == ref_verify_fat_tk(g, cert)
+        for other in _one_fault_away(g, cert, rng):
+            assert verify_fat_tk(g, other) == ref_verify_fat_tk(g, other)
+    assert found >= 30
+
+
+def _ref_nbrs(g: Graph) -> list[tuple[int, ...]]:
+    # the neighbour-rank tuples as FlowNetwork built them with a sort
+    rank = {v: k for k, v in enumerate(g.vertices)}
+    return [tuple(sorted([k, *map(rank.__getitem__, g.neighbors(v))]))
+            for k, v in enumerate(g.vertices)]
+
+
+def test_network_tuples_match_the_sorted_reference():
+    rng = random.Random(1804)
+    graphs = [
+        Graph(),
+        Graph([5]),
+        Graph([-7]),
+        Graph([-3, 0, 40, 2], [(-3, 40), (0, 40), (-3, 0)]),
+        Graph([-10, -1, 7, 1000], [(-10, 1000)]),
+        K7,
+    ]
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randrange(1, 30), rng.random())
+        ids = rng.sample(range(-500, 500), len(g) + 3)
+        label = dict(zip(g.vertices, ids))
+        graphs.append(g)
+        graphs.append(Graph(ids, [(label[u], label[v]) for u, v in g.edges]))
+    for g in graphs:
+        assert FlowNetwork(g)._nbrs == _ref_nbrs(g)
 
 
 def _flow_events(monkeypatch) -> list[str]:
