@@ -25,6 +25,7 @@ have computed on its graph, so sweeps on one graph share them.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
@@ -167,8 +168,15 @@ class FlowNetwork:
         self.graph = g
         rank = {v: k for k, v in enumerate(g.vertices)}
         self._rank = rank
-        self._nbrs = [tuple(sorted([k, *map(rank.__getitem__, g.neighbors(v))]))
-                      for k, v in enumerate(g.vertices)]
+        # _adj lists the vertices in ascending order, each with its
+        # neighbours ascending, so their ranks come ascending too; the
+        # vertex's own rank is inserted in its place
+        nbrs = []
+        for k, row in enumerate(g._adj.values()):
+            row = list(map(rank.__getitem__, row))
+            insort(row, k)
+            nbrs.append(tuple(row))
+        self._nbrs = nbrs
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
     def kappa(self, v: int, w: int) -> int:

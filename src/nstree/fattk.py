@@ -24,7 +24,10 @@ class FatTKCertificate:
 
     Deliberately constructible from arbitrary data: validity is decided
     by verify_fat_tk against a host graph, never here, so certificates
-    read from files can be examined and rejected with a reason.
+    read from files can be examined and rejected with a reason. That
+    includes malformed data, such as a multiplicity that is not an int
+    or an unhashable vertex. Only entries that cannot be compared raise
+    here: the branch is sorted, and each pair key put in order.
     """
 
     __slots__ = ("branch", "m", "_paths")
@@ -131,59 +134,86 @@ class DispersednessVerdict(Record):
 def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
     """Check every certificate invariant against the host graph.
 
-    Never raises on bad certificates; the report carries the first
-    violated condition.
+    In this order: at least 2 branch vertices, all distinct; an integer
+    multiplicity m of at least 1; every branch vertex in the graph;
+    exactly one path list per branch pair. Then, pair by pair in
+    lexicographic order and path by path: m paths per pair, each with
+    at least 2 vertices and none repeated, joining the pair's two
+    vertices in either direction, along edges of the graph, with an
+    interior free of branch vertices and of the interiors of every
+    path checked before it; and at most one bare edge per pair.
+
+    Never raises on a certificate, however malformed (a multiplicity
+    that is not an int, an unhashable vertex): the report carries the
+    first violated condition.
     """
-    n = len(cert.branch)
+    branch = cert.branch
+    n = len(branch)
     if n < 2:
         return CertificateReport(False, f"need at least 2 branch vertices, have {n}")
-    if len(set(cert.branch)) != n:
+    try:
+        branch_set = set(branch)
+    except TypeError:
+        return CertificateReport(False, f"branch {list(branch)} has an unhashable vertex")
+    if len(branch_set) != n:
         return CertificateReport(False, "branch vertices are not distinct")
-    if cert.m < 1:
-        return CertificateReport(False, f"multiplicity must be at least 1, got {cert.m}")
-    missing = [v for v in cert.branch if v not in g]
+    m = cert.m
+    if type(m) is not int:
+        return CertificateReport(False, f"multiplicity must be an integer, got {m!r}")
+    if m < 1:
+        return CertificateReport(False, f"multiplicity must be at least 1, got {m}")
+    missing = [v for v in branch if v not in g]
     if missing:
         return CertificateReport(False, f"branch vertices not in graph: {missing}")
-    branch = set(cert.branch)
-    expected = {(a, b) for a, b in combinations(cert.branch, 2)}
-    have = set(cert.pair_keys())
-    if have != expected:
-        off = sorted(expected ^ have)
+    paths = cert._paths
+    pairs = list(combinations(branch, 2))
+    if len(paths) != len(pairs) or not all(map(paths.__contains__, pairs)):
+        off = set(pairs).symmetric_difference(paths)
+        try:
+            off = sorted(off)
+        except TypeError:  # keys of another type than the branch's
+            off = sorted(off, key=repr)
         return CertificateReport(False, f"pair lists wrong or missing for {off}")
+    adj = g._adj
     used_interior: set[int] = set()
-    for a, b in sorted(expected):
-        plist = cert.paths_for(a, b)
-        if len(plist) != cert.m:
-            return CertificateReport(
-                False, f"pair ({a},{b}) has {len(plist)} paths, expected {cert.m}"
-            )
+    for a, b in pairs:
+        plist = paths[a, b]
+        if len(plist) != m:
+            return CertificateReport(False, f"pair ({a},{b}) has {len(plist)} paths, expected {m}")
         bare = 0
         for seq in plist:
-            if len(seq) < 2:
+            k = len(seq)
+            if k < 2:
                 return CertificateReport(False, f"pair ({a},{b}) has a degenerate path {seq}")
-            if len(set(seq)) != len(seq):
+            try:
+                inner = set(seq)
+            except TypeError:
+                return CertificateReport(False, f"path {seq} has an unhashable vertex")
+            if len(inner) != k:
                 return CertificateReport(False, f"path {seq} repeats a vertex")
-            if {seq[0], seq[-1]} != {a, b}:
-                return CertificateReport(
-                    False, f"path {seq} does not join {a} and {b}"
-                )
+            s = seq[0]
+            t = seq[-1]
+            if not (s == a and t == b or s == b and t == a):
+                return CertificateReport(False, f"path {seq} does not join {a} and {b}")
             for x, y in zip(seq, seq[1:]):
-                if not g.has_edge(x, y):
+                if y not in adj.get(x, ()):
                     return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
-            inner = set(seq[1:-1])
-            if inner & branch:
+            if k == 2:
+                bare += 1
+                continue
+            inner.discard(s)
+            inner.discard(t)
+            if not inner.isdisjoint(branch_set):
                 return CertificateReport(
                     False,
-                    f"path {seq} passes through branch vertices {sorted(inner & branch)}",
+                    f"path {seq} passes through branch vertices {sorted(inner & branch_set)}",
                 )
-            if inner & used_interior:
+            if not inner.isdisjoint(used_interior):
                 return CertificateReport(
                     False,
                     f"interior vertices {sorted(inner & used_interior)} are used twice",
                 )
             used_interior |= inner
-            if len(seq) == 2:
-                bare += 1
         if bare > 1:
             return CertificateReport(
                 False,

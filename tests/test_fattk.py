@@ -140,6 +140,20 @@ def test_verify_rejects_shared_interior():
             {(1, 2): [(1, 2)], (1, 3): [(1, 3)], (1, 4): [(1, 4)]},
             "pair lists wrong or missing for [(1, 4), (2, 3)]",
         ),
+        # malformed certificates get a reason too
+        ([1, 2], "2", {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got '2'"),
+        ([1, 2], None, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got None"),
+        ([1, 2], True, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got True"),
+        ([1, 2], 1.0, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got 1.0"),
+        ([1, 2], 1, {(1, 2): [(1, [3], 2)]}, "path (1, [3], 2) has an unhashable vertex"),
+        ([[1], [2]], 1, {}, "branch [[1], [2]] has an unhashable vertex"),
+        # pair keys that do not sort with the branch's are listed by repr
+        (
+            [1, 2, 3],
+            1,
+            {(1, 2): [(1, 2)], (1, 3): [(1, 3)], ("a", "b"): [("a", "b")]},
+            "pair lists wrong or missing for [('a', 'b'), (2, 3)]",
+        ),
     ],
 )
 def test_verify_rejection_reasons(branch, m, paths, reason):
