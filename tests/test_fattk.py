@@ -77,82 +77,122 @@ def test_verify_rejects_shared_interior():
     assert "4" in report.reason
 
 
+# the first ten ids are those the reason fragments once gave
 @pytest.mark.parametrize(
     "branch, m, paths, reason",
     [
-        ([1], 1, {}, "need at least 2 branch vertices, have 1"),
-        ([1, 1], 1, {(1, 1): [(1, 1)]}, "branch vertices are not distinct"),
-        ([1, 2], 0, {(1, 2): []}, "multiplicity must be at least 1, got 0"),
-        ([1, 99], 1, {(1, 99): [(1, 99)]}, "branch vertices not in graph: [99]"),
-        (
-            [1, 2, 3],
-            1,
-            {(1, 2): [(1, 4, 2)]},
+        pytest.param(
+            [1], 1, {}, "need at least 2 branch vertices, have 1",
+            id="branch0-1-paths0-at least 2",
+        ),
+        pytest.param(
+            [1, 2], 0, {(1, 2): []}, "multiplicity must be at least 1, got 0",
+            id="branch1-0-paths1-multiplicity",
+        ),
+        pytest.param(
+            [1, 99], 1, {(1, 99): [(1, 99)]}, "branch vertices not in graph: [99]",
+            id="branch2-1-paths2-not in graph",
+        ),
+        pytest.param(
+            [1, 2, 3], 1, {(1, 2): [(1, 4, 2)]},
             "pair lists wrong or missing for [(1, 3), (2, 3)]",
+            id="branch3-1-paths3-pair lists",
         ),
-        ([1, 2], 2, {(1, 2): [(1, 4, 2)]}, "pair (1,2) has 1 paths, expected 2"),
-        ([1, 2], 1, {(1, 2): [(1,)]}, "pair (1,2) has a degenerate path (1,)"),
-        ([1, 2], 1, {(1, 2): [(1, 4, 1)]}, "path (1, 4, 1) repeats a vertex"),
-        ([1, 2], 1, {(1, 2): [(1, 4, 3)]}, "path (1, 4, 3) does not join 1 and 2"),
-        ([1, 2], 1, {(1, 2): [(1, 9, 2)]}, "claimed edge 1-9 is not in the graph"),
-        # a vertex outside the graph is a claimed edge that is not there
-        ([1, 2], 1, {(1, 2): [(1, 77, 2)]}, "claimed edge 1-77 is not in the graph"),
-        (
-            [1, 2, 4],
-            1,
-            {(1, 2): [(1, 4, 2)], (1, 4): [(1, 4)], (2, 4): [(2, 4)]},
+        pytest.param(
+            [1, 2], 2, {(1, 2): [(1, 4, 2)]}, "pair (1,2) has 1 paths, expected 2",
+            id="branch4-2-paths4-expected 2",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1,)]}, "pair (1,2) has a degenerate path (1,)",
+            id="branch5-1-paths5-degenerate",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, 4, 1)]}, "path (1, 4, 1) repeats a vertex",
+            id="branch6-1-paths6-repeats",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, 4, 3)]}, "path (1, 4, 3) does not join 1 and 2",
+            id="branch7-1-paths7-does not join",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, 9, 2)]}, "claimed edge 1-9 is not in the graph",
+            id="branch8-1-paths8-not in the graph",
+        ),
+        pytest.param(
+            [1, 2, 4], 1, {(1, 2): [(1, 4, 2)], (1, 4): [(1, 4)], (2, 4): [(2, 4)]},
             "path (1, 4, 2) passes through branch vertices [4]",
+            id="branch9-1-paths9-branch",
         ),
-        (
-            [1, 2, 3],
-            1,
-            {(1, 2): [(1, 4, 2)], (1, 3): [(1, 4, 3)], (2, 3): [(2, 3)]},
+        pytest.param(
+            [1, 1], 1, {(1, 1): [(1, 1)]}, "branch vertices are not distinct",
+            id="duplicated branch",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, 77, 2)]}, "claimed edge 1-77 is not in the graph",
+            id="vertex outside the graph",
+        ),
+        pytest.param(
+            [1, 2, 3], 1, {(1, 2): [(1, 4, 2)], (1, 3): [(1, 4, 3)], (2, 3): [(2, 3)]},
             "interior vertices [4] are used twice",
+            id="interior used twice",
         ),
-        (
-            [1, 2],
-            2,
-            {(1, 2): [(1, 2), (2, 1)]},
+        pytest.param(
+            [1, 2], 2, {(1, 2): [(1, 2), (2, 1)]},
             "pair (1,2) uses the edge 1-2 as 2 parallel paths",
+            id="parallel bare edges",
         ),
         # two faults each: the one checked first is named
-        # a repeated vertex before the non-edge 1-9 of the same path
-        ([1, 2], 1, {(1, 2): [(1, 9, 1, 2)]}, "path (1, 9, 1, 2) repeats a vertex"),
-        # the non-edge 3-9 before the branch vertex 3, though 3 comes first
-        (
-            [1, 2, 3],
-            1,
-            {(1, 2): [(1, 3, 9, 2)], (1, 3): [(1, 3)], (2, 3): [(2, 3)]},
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, 9, 1, 2)]}, "path (1, 9, 1, 2) repeats a vertex",
+            id="repeat before non-edge",
+        ),
+        # the non-edge 3-9 is named, though the branch vertex 3 comes first
+        pytest.param(
+            [1, 2, 3], 1, {(1, 2): [(1, 3, 9, 2)], (1, 3): [(1, 3)], (2, 3): [(2, 3)]},
             "claimed edge 3-9 is not in the graph",
+            id="non-edge before branch interior",
         ),
-        # faults in two pairs: the lexicographically first pair, not
-        # the first key given
-        (
-            [1, 2, 3],
-            1,
-            {(2, 3): [(2, 9, 3)], (1, 3): [(1, 9, 3)], (1, 2): [(1, 2)]},
+        # the lexicographically first pair is named, not the first key given
+        pytest.param(
+            [1, 2, 3], 1, {(2, 3): [(2, 9, 3)], (1, 3): [(1, 9, 3)], (1, 2): [(1, 2)]},
             "claimed edge 1-9 is not in the graph",
+            id="faults in two pairs",
         ),
-        # a missing and an extra pair key: the sorted symmetric difference
-        (
-            [1, 2, 3],
-            1,
-            {(1, 2): [(1, 2)], (1, 3): [(1, 3)], (1, 4): [(1, 4)]},
+        pytest.param(
+            [1, 2, 3], 1, {(1, 2): [(1, 2)], (1, 3): [(1, 3)], (1, 4): [(1, 4)]},
             "pair lists wrong or missing for [(1, 4), (2, 3)]",
+            id="missing and extra keys",
         ),
         # malformed certificates get a reason too
-        ([1, 2], "2", {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got '2'"),
-        ([1, 2], None, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got None"),
-        ([1, 2], True, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got True"),
-        ([1, 2], 1.0, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got 1.0"),
-        ([1, 2], 1, {(1, 2): [(1, [3], 2)]}, "path (1, [3], 2) has an unhashable vertex"),
-        ([[1], [2]], 1, {}, "branch [[1], [2]] has an unhashable vertex"),
+        pytest.param(
+            [1, 2], "2", {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got '2'",
+            id="m str",
+        ),
+        pytest.param(
+            [1, 2], None, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got None",
+            id="m None",
+        ),
+        pytest.param(
+            [1, 2], True, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got True",
+            id="m bool",
+        ),
+        pytest.param(
+            [1, 2], 1.0, {(1, 2): [(1, 2)]}, "multiplicity must be an integer, got 1.0",
+            id="m float",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, 2): [(1, [3], 2)]}, "path (1, [3], 2) has an unhashable vertex",
+            id="unhashable path vertex",
+        ),
+        pytest.param(
+            [[1], [2]], 1, {}, "branch [[1], [2]] has an unhashable vertex",
+            id="unhashable branch vertex",
+        ),
         # pair keys that do not sort with the branch's are listed by repr
-        (
-            [1, 2, 3],
-            1,
-            {(1, 2): [(1, 2)], (1, 3): [(1, 3)], ("a", "b"): [("a", "b")]},
+        pytest.param(
+            [1, 2, 3], 1, {(1, 2): [(1, 2)], (1, 3): [(1, 3)], ("a", "b"): [("a", "b")]},
             "pair lists wrong or missing for [('a', 'b'), (2, 3)]",
+            id="keys of another type",
         ),
     ],
 )
