@@ -90,6 +90,20 @@ def test_kappa_rejects_equal_endpoints():
         kappa(K4, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "query, v, w, message",
+    [
+        (kappa, 1, 1, "endpoints must differ, got 1 twice"),
+        (max_independent_paths, 1, 1, "endpoints must differ, got 1 twice"),
+        # the first end is named first
+        (kappa, 9, 8, "vertex 9 not in graph"),
+    ],
+)
+def test_pair_argument_errors(query, v, w, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query(K4, v, w)
+
+
 def test_family_k4_canonical_order():
     fam = max_independent_paths(K4, 1, 2)
     assert [p.vertices for p in fam] == [(1, 2), (1, 3, 2), (1, 4, 2)]

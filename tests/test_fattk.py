@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -274,6 +275,19 @@ def test_kappa_necessary_check_dst():
     assert kappa_necessary_check(DST, {1, 2, 3}, 3)
     assert not brute_fat_tk_exists(DST, (1, 2, 3), 3)
     assert not kappa_necessary_check(DST, {1, 2, 3}, 4)
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        ({1, 9}, "vertex 9 not in graph"),
+        ({1}, "need at least 2 branch vertices, got 1"),
+    ],
+)
+def test_kappa_necessary_check_argument_errors(u, message):
+    k4 = Graph(edges=list(combinations((1, 2, 3, 4), 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kappa_necessary_check(k4, u, 1)
 
 
 def test_brute_confirms_dst_multiplicities():
