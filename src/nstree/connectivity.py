@@ -154,9 +154,10 @@ class FlowNetwork:
     _pair_cut reads one from a pair flow already run.
 
     The neighbor tuples never change once built. The one mutable part is
-    _families, the sweeps' memo: the vertex sequences _paths(v, w,
-    limit) gave, keyed (v, w, limit). A family depends on the graph
-    alone, so the memo is valid for as long as the network lives.
+    _families, the sweeps' memo: the vertex sequences of each canonical
+    family _sweep_paths found, or None for a flow that reached its
+    limit, keyed (v, w, limit). A family depends on the graph alone, so
+    the memo is valid for as long as the network lives.
     _sweep_paths, which the sweeps call, is its one reader and writer;
     other queries neither read nor write it, so a loop over all pairs
     does not pile families up.
@@ -179,27 +180,10 @@ class FlowNetwork:
         self._nbrs = nbrs
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
-    def kappa(self, v: int, w: int) -> int:
-        """Largest number of independent v-w paths."""
-        _check_pair(self.graph, v, w)
-        return self._pair_flow(v, w, None)[0]
-
-    def family(self, v: int, w: int) -> PathFamily:
-        """Canonical maximum family of independent v-w paths."""
-        _check_pair(self.graph, v, w)
-        return PathFamily(v, w, tuple(map(Path, self._paths(v, w, None))))
-
-    def _paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
-        """Vertex sequences of the canonical family, sorted; None once
-        `limit` paths are found, skipping the decomposition. Arguments
-        are taken as valid."""
-        total, pred, succ = self._pair_flow(v, w, limit)
-        if limit is not None and total >= limit:
-            return None
-        return self._decompose(v, w, total, pred, succ)
-
     def _sweep_paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
-        """_paths(v, w, limit) through the sweeps' memo, _families. A
+        """Vertex sequences of the canonical v-w family, sorted, through
+        the sweeps' memo, _families; None once `limit` paths are found,
+        skipping the decomposition. Arguments are taken as valid. A
         limited answer follows from a held full family: None when that
         has at least `limit` paths, else the family itself; and a limited
         flow that stops short of its limit is kept as the full family."""
@@ -208,9 +192,11 @@ class FlowNetwork:
         if key not in families:
             full = families.get((v, w, None))
             if full is None:
-                fam = self._paths(v, w, limit)
-                if fam is not None:
-                    families[v, w, None] = fam
+                total, pred, succ = self._pair_flow(v, w, limit)
+                if limit is not None and total >= limit:
+                    fam = None
+                else:
+                    fam = families[v, w, None] = self._decompose(v, w, total, pred, succ)
             else:
                 fam = None if len(full) >= limit else full
             families[key] = fam
@@ -589,7 +575,8 @@ def kappa(g: Graph, v: int, w: int) -> int:
     Paths are independent when they share no vertex other than v and w;
     a direct v-w edge counts as one member of the family.
     """
-    return _network(g).kappa(v, w)
+    _check_pair(g, v, w)
+    return _network(g)._pair_flow(v, w, None)[0]
 
 
 def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
@@ -600,7 +587,9 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
     by vertex sequence. Index 1 is the lexicographically least path.
     Returns the empty family when v and w are in different components.
     """
-    return _network(g).family(v, w)
+    _check_pair(g, v, w)
+    net = _network(g)
+    return PathFamily(v, w, tuple(map(Path, net._decompose(v, w, *net._pair_flow(v, w, None)))))
 
 
 def _check_sides(g: Graph, a: frozenset[int], b: frozenset[int]) -> None:

@@ -271,15 +271,7 @@ def levels_of(t: RootedTree) -> DispersedCover:
     Levels of a normal tree are antichains: two vertices at the same
     depth are never ancestor and descendant.
     """
-    levels: list[list[int]] = []
-    # a parent precedes its children in preorder, so each depth is at
-    # most one past the deepest level yet
-    for v, d in zip(t._pre, t._depths()):
-        if d < len(levels):
-            levels[d].append(v)
-        else:
-            levels.append([v])
-    return DispersedCover(tuple(map(frozenset, levels)))
+    return DispersedCover(tuple(map(frozenset, t._levels())))
 
 
 def _run(

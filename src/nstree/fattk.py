@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
 from ._record import Record, _set
-from .connectivity import FlowNetwork, _network
+from .connectivity import FlowNetwork, _network, kappa
 from .graph import Graph
 
 
@@ -276,8 +276,7 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    net = _network(g)
-    return all(net.kappa(a, b) >= m for a, b in combinations(branch, 2))
+    return all(kappa(g, a, b) >= m for a, b in combinations(branch, 2))
 
 
 def is_dispersed(
@@ -360,7 +359,7 @@ def _ranked(net: FlowNetwork, n: int, m: int, budget: int) -> list[tuple[int, tu
         for pair in combinations(cand, 2):
             k = kappas.get(pair)
             if k is None:
-                k = kappas[pair] = net.kappa(*pair)
+                k = kappas[pair] = net._pair_flow(*pair, None)[0]
             if k < score:
                 score = k
                 if k < floor:

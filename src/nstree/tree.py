@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from operator import contains
 
 from ._record import Record, _set
@@ -21,11 +22,11 @@ class RootedTree:
     index range [i, end[i]), so u <= v in the tree order exactly when
     i_u <= i_v < end[i_u]. The constructor checks the map and lists its
     preorder; _from_preorder, for a map already in preorder, skips both.
-    The breadth-first vertex order and the depths are computed on first
-    read.
+    The depths are computed on first read, and the breadth-first vertex
+    order on each read, from the levels (_levels).
     """
 
-    __slots__ = ("_root", "_parent", "_index", "_pre", "_end", "_depth", "_order")
+    __slots__ = ("_root", "_parent", "_index", "_pre", "_end", "_depth")
 
     def __init__(self, root: int, parent: Mapping[int, int] = ()) -> None:
         parent = dict(parent)
@@ -87,7 +88,6 @@ class RootedTree:
         self._pre = pre
         self._end = end
         self._depth: list[int] | None = None
-        self._order: tuple[int, ...] | None = None
 
     @property
     def root(self) -> int:
@@ -100,13 +100,9 @@ class RootedTree:
     @property
     def vertices(self) -> tuple[int, ...]:
         """Tree vertices in breadth-first order from the root."""
-        if self._order is None:
-            # breadth-first order with ascending children is the preorder
-            # sorted stably by depth
-            depth = self._depths()
-            by_depth = sorted(range(len(depth)), key=depth.__getitem__)
-            self._order = tuple(map(self._pre.__getitem__, by_depth))
-        return self._order
+        # breadth-first order with ascending children lists each level
+        # in preorder
+        return tuple(chain.from_iterable(self._levels()))
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -142,6 +138,18 @@ class RootedTree:
                 depth[j] = depth[p] + 1
             self._depth = depth
         return self._depth
+
+    def _levels(self) -> list[list[int]]:
+        """The vertices by depth from the root, each level in preorder."""
+        levels: list[list[int]] = []
+        # a parent precedes its children in preorder, so each depth is at
+        # most one past the deepest level yet
+        for v, d in zip(self._pre, self._depths()):
+            if d < len(levels):
+                levels[d].append(v)
+            else:
+                levels.append([v])
+        return levels
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((v, p) if v < p else (p, v) for v, p in self._parent.items()))

@@ -349,15 +349,17 @@ def test_is_dispersed_validation():
 
 
 def _recording_kappa(monkeypatch) -> list[tuple[int, int]]:
-    """Record every FlowNetwork.kappa query, in call order."""
+    """Record every κ query, an unmasked pair flow of no limit, in call
+    order."""
     calls: list[tuple[int, int]] = []
-    real = FlowNetwork.kappa
+    real = FlowNetwork._pair_flow
 
-    def kappa(self, v, w):
-        calls.append((v, w))
-        return real(self, v, w)
+    def pair_flow(self, v, w, limit, blocked=frozenset()):
+        if limit is None and not blocked:
+            calls.append((v, w))
+        return real(self, v, w, limit, blocked)
 
-    monkeypatch.setattr(FlowNetwork, "kappa", kappa)
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
     return calls
 
 
@@ -407,7 +409,7 @@ def test_dispersed_ranking_matches_exhaustive_oracle(monkeypatch):
         assert len(queried) == len(calls)  # each pair once
         net = FlowNetwork(g)
         del calls[:]
-        expected = ref_dispersed_ranking(g, n, m, budget, net.kappa)
+        expected = ref_dispersed_ranking(g, n, m, budget, lambda v, w: net._pair_flow(v, w, None)[0])
         assert ranking == expected, (seed, n, m, budget)
         assert queried <= set(calls), seed
         verdict = is_dispersed(g, probe, n, m, s, budget)
