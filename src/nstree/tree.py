@@ -7,7 +7,7 @@ from itertools import chain
 from operator import contains
 
 from ._record import Record, _set
-from .graph import Graph, components, neighborhood
+from .graph import Graph, components
 
 
 class RootedTree:
@@ -272,9 +272,9 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
             return NormalityReport(False, (u, v, (u, v)))
     if len(index) == len(g):  # spanning: no component is left outside
         return NormalityReport(True)
-    tv = t.vertex_set
-    for comp in components(g, removed=tv):
-        nbrs = neighborhood(g, comp, tv)
+    adj = g._adj
+    for comp in components(g, removed=t.vertex_set):
+        nbrs = {y for x in comp for y in adj[x] if y in index}
         if is_chain(t, nbrs):
             continue
         u, v = _incomparable_pair(t, nbrs)

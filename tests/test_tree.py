@@ -116,6 +116,26 @@ def test_is_normal_names_a_foreign_tree_edge_before_an_incomparable_edge():
         is_normal(C4, RootedTree(1, {2: 1, 3: 1, 4: 2}))
 
 
+def test_is_normal_reads_the_vertex_set_a_fixed_number_of_times(monkeypatch):
+    """A path of 2000 vertices with a pendant leaf at each, the path as
+    the tree: G - T leaves 2000 components, and their tree neighbours
+    are found without a subset check of the graph's vertices each."""
+    n = 2000
+    g = Graph(range(2 * n), [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(n)])
+    t = RootedTree(0, {i: i - 1 for i in range(1, n)})
+    reads = 0
+    vertex_set = Graph.vertex_set.fget
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return vertex_set(self)
+
+    monkeypatch.setattr(Graph, "vertex_set", property(counted))
+    assert is_normal(g, t).normal
+    assert reads == 2
+
+
 def test_witness_is_a_real_t_path():
     g = Graph(edges=[(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])
     t = RootedTree(0, {1: 0, 2: 0})
