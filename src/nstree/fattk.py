@@ -26,8 +26,9 @@ class FatTKCertificate:
     by verify_fat_tk against a host graph, never here, so certificates
     read from files can be examined and rejected with a reason. That
     includes malformed data, such as a multiplicity that is not an int
-    or an unhashable vertex. Only entries that cannot be compared raise
-    here: the branch is sorted, and each pair key put in order.
+    or an unhashable vertex. The branch is sorted, and each pair key put
+    in order; entries that do not compare with each other are ordered
+    by repr instead.
     """
 
     __slots__ = ("branch", "m", "_paths")
@@ -38,20 +39,22 @@ class FatTKCertificate:
         m: int,
         paths: Mapping[tuple[int, int], Iterable[Sequence[int]]],
     ) -> None:
-        self.branch: tuple[int, ...] = tuple(sorted(branch))
+        branch = tuple(branch)
+        try:
+            self.branch: tuple[int, ...] = tuple(sorted(branch))
+        except TypeError:
+            self.branch = tuple(sorted(branch, key=repr))
         self.m = m
         norm: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         for (a, b), plist in paths.items():
-            key = (a, b) if a <= b else (b, a)
-            norm[key] = tuple(tuple(p) for p in plist)
+            norm[_pair_key(a, b)] = tuple(tuple(p) for p in plist)
         self._paths = norm
 
     def pair_keys(self) -> list[tuple[int, int]]:
         return sorted(self._paths)
 
     def paths_for(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-        key = (a, b) if a <= b else (b, a)
-        return self._paths.get(key, ())
+        return self._paths.get(_pair_key(a, b), ())
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -72,6 +75,14 @@ class FatTKCertificate:
 
     def __repr__(self) -> str:
         return f"FatTKCertificate(n={len(self.branch)}, m={self.m})"
+
+
+def _pair_key(a: int, b: int) -> tuple[int, int]:
+    """The pair in ascending order, or by repr if its ends do not compare."""
+    try:
+        return (a, b) if a <= b else (b, a)
+    except TypeError:
+        return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
 class CertificateReport(Record):

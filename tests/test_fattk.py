@@ -195,6 +195,15 @@ def test_verify_rejects_shared_interior():
             "pair lists wrong or missing for [('a', 'b'), (2, 3)]",
             id="keys of another type",
         ),
+        # entries that do not compare with each other are put in repr order
+        pytest.param(
+            [1, "a"], 1, {}, "branch vertices not in graph: ['a']",
+            id="branch of mixed types",
+        ),
+        pytest.param(
+            [1, 2], 1, {(1, "a"): [(1, 2)]}, "pair lists wrong or missing for [('a', 1), (1, 2)]",
+            id="key of mixed types",
+        ),
     ],
 )
 def test_verify_rejection_reasons(branch, m, paths, reason):
