@@ -116,6 +116,15 @@ def test_is_normal_names_a_foreign_tree_edge_before_an_incomparable_edge():
         is_normal(C4, RootedTree(1, {2: 1, 3: 1, 4: 2}))
 
 
+def test_is_normal_reads_every_vertex_of_a_component():
+    # G - T leaves the component {5, 6}: 5 neighbours the tree at 2
+    # alone, 6 at 4 alone, and 2 and 4 are incomparable
+    g = Graph(edges=[(1, 2), (2, 5), (5, 6), (4, 6), (1, 4)])
+    rep = is_normal(g, RootedTree(1, {2: 1, 4: 1}))
+    assert not rep.normal
+    assert rep.witness == (2, 4, (2, 5, 6, 4))
+
+
 def test_is_normal_reads_the_vertex_set_a_fixed_number_of_times(monkeypatch):
     """A path of 2000 vertices with a pendant leaf at each, the path as
     the tree: G - T leaves 2000 components, and their tree neighbours
