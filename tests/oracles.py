@@ -8,9 +8,23 @@ tautology. Only run these on small graphs.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Set as AbstractSet
 from itertools import combinations
 
-from nstree import CertificateReport, FatTKCertificate, Graph, RootedTree, is_connected
+from nstree import (
+    BUDGET_EXHAUSTED,
+    SPANNING,
+    TARGET_COVERED,
+    CertificateReport,
+    ExtensionStep,
+    FatTKCertificate,
+    Graph,
+    RootedTree,
+    RunTrace,
+    components,
+    is_connected,
+)
+from nstree.connectivity import _network
 
 _INF = 1 << 30
 
@@ -841,3 +855,146 @@ def ref_verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
                 f"pair ({a},{b}) uses the edge {a}-{b} as {bare} parallel paths",
             )
     return CertificateReport(True)
+
+
+# The sweep loop as the library ran it before it searched the graph once
+# per run and grew every extension inside that one depth-first tree,
+# kept verbatim as the reference for the differential tests: the
+# components of g - r split off first, a fresh depth-first search of
+# each component extended into, and the tree built with the checking
+# constructor. Only its logging is left out.
+
+
+def _ref_extend(
+    g: Graph,
+    parent: dict[int, int],
+    depth: dict[int, int],
+    d: frozenset[int],
+    nbrs: AbstractSet[int],
+    targets: frozenset[int],
+) -> tuple[int, int, tuple[tuple[int, int], ...], list[frozenset[int]]]:
+    """Grow the tree given by parent and depth into component d, in place.
+
+    Returns t_d, r_d, the new (child, parent) edges in ascending order,
+    and the components d leaves outside the tree, by their first vertex
+    in depth-first order.
+    """
+    t_d = max(nbrs, key=depth.__getitem__)
+    # a normal tree's neighborhood of d is a chain: all of it lies on
+    # the root path of its deepest member
+    found = 1
+    x = t_d
+    while found < len(nbrs) and x in parent:
+        x = parent[x]
+        if x in nbrs:
+            found += 1
+    if found < len(nbrs):
+        raise AssertionError(
+            "tree neighborhood of the component is not a chain (tree is not normal)"
+        )
+    r_d = next(x for x in g.neighbors(t_d) if x in d)
+    sub = ref_dfs(g, r_d, d)
+    keep = {r_d}
+    for x in targets:
+        while x not in keep:
+            keep.add(x)
+            x = sub[x]
+    added = [(r_d, t_d)]
+    hanging: dict[int, list[int]] = {}  # vertex -> the subtree it hangs in
+    rest: list[list[int]] = []
+    for v, p in sub.items():
+        if v in keep:
+            added.append((v, p))
+        elif p in keep:
+            hanging[v] = [v]
+            rest.append(hanging[v])
+        else:
+            hanging[v] = hanging[p]
+            hanging[v].append(v)
+    for v, p in added:
+        parent[v] = p
+        depth[v] = depth[p] + 1
+    return t_d, r_d, tuple(sorted(added)), [frozenset(c) for c in rest]
+
+
+def ref_run(
+    g: Graph,
+    r: int,
+    step_budget: int | None,
+    kappa_small: int | None,
+    skip: Callable[[frozenset[int]], bool] | None,
+    extra_target: Callable[[frozenset[int]], int] | None,
+) -> RunTrace:
+    """The trace of the sweep loop: omega_nst with skip and extra_target
+    None, local_normal_tree and nst_from_dispersed_cover with theirs."""
+    if r not in g:
+        raise ValueError(f"root {r} not in graph")
+    # the components of g - tree, by least vertex; g is disconnected
+    # exactly when one of them misses every neighbor of r
+    comps = components(g, {r})
+    if any(d.isdisjoint(g.neighbors(r)) for d in comps):
+        raise ValueError("graph is disconnected")
+    if step_budget is not None and step_budget < 0:
+        raise ValueError(f"step budget must be non-negative, got {step_budget}")
+    if kappa_small is not None and kappa_small < 0:
+        raise ValueError(f"kappa_small must be non-negative, got {kappa_small}")
+
+    # the canonical families' vertex sequences, computed once per graph
+    # and kept on its network for every later sweep on it; the selection
+    # indices in the trace refer to these enumerations
+    sweep_paths = _network(g)._sweep_paths
+    # a pair above kappa_small is discarded as soon as it shows one path too many
+    limit = None if kappa_small is None else kappa_small + 1
+
+    # the tree grows in place; a RootedTree is built only for the result
+    parent: dict[int, int] = {}
+    depth = {r: 0}
+    steps: list[ExtensionStep] = []
+    sweep = 0
+    while True:
+        if not comps:
+            return RunTrace(tuple(steps), RootedTree(r, parent), SPANNING)
+        # the components partition the vertices outside the tree, so the
+        # targets lie in the tree once every component is skipped
+        if skip is not None and all(map(skip, comps)):
+            return RunTrace(tuple(steps), RootedTree(r, parent), TARGET_COVERED)
+        if step_budget is not None and sweep >= step_budget:
+            return RunTrace(tuple(steps), RootedTree(r, parent), BUDGET_EXHAUSTED)
+        # extending into one component never changes another component
+        # or its tree neighborhood, so the sweep may grow the tree freely
+        # and re-split only the component it extended into
+        after: list[frozenset[int]] = []
+        for d in comps:
+            if skip is not None and skip(d):
+                after.append(d)
+                continue
+            near = {y for x in d for y in g.neighbors(x) if y in depth}
+            nbrs = sorted(near)
+            selections: list[tuple[tuple[int, int], int]] = []
+            targets: set[int] = set()
+            for i, v in enumerate(nbrs):
+                for w in nbrs[i + 1 :]:
+                    fam = sweep_paths(v, w, limit)
+                    if fam is None:
+                        continue
+                    for k, seq in enumerate(fam, 1):
+                        inside = d.intersection(seq)
+                        if inside:
+                            selections.append(((v, w), k))
+                            targets |= inside
+                            break
+            if extra_target is not None:
+                targets.add(extra_target(d))
+            fallback = None
+            if not targets:
+                fallback = min(d)
+                targets.add(fallback)
+            t_d, r_d, added, rest = _ref_extend(g, parent, depth, d, near, frozenset(targets))
+            after += rest
+            steps.append(ExtensionStep(
+                step=sweep, component=d, attach_vertex=t_d, entry_vertex=r_d,
+                targets=frozenset(targets), selections=tuple(selections),
+                fallback_vertex=fallback, added=added,
+            ))
+        comps = sorted(after, key=min)
+        sweep += 1

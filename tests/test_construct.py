@@ -29,7 +29,7 @@ from nstree import (
 from nstree.connectivity import FlowNetwork, _network
 from nstree.construct import _dfs, _extend
 from nstree.generators import fat_tk, grid
-from oracles import normal_spanning_trees, ref_dfs
+from oracles import normal_spanning_trees, ref_dfs, ref_run
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -458,6 +458,80 @@ def test_local_extends_the_components_meeting_u_each_sweep(seed):
         t = trace.prefix_tree(count)
         assert by_sweep[sweep] == [d for d in components(g, t.vertex_set) if d & u]
         count += len(by_sweep[sweep])
+
+
+def _sweep_cases():
+    """300 seeded random connected graphs with 2-40 vertices, apart from
+    the golden traces' seeds, each with a root, a step budget, a
+    kappa_small, a target set and a cover. Every fourth graph is a tree
+    and most others are sparse, so many vertices are cut vertices; every
+    third case is rooted at one when the graph has one."""
+    for seed in range(300):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(2, 40)
+        g = random_connected_graph(rng, n, 0.0 if seed % 4 == 0 else rng.choice([0.02, 0.06, 0.15, 0.4]))
+        cuts = [v for v in g.vertices if len(components(g, {v})) > 1]
+        r = rng.choice(cuts) if seed % 3 == 0 and cuts else rng.randrange(n)
+        budget = rng.randint(0, 3) if seed % 5 == 2 else None
+        kappa_small = rng.randint(0, 3) if seed % 4 == 1 else None
+        u = frozenset(rng.sample(g.vertices, rng.randint(1, min(4, n))))
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        k = rng.randint(1, 4)
+        cover = DispersedCover(tuple(frozenset(vs[i::k]) for i in range(k) if vs[i::k]))
+        yield g, r, budget, kappa_small, u, cover
+
+
+def _entry_point_runs(g, r, budget, kappa_small, u, cover):
+    """Each entry point's trace, with the skip and extra_target that the
+    reference loop needs to run it: (name, trace, skip, extra_target)."""
+
+    def first_class_target(d):
+        return next(min(s & d) for s in cover.sets if s & d)
+
+    yield "omega", omega_nst(g, r, budget, kappa_small), None, None
+    yield (
+        "local", local_normal_tree(g, u, r, budget, kappa_small),
+        lambda d: not (u & d), lambda d: min(u & d),
+    )
+    yield "cover", nst_from_dispersed_cover(g, cover, r, budget, kappa_small), None, first_class_target
+
+
+def test_sweep_runs_match_the_reference_loop():
+    seen = {SPANNING: 0, BUDGET_EXHAUSTED: 0, TARGET_COVERED: 0}
+    cut_roots = carried = 0
+    for g, r, budget, kappa_small, u, cover in _sweep_cases():
+        cut_roots += len(components(g, {r})) > 1
+        for name, trace, skip, extra_target in _entry_point_runs(g, r, budget, kappa_small, u, cover):
+            want = ref_run(g, r, budget, kappa_small, skip, extra_target)
+            assert trace == want, (name, r, budget, kappa_small)
+            assert (trace.tree._pre, trace.tree._end) == (want.tree._pre, want.tree._end)
+            seen[trace.status] += 1
+            if name == "local" and trace.steps:
+                # a component outside the tree that the last sweep did not
+                # extend into was skipped and carried through that sweep
+                last = [s.component for s in trace.steps if s.step == trace.steps[-1].step]
+                left = components(g, trace.tree.vertex_set)
+                carried += any(all(c.isdisjoint(d) for d in last) for c in left)
+    assert min(seen.values()) >= 30, seen
+    assert cut_roots >= 100 and carried >= 30, (cut_roots, carried)
+
+
+def test_sweep_runs_grow_inside_the_dfs_tree():
+    """Every extension is a down-closed part of the depth-first tree
+    from the root, so a spanning run builds exactly dfs_nst."""
+    for g, r, budget, kappa_small, u, cover in _sweep_cases():
+        dfs = dfs_nst(g, r)
+        dfs_parent = dfs.parent_map
+        for _name, trace, _skip, _extra in _entry_point_runs(g, r, budget, kappa_small, u, cover):
+            for step in trace.steps:
+                assert dfs.parent(step.entry_vertex) == step.attach_vertex
+                for v, p in step.added:
+                    assert dfs_parent[v] == p
+            tree = trace.tree
+            assert tree.parent_map == {v: p for v, p in dfs_parent.items() if v in tree}
+            if trace.status == SPANNING:
+                assert tree == dfs
 
 
 def _counted_pair_flows(monkeypatch) -> list[tuple[int, int]]:
