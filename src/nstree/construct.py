@@ -20,7 +20,7 @@ from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
 from .connectivity import _network
-from .graph import Graph, components
+from .graph import Graph
 from .tree import RootedTree
 
 SPANNING = "spanning"
@@ -97,98 +97,102 @@ def dfs_nst(g: Graph, r: int) -> RootedTree:
     """
     if r not in g:
         raise ValueError(f"root {r} not in graph")
-    parent = _dfs(g, r, g.vertex_set)
+    parent = _dfs(g, r)
     if len(parent) + 1 != len(g):
         raise ValueError("graph is disconnected")
     # the map's keys run in preorder with ascending children
     return RootedTree._from_preorder(r, parent)
 
 
-def _dfs(g: Graph, r: int, inside: frozenset[int]) -> dict[int, int]:
-    """Parent map of the depth-first tree from r of the subgraph induced
-    by inside, children in ascending id order.
+def _dfs(g: Graph, r: int) -> dict[int, int]:
+    """Parent map of the depth-first tree from r of r's component,
+    children in ascending id order.
 
     Vertices enter the map in discovery order, which is the tree's
     preorder with ascending children; so every parent precedes its
     children. The search is the recursive one, kept by hand: each open
     vertex holds an iterator over its neighbours, and the top one
-    descends into its next unseen neighbour inside, or closes.
+    descends into its next unseen neighbour, or closes. The map is the
+    seen set, with r marked in it until the search ends.
     """
     adj = g._adj
-    parent: dict[int, int] = {}
-    seen = {r}
+    parent = {r: r}
     stack = [(r, iter(adj[r]))]
     while stack:
         x, nbrs = stack[-1]
         for y in nbrs:
-            if y in inside and y not in seen:
-                seen.add(y)
+            if y not in parent:
                 parent[y] = x
                 stack.append((y, iter(adj[y])))
                 break
         else:
             stack.pop()
+    del parent[r]
     return parent
 
 
 def _extend(
-    g: Graph,
-    parent: dict[int, int],
+    dfs: dict[int, int],
     depth: dict[int, int],
-    d: frozenset[int],
+    order: list[int],
     nbrs: AbstractSet[int],
     targets: frozenset[int],
-) -> tuple[int, int, tuple[tuple[int, int], ...], list[frozenset[int]]]:
-    """Grow the tree given by parent and depth into component d, in place.
+) -> tuple[int, int, tuple[tuple[int, int], ...], list[tuple[frozenset[int], list[int]]]]:
+    """Grow the tree marked by depth into the component whose vertices
+    order lists in preorder of the depth-first tree dfs, in place.
 
-    The extension enters d at the least-id neighbor r_d of the deepest
-    tree neighbor t_d of d, builds a depth-first tree of d from there,
-    and keeps only the down-closures of the targets. Keeping a
-    down-closed subtree preserves normality. Returns t_d, r_d, the
-    new (child, parent) edges in ascending order, and the components
-    d leaves outside the tree, by their first vertex in depth-first
-    order.
+    The tree is a down-closed part of dfs and the component a subtree
+    of dfs hanging off it, entered at its first vertex r_d, whose dfs
+    parent is the deepest tree neighbor t_d of the component: the
+    search from the root entered the component from t_d, at t_d's
+    least neighbor in it. The extension keeps the down-closures of the
+    targets in that subtree, which keeps the tree down-closed in dfs,
+    and so normal. Returns t_d, r_d, the new (child, parent) edges in
+    ascending order, and the components left outside the tree, by their
+    first vertex in preorder, each as its vertex set and its preorder.
 
-    Every edge inside d joins an ancestor and a descendant of the
-    depth-first tree, and the kept part is down-closed, so those
-    components are exactly the subtrees hanging off kept vertices.
+    A depth-first tree has no cross edges, so those components are
+    exactly the subtrees of dfs hanging off kept vertices.
     """
     t_d = max(nbrs, key=depth.__getitem__)
-    # a normal tree's neighborhood of d is a chain: all of it lies on
-    # the root path of its deepest member
+    # a normal tree's neighborhood of the component is a chain: all of
+    # it lies on the root path of its deepest member
     found = 1
     x = t_d
-    while found < len(nbrs) and x in parent:
-        x = parent[x]
+    while found < len(nbrs) and x in dfs:
+        x = dfs[x]
         if x in nbrs:
             found += 1
     if found < len(nbrs):
         raise AssertionError(
             "tree neighborhood of the component is not a chain (tree is not normal)"
         )
-    r_d = next(x for x in g.neighbors(t_d) if x in d)
-    sub = _dfs(g, r_d, d)
+    r_d = order[0]
+    if dfs[r_d] != t_d:
+        raise AssertionError(
+            f"component entered at {r_d}, which does not hang below its deepest "
+            f"tree neighbor {t_d} in the depth-first tree"
+        )
     keep = {r_d}
     for x in targets:
         while x not in keep:
             keep.add(x)
-            x = sub[x]
-    added = [(r_d, t_d)]
-    hanging: dict[int, list[int]] = {}  # vertex -> the subtree it hangs in
+            x = dfs[x]
+    added: list[tuple[int, int]] = []
     rest: list[list[int]] = []
-    for v, p in sub.items():
+    # keep is closed under dfs parents, so a subtree hanging off it holds
+    # no kept vertex and runs unbroken in preorder
+    for v in order:
+        p = dfs[v]
         if v in keep:
             added.append((v, p))
         elif p in keep:
-            hanging[v] = [v]
-            rest.append(hanging[v])
+            rest.append([v])
         else:
-            hanging[v] = hanging[p]
-            hanging[v].append(v)
+            rest[-1].append(v)
     for v, p in added:
-        parent[v] = p
         depth[v] = depth[p] + 1
-    return t_d, r_d, tuple(sorted(added)), [frozenset(c) for c in rest]
+    return t_d, r_d, tuple(sorted(added)), [(frozenset(c), c) for c in rest]
 
 
 def omega_nst(
@@ -284,10 +288,11 @@ def _run(
 ) -> RunTrace:
     if r not in g:
         raise ValueError(f"root {r} not in graph")
-    # the components of g - tree, by least vertex; g is disconnected
-    # exactly when one of them misses every neighbor of r
-    comps = components(g, {r})
-    if any(d.isdisjoint(g.neighbors(r)) for d in comps):
+    # the one depth-first tree from r; every extension is a down-closed
+    # part of it, so the tree is marked by depth and a tree vertex's
+    # parent is its dfs parent
+    dfs = _dfs(g, r)
+    if len(dfs) + 1 != len(g):
         raise ValueError("graph is disconnected")
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
@@ -307,29 +312,41 @@ def _run(
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
 
-    # the tree grows in place; a RootedTree is built only for the result
-    parent: dict[int, int] = {}
+    # the components of g - tree, each as its vertex set and its vertices
+    # in preorder, by least vertex; those of g - r are the subtrees below
+    # r's children, each one unbroken in preorder
+    split: list[list[int]] = []
+    for v, p in dfs.items():
+        if p == r:
+            split.append([v])
+        else:
+            split[-1].append(v)
+    comps = sorted(((frozenset(c), c) for c in split), key=_least)
     depth = {r: 0}
     steps: list[ExtensionStep] = []
     sweep = 0
     while True:
         if not comps:
-            return RunTrace(tuple(steps), RootedTree(r, parent), SPANNING)
+            status = SPANNING
+            break
         # the components partition the vertices outside the tree, so the
         # targets lie in the tree once every component is skipped
-        if skip is not None and all(map(skip, comps)):
-            return RunTrace(tuple(steps), RootedTree(r, parent), TARGET_COVERED)
+        if skip is not None and all(skip(d) for d, _ in comps):
+            status = TARGET_COVERED
+            break
         if step_budget is not None and sweep >= step_budget:
-            return RunTrace(tuple(steps), RootedTree(r, parent), BUDGET_EXHAUSTED)
+            status = BUDGET_EXHAUSTED
+            break
         # extending into one component never changes another component
         # or its tree neighborhood, so the sweep may grow the tree freely
-        # and re-split only the component it extended into
-        after: list[frozenset[int]] = []
-        for d in comps:
+        # and split up only the component it extended into
+        after: list[tuple[frozenset[int], list[int]]] = []
+        for comp in comps:
+            d, order = comp
             if skip is not None and skip(d):
-                after.append(d)
+                after.append(comp)
                 continue
-            near = {y for x in d for y in g.neighbors(x) if y in depth}
+            near = {y for x in order for y in g.neighbors(x) if y in depth}
             nbrs = sorted(near)
             selections: list[tuple[tuple[int, int], int]] = []
             targets: set[int] = set()
@@ -355,7 +372,7 @@ def _run(
             if not targets:
                 fallback = min(d)
                 targets.add(fallback)
-            t_d, r_d, added, rest = _extend(g, parent, depth, d, near, frozenset(targets))
+            t_d, r_d, added, rest = _extend(dfs, depth, order, near, frozenset(targets))
             after += rest
             steps.append(ExtensionStep(
                 step=sweep, component=d, attach_vertex=t_d, entry_vertex=r_d,
@@ -367,5 +384,14 @@ def _run(
                     "sweep %d: extended at %d into component %s, entry %d, %d targets",
                     sweep, t_d, sorted(d), r_d, len(targets),
                 )
-        comps = sorted(after, key=min)
+        comps = sorted(after, key=_least)
         sweep += 1
+    # dfs restricted to the down-closed tree is still in preorder with
+    # ascending children
+    tree = {v: p for v, p in dfs.items() if v in depth}
+    return RunTrace(tuple(steps), RootedTree._from_preorder(r, tree), status)
+
+
+def _least(comp: tuple[frozenset[int], list[int]]) -> int:
+    """The least vertex of a component, by which the sweeps order them."""
+    return min(comp[1])

@@ -60,13 +60,13 @@ def test_dfs_nst_rejects_disconnected():
 
 def test_jung_subtree_triangle():
     g = Graph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    t = RootedTree(0, _dfs(g, 0, frozenset({0, 1, 2})))
+    t = RootedTree(0, _dfs(induced_subgraph(g, {0, 1, 2}), 0))
     assert t.vertex_set == {0, 1, 2}
     assert is_normal(Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]), t).normal
 
 
 def test_jung_subtree_full_vertex_set():
-    assert RootedTree(1, _dfs(K4, 1, K4.vertex_set)) == dfs_nst(K4, 1)
+    assert RootedTree(1, _dfs(K4, 1)) == dfs_nst(K4, 1)
 
 
 def test_dfs_inside_matches_dfs_of_induced_subgraph():
@@ -75,8 +75,7 @@ def test_dfs_inside_matches_dfs_of_induced_subgraph():
         g = random_connected_graph(rng, rng.randint(2, 14), rng.choice([0.05, 0.2, 0.5]))
         inside = components(g, frozenset(rng.sample(g.vertices, rng.randint(0, len(g) // 2))))[0]
         r = rng.choice(sorted(inside))
-        expected = dfs_nst(induced_subgraph(g, inside), r).parent_map
-        assert _dfs(g, r, inside) == expected
+        assert _dfs(induced_subgraph(g, inside), r) == ref_dfs(g, r, inside)
 
 
 def _seeded_graphs():
@@ -93,7 +92,8 @@ def test_dfs_matches_the_reference_stack_search_in_key_order():
             g.vertex_set,
             frozenset(rng.sample(g.vertices, rng.randint(0, len(g))) + [r]),
         ):
-            assert list(_dfs(g, r, inside).items()) == list(ref_dfs(g, r, inside).items())
+            got = _dfs(induced_subgraph(g, inside), r)
+            assert list(got.items()) == list(ref_dfs(g, r, inside).items())
 
 
 def test_dfs_nst_matches_the_checked_constructor():
@@ -139,24 +139,29 @@ def test_local_enters_at_least_neighbor_of_deepest_tree_neighbor():
     assert is_normal(g, trace.tree).normal
 
 
+def _grown(r: int, dfs: dict[int, int], depth: dict[int, int]) -> RootedTree:
+    """The tree that depth marks inside the depth-first tree dfs from r."""
+    return RootedTree(r, {v: p for v, p in dfs.items() if v in depth})
+
+
 def test_attach_cycle_completion():
     # the path 1-2-3 in C4 leaves {4} with the chain of neighbors 1 and 3
-    parent = {2: 1, 3: 2}
+    dfs = _dfs(C4, 1)
+    assert dfs == {2: 1, 3: 2, 4: 3}
     depth = {1: 0, 2: 1, 3: 2}
-    out = _extend(C4, parent, depth, frozenset({4}), frozenset({1, 3}), frozenset({4}))
+    out = _extend(dfs, depth, [4], frozenset({1, 3}), frozenset({4}))
     assert out == (3, 4, ((4, 3),), [])
-    assert parent == {2: 1, 3: 2, 4: 3}
     assert depth[4] == 3
-    assert is_normal(C4, RootedTree(1, parent)).normal
+    assert is_normal(C4, _grown(1, dfs, depth)).normal
 
 
 def test_extend_into_component_path_pruning():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-    parent: dict[int, int] = {}
+    dfs = _dfs(g, 0)
     depth = {0: 0}
-    out = _extend(g, parent, depth, frozenset({1, 2, 3}), frozenset({0}), frozenset({2}))
-    assert out[3] == [frozenset({3})]
-    t = RootedTree(0, parent)
+    out = _extend(dfs, depth, [1, 2, 3], frozenset({0}), frozenset({2}))
+    assert out[3] == [(frozenset({3}), [3])]
+    t = _grown(0, dfs, depth)
     assert t.vertex_set == {0, 1, 2}
     assert t.parent_map == {1: 0, 2: 1}
 
@@ -164,21 +169,30 @@ def test_extend_into_component_path_pruning():
 def test_extend_into_component_full_targets():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (1, 3)])
     d = frozenset({1, 2, 3})
-    parent: dict[int, int] = {}
+    dfs = _dfs(g, 0)
     depth = {0: 0}
-    _extend(g, parent, depth, d, frozenset({0}), d)
-    t = RootedTree(0, parent)
+    _extend(dfs, depth, list(dfs), frozenset({0}), d)
+    t = _grown(0, dfs, depth)
     assert t.vertex_set == g.vertex_set
     assert is_normal(g, t).normal
 
 
 def test_extend_rejects_a_neighborhood_that_is_not_a_chain():
     # star 1-2, 1-4 in C4 leaves {3} with the incomparable neighbors 2 and 4
-    parent = {2: 1, 4: 1}
+    # (no depth-first tree of C4 holds this star, so the map is made by hand)
+    dfs = {2: 1, 4: 1, 3: 2}
     depth = {1: 0, 2: 1, 4: 1}
-    with pytest.raises(AssertionError):
-        _extend(C4, parent, depth, frozenset({3}), frozenset({2, 4}), frozenset({3}))
+    with pytest.raises(AssertionError, match="not a chain"):
+        _extend(dfs, depth, [3], frozenset({2, 4}), frozenset({3}))
 
+
+
+def test_extend_rejects_a_component_out_of_preorder():
+    # the component {2, 3} below the tree 0-1 of the path 0-1-2-3, listed
+    # from 3: the depth-first tree enters it from 1 at 2, not at 3
+    g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(AssertionError, match="does not hang below its deepest tree neighbor 1"):
+        _extend(_dfs(g, 0), {0: 0, 1: 1}, [3, 2], frozenset({1}), frozenset({3}))
 
 @pytest.mark.parametrize("kwargs", [{"step_budget": -1}, {"kappa_small": -3}])
 def test_negative_budget_and_kappa_small_rejected(kwargs):
