@@ -25,6 +25,7 @@ have computed on its graph, so sweeps on one graph share them.
 
 from __future__ import annotations
 
+import _thread
 from bisect import insort
 from collections.abc import Set as AbstractSet
 
@@ -537,6 +538,7 @@ def _augment(
 
 
 _last: FlowNetwork | None = None
+_last_lock = _thread.allocate_lock()  # held while _last is checked and replaced
 
 
 def _network(g: Graph) -> FlowNetwork:
@@ -551,13 +553,19 @@ def _network(g: Graph) -> FlowNetwork:
     capacities, and the memo's entries are immutable and stored by one
     dict assignment each, so concurrent callers may share a network:
     two sweeps that race on one key compute the same family and store
-    equal values. The held entry is replaced in one assignment, and a
-    caller racing another reads one of the two.
+    equal values. A network is built and put in the slot under a lock,
+    after a second look at the slot, so callers that race on one graph
+    share the one network the first of them built, and none of the
+    families they store is lost with a network built beside it. A
+    caller that finds its graph's network in the slot takes no lock.
     """
     global _last
     net = _last
     if net is None or net.graph is not g:
-        net = _last = FlowNetwork(g)
+        with _last_lock:
+            net = _last
+            if net is None or net.graph is not g:
+                net = _last = FlowNetwork(g)
     return net
 
 

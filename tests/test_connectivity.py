@@ -708,6 +708,22 @@ def test_two_threads_fill_one_family_memo():
     assert _network(g)._families == memo
 
 
+
+def test_racing_callers_share_one_network():
+    # building a network this size takes many thread switches, so the
+    # second caller looks at the slot while the first is still building
+    for _ in range(5):
+        g = truncate(make_generator("grid"), 12)
+        start = threading.Barrier(2)
+        got: list = [None, None]
+
+        def work(i: int) -> None:
+            start.wait(timeout=60)
+            got[i] = _network(g)
+
+        _in_two_threads(work)
+        assert got[0] is got[1] is _network(g)
+
 def test_only_the_sweeps_fill_the_family_memo():
     g = truncate(make_generator("grid"), 4)
     net = _network(g)
