@@ -11,7 +11,7 @@ would coincide in a simple graph.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
 from ._record import Record, _set
@@ -39,11 +39,7 @@ class FatTKCertificate:
         m: int,
         paths: Mapping[tuple[int, int], Iterable[Sequence[int]]],
     ) -> None:
-        branch = tuple(branch)
-        try:
-            self.branch: tuple[int, ...] = tuple(sorted(branch))
-        except TypeError:
-            self.branch = tuple(sorted(branch, key=repr))
+        self.branch: tuple[int, ...] = tuple(_sorted(tuple(branch)))
         self.m = m
         norm: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         for (a, b), plist in paths.items():
@@ -51,7 +47,7 @@ class FatTKCertificate:
         self._paths = norm
 
     def pair_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._paths)
+        return _sorted(self._paths)
 
     def paths_for(self, a: int, b: int) -> tuple[tuple[int, ...], ...]:
         return self._paths.get(_pair_key(a, b), ())
@@ -75,6 +71,14 @@ class FatTKCertificate:
 
     def __repr__(self) -> str:
         return f"FatTKCertificate(n={len(self.branch)}, m={self.m})"
+
+
+def _sorted(items: Collection) -> list:
+    """items in ascending order, or by repr if they do not compare."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:
@@ -179,11 +183,7 @@ def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
     paths = cert._paths
     pairs = list(combinations(branch, 2))
     if len(paths) != len(pairs) or not all(map(paths.__contains__, pairs)):
-        off = set(pairs).symmetric_difference(paths)
-        try:
-            off = sorted(off)
-        except TypeError:  # keys of another type than the branch's
-            off = sorted(off, key=repr)
+        off = _sorted(set(pairs).symmetric_difference(paths))
         return CertificateReport(False, f"pair lists wrong or missing for {off}")
     adj = g._adj
     used_interior: set[int] = set()

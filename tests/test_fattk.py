@@ -204,13 +204,20 @@ def test_verify_rejects_shared_interior():
             [1, 2], 1, {(1, "a"): [(1, 2)]}, "pair lists wrong or missing for [('a', 1), (1, 2)]",
             id="key of mixed types",
         ),
+        pytest.param(
+            [1, 2], 1, {(1, "a"): [(1, 2)], (1, 2): [(1, 2)]},
+            "pair lists wrong or missing for [('a', 1)]",
+            id="keys of mixed types",
+        ),
     ],
 )
 def test_verify_rejection_reasons(branch, m, paths, reason):
     g = Graph([9], [(1, 2), (1, 3), (3, 2), (1, 4), (4, 2), (4, 3)])
-    report = verify_fat_tk(g, FatTKCertificate(branch, m, paths))
+    cert = FatTKCertificate(branch, m, paths)
+    report = verify_fat_tk(g, cert)
     assert not report.ok
     assert report.reason == reason
+    assert set(cert.pair_keys()) == set(cert._paths)
 
 
 def test_verify_accepts_a_path_written_from_its_far_end():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_graphs_st, random_connected_graph
-from nstree import Graph, RootedTree, dfs_nst, find_fat_tk, levels_of, omega_nst
+from nstree import FatTKCertificate, Graph, RootedTree, dfs_nst, find_fat_tk, levels_of, omega_nst
 from nstree.cli import main as cli_main
 from nstree.io import (
     cert_from_obj,
@@ -176,6 +176,19 @@ def test_cert_round_trip():
     obj = cert_to_obj(cert)
     assert cert_from_obj(obj) == cert
     assert loads_cert(dumps(obj)) == cert
+
+
+def test_cert_with_keys_that_do_not_compare_round_trips_to_a_rejection():
+    # pair keys that do not compare are written in repr order, and the
+    # reader, which takes integer vertices only, names the stray key
+    cert = FatTKCertificate([1, 2], 1, {(1, "a"): [(1, 2)], (1, 2): [(1, 2)]})
+    obj = cert_to_obj(cert)
+    assert obj == {"branch": [1, 2], "m": 1, "paths": {"a,1": [[1, 2]], "1,2": [[1, 2]]}}
+    assert list(obj["paths"]) == ["a,1", "1,2"]
+    with pytest.raises(ValueError, match="bad pair key 'a,1'"):
+        loads_cert(dumps(obj))
+    del obj["paths"]["a,1"]
+    assert loads_cert(dumps(obj)) == FatTKCertificate([1, 2], 1, {(1, 2): [(1, 2)]})
 
 
 @pytest.mark.parametrize(
