@@ -5,11 +5,14 @@ root one sweep at a time. In sweep n it looks at every component D of
 the graph minus the current tree, picks target vertices inside D by
 consulting canonical independent-path families between the tree
 neighbors of D, and extends the tree finitely into D so the targets
-become tree vertices. Three public entry points share the loop: the
-plain spanning run, a run that only chases a prescribed vertex set, and
-a run that additionally covers one vertex of the first cover class
-meeting each component. Every tie is broken by least vertex id, so runs
-are reproducible and the returned trace replays exactly.
+become tree vertices. Each extension keeps a down-closed part of the
+one depth-first tree from the root, so a run searches the graph once
+and a spanning run ends with dfs_nst's tree. Three public entry points
+share the loop: the plain spanning run, a run that only chases a
+prescribed vertex set, and a run that additionally covers one vertex of
+the first cover class meeting each component. Every tie is broken by
+least vertex id, so runs are reproducible and the returned trace
+replays exactly.
 """
 
 from __future__ import annotations
