@@ -247,12 +247,19 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
+    _check_multiplicity(m)
     if m < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
     missing = [v for v in branch if v not in g]
     if missing:
         raise ValueError(f"branch vertices not in graph: {missing}")
     return _route(_network(g), branch, m)
+
+
+def _check_multiplicity(m: object) -> None:
+    # bool is an int, but True is no multiplicity, nor is 2.0
+    if type(m) is not int:
+        raise ValueError(f"multiplicity must be an integer, got {m!r}")
 
 
 def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
@@ -332,6 +339,7 @@ def is_dispersed(
     probe = frozenset(probe)
     if not probe <= g.vertex_set:
         raise ValueError(f"probe vertices not in graph: {sorted(probe - g.vertex_set)}")
+    _check_multiplicity(m)
     if n < 2 or m < 1 or s < 0:
         raise ValueError(f"need n >= 2, m >= 1, s >= 0, got n={n}, m={m}, s={s}")
     if search_budget < 1:

@@ -283,6 +283,18 @@ def test_find_validation():
         find_fat_tk(DST, {1, 99}, 1)
 
 
+K4 = Graph(edges=list(combinations((1, 2, 3, 4), 2)))
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "2"])
+def test_a_multiplicity_that_is_not_an_int_is_rejected_before_routing(m):
+    message = re.escape(f"multiplicity must be an integer, got {m!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_fat_tk(K4, [1, 2], m)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        is_dispersed(K4, [1], 3, m, 1)
+
+
 def test_kappa_necessary_check_dst():
     assert kappa_necessary_check(DST, {1, 2, 3}, 2)
     # pairwise connectivity is 3 throughout, yet no fat TK(3, 3) fits:
