@@ -135,67 +135,47 @@ def _dfs(g: Graph, r: int) -> dict[int, int]:
 
 
 def _extend(
-    dfs: dict[int, int],
-    depth: dict[int, int],
-    order: list[int],
+    t: RootedTree,
+    tree: set[int],
+    h: int,
     nbrs: AbstractSet[int],
     targets: frozenset[int],
-) -> tuple[int, int, tuple[tuple[int, int], ...], list[tuple[frozenset[int], list[int]]]]:
-    """Grow the tree marked by depth into the component whose vertices
-    order lists in preorder of the depth-first tree dfs, in place.
+) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
+    """Grow tree, a down-closed vertex set of the depth-first tree t,
+    into the component of the subtree of t below h, in place.
 
-    The tree is a down-closed part of dfs and the component a subtree
-    of dfs hanging off it, entered at its first vertex r_d, whose dfs
-    parent is the deepest tree neighbor t_d of the component: the
-    search from the root entered the component from t_d, at t_d's
-    least neighbor in it. The extension keeps the down-closures of the
-    targets in that subtree, which keeps the tree down-closed in dfs,
-    and so normal. Returns t_d, r_d, the new (child, parent) edges in
-    ascending order, and the components left outside the tree, by their
-    first vertex in preorder, each as its vertex set and its preorder.
-
-    A depth-first tree has no cross edges, so those components are
-    exactly the subtrees of dfs hanging off kept vertices.
+    h lies outside the tree and its t parent t_d inside: the search from
+    the root entered the component from t_d, at t_d's least neighbor in
+    it. Since t has no cross edges, the component's tree neighbors nbrs
+    are ancestors of h, t_d the deepest. The extension keeps the
+    down-closures of the targets in the subtree below h, which keeps the
+    tree down-closed in t, and so normal. Returns t_d, the new
+    (child, parent) edges in ascending order, and the tops of the
+    components left outside the tree: the children of kept vertices
+    that are not kept themselves.
     """
-    t_d = max(nbrs, key=depth.__getitem__)
-    # a normal tree's neighborhood of the component is a chain: all of
-    # it lies on the root path of its deepest member
-    found = 1
-    x = t_d
-    while found < len(nbrs) and x in dfs:
-        x = dfs[x]
-        if x in nbrs:
-            found += 1
-    if found < len(nbrs):
+    index, end, parent = t._index, t._end, t._parent
+    t_d = parent[h]
+    i = index[t_d]
+    # a normal tree's neighborhood of the component is a chain, and it
+    # lies on the root path of its deepest member
+    if not all(j <= i < end[j] for j in map(index.__getitem__, nbrs)):
         raise AssertionError(
-            "tree neighborhood of the component is not a chain (tree is not normal)"
+            f"tree neighborhood of the component is not a chain of ancestors of {t_d} "
+            "(tree is not normal)"
         )
-    r_d = order[0]
-    if dfs[r_d] != t_d:
+    if t_d not in nbrs:
         raise AssertionError(
-            f"component entered at {r_d}, which does not hang below its deepest "
-            f"tree neighbor {t_d} in the depth-first tree"
+            f"component top {h} hangs below {t_d}, which is not a tree neighbor of the component"
         )
-    keep = {r_d}
+    keep = {h}
     for x in targets:
         while x not in keep:
             keep.add(x)
-            x = dfs[x]
-    added: list[tuple[int, int]] = []
-    rest: list[list[int]] = []
-    # keep is closed under dfs parents, so a subtree hanging off it holds
-    # no kept vertex and runs unbroken in preorder
-    for v in order:
-        p = dfs[v]
-        if v in keep:
-            added.append((v, p))
-        elif p in keep:
-            rest.append([v])
-        else:
-            rest[-1].append(v)
-    for v, p in added:
-        depth[v] = depth[p] + 1
-    return t_d, r_d, tuple(sorted(added)), [(frozenset(c), c) for c in rest]
+            x = parent[x]
+    tree |= keep
+    added = sorted((v, parent[v]) for v in keep)
+    return t_d, tuple(added), [c for v in keep for c in t.children(v) if c not in keep]
 
 
 def omega_nst(
@@ -289,14 +269,9 @@ def _run(
     skip: Callable[[frozenset[int]], bool] | None,
     extra_target: Callable[[frozenset[int]], int] | None,
 ) -> RunTrace:
-    if r not in g:
-        raise ValueError(f"root {r} not in graph")
     # the one depth-first tree from r; every extension is a down-closed
-    # part of it, so the tree is marked by depth and a tree vertex's
-    # parent is its dfs parent
-    dfs = _dfs(g, r)
-    if len(dfs) + 1 != len(g):
-        raise ValueError("graph is disconnected")
+    # part of it, so a tree vertex's parent is its t parent
+    t = dfs_nst(g, r)
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
     if kappa_small is not None and kappa_small < 0:
@@ -315,17 +290,19 @@ def _run(
     # a pair above kappa_small is discarded as soon as it shows one path too many
     limit = None if kappa_small is None else kappa_small + 1
 
-    # the components of g - tree, each as its vertex set and its vertices
-    # in preorder, by least vertex; those of g - r are the subtrees below
-    # r's children, each one unbroken in preorder
-    split: list[list[int]] = []
-    for v, p in dfs.items():
-        if p == r:
-            split.append([v])
-        else:
-            split[-1].append(v)
-    comps = sorted(((frozenset(c), c) for c in split), key=_least)
-    depth = {r: 0}
+    adj, pre, end, index = g._adj, t._pre, t._end, t._index
+
+    def component(h: int) -> tuple[int, int, frozenset[int]]:
+        # the subtree below h, an interval of the preorder
+        i = index[h]
+        d = frozenset(pre[i : end[i]])
+        return min(d), h, d
+
+    # the components of g - tree, by least vertex, each with its top h:
+    # the vertex outside the tree whose t parent is in it; those of g - r
+    # are the subtrees below r's children
+    comps = sorted(map(component, t.children(r)))
+    tree = {r}
     steps: list[ExtensionStep] = []
     sweep = 0
     while True:
@@ -334,7 +311,7 @@ def _run(
             break
         # the components partition the vertices outside the tree, so the
         # targets lie in the tree once every component is skipped
-        if skip is not None and all(skip(d) for d, _ in comps):
+        if skip is not None and all(skip(d) for _, _, d in comps):
             status = TARGET_COVERED
             break
         if step_budget is not None and sweep >= step_budget:
@@ -343,13 +320,13 @@ def _run(
         # extending into one component never changes another component
         # or its tree neighborhood, so the sweep may grow the tree freely
         # and split up only the component it extended into
-        after: list[tuple[frozenset[int], list[int]]] = []
+        after: list[tuple[int, int, frozenset[int]]] = []
         for comp in comps:
-            d, order = comp
+            _, h, d = comp
             if skip is not None and skip(d):
                 after.append(comp)
                 continue
-            near = {y for x in order for y in g.neighbors(x) if y in depth}
+            near = {y for x in d for y in adj[x] if y in tree}
             nbrs = sorted(near)
             selections: list[tuple[tuple[int, int], int]] = []
             targets: set[int] = set()
@@ -375,26 +352,22 @@ def _run(
             if not targets:
                 fallback = min(d)
                 targets.add(fallback)
-            t_d, r_d, added, rest = _extend(dfs, depth, order, near, frozenset(targets))
-            after += rest
+            t_d, added, tops = _extend(t, tree, h, near, frozenset(targets))
+            after += map(component, tops)
             steps.append(ExtensionStep(
-                step=sweep, component=d, attach_vertex=t_d, entry_vertex=r_d,
+                step=sweep, component=d, attach_vertex=t_d, entry_vertex=h,
                 targets=frozenset(targets), selections=tuple(selections),
                 fallback_vertex=fallback, added=added,
             ))
             if info:
                 logger.info(
                     "sweep %d: extended at %d into component %s, entry %d, %d targets",
-                    sweep, t_d, sorted(d), r_d, len(targets),
+                    sweep, t_d, sorted(d), h, len(targets),
                 )
-        comps = sorted(after, key=_least)
+        comps = sorted(after)
         sweep += 1
-    # dfs restricted to the down-closed tree is still in preorder with
-    # ascending children
-    tree = {v: p for v, p in dfs.items() if v in depth}
-    return RunTrace(tuple(steps), RootedTree._from_preorder(r, tree), status)
-
-
-def _least(comp: tuple[frozenset[int], list[int]]) -> int:
-    """The least vertex of a component, by which the sweeps order them."""
-    return min(comp[1])
+    if status != SPANNING:
+        # t restricted to the down-closed tree is still in preorder with
+        # ascending children
+        t = RootedTree._from_preorder(r, {v: p for v, p in t._parent.items() if v in tree})
+    return RunTrace(tuple(steps), t, status)

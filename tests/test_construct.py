@@ -139,60 +139,60 @@ def test_local_enters_at_least_neighbor_of_deepest_tree_neighbor():
     assert is_normal(g, trace.tree).normal
 
 
-def _grown(r: int, dfs: dict[int, int], depth: dict[int, int]) -> RootedTree:
-    """The tree that depth marks inside the depth-first tree dfs from r."""
-    return RootedTree(r, {v: p for v, p in dfs.items() if v in depth})
+def _grown(t: RootedTree, tree: set[int]) -> RootedTree:
+    """The tree that the down-closed vertex set tree spans in t."""
+    return RootedTree(t.root, {v: p for v, p in t.parent_map.items() if v in tree})
 
 
 def test_attach_cycle_completion():
     # the path 1-2-3 in C4 leaves {4} with the chain of neighbors 1 and 3
-    dfs = _dfs(C4, 1)
-    assert dfs == {2: 1, 3: 2, 4: 3}
-    depth = {1: 0, 2: 1, 3: 2}
-    out = _extend(dfs, depth, [4], frozenset({1, 3}), frozenset({4}))
-    assert out == (3, 4, ((4, 3),), [])
-    assert depth[4] == 3
-    assert is_normal(C4, _grown(1, dfs, depth)).normal
+    t = dfs_nst(C4, 1)
+    assert t.parent_map == {2: 1, 3: 2, 4: 3}
+    tree = {1, 2, 3}
+    out = _extend(t, tree, 4, frozenset({1, 3}), frozenset({4}))
+    assert out == (3, ((4, 3),), [])
+    assert tree == {1, 2, 3, 4}
+    assert is_normal(C4, _grown(t, tree)).normal
 
 
 def test_extend_into_component_path_pruning():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-    dfs = _dfs(g, 0)
-    depth = {0: 0}
-    out = _extend(dfs, depth, [1, 2, 3], frozenset({0}), frozenset({2}))
-    assert out[3] == [(frozenset({3}), [3])]
-    t = _grown(0, dfs, depth)
-    assert t.vertex_set == {0, 1, 2}
-    assert t.parent_map == {1: 0, 2: 1}
+    t = dfs_nst(g, 0)
+    tree = {0}
+    out = _extend(t, tree, 1, frozenset({0}), frozenset({2}))
+    assert out[2] == [3]
+    grown = _grown(t, tree)
+    assert grown.vertex_set == {0, 1, 2}
+    assert grown.parent_map == {1: 0, 2: 1}
 
 
 def test_extend_into_component_full_targets():
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (1, 3)])
     d = frozenset({1, 2, 3})
-    dfs = _dfs(g, 0)
-    depth = {0: 0}
-    _extend(dfs, depth, list(dfs), frozenset({0}), d)
-    t = _grown(0, dfs, depth)
-    assert t.vertex_set == g.vertex_set
-    assert is_normal(g, t).normal
+    t = dfs_nst(g, 0)
+    tree = {0}
+    _extend(t, tree, 1, frozenset({0}), d)
+    grown = _grown(t, tree)
+    assert grown.vertex_set == g.vertex_set
+    assert is_normal(g, grown).normal
 
 
 def test_extend_rejects_a_neighborhood_that_is_not_a_chain():
     # star 1-2, 1-4 in C4 leaves {3} with the incomparable neighbors 2 and 4
-    # (no depth-first tree of C4 holds this star, so the map is made by hand)
-    dfs = {2: 1, 4: 1, 3: 2}
-    depth = {1: 0, 2: 1, 4: 1}
+    # (no depth-first tree of C4 holds this star, so the tree is made by hand)
+    t = RootedTree(1, {2: 1, 4: 1, 3: 2})
     with pytest.raises(AssertionError, match="not a chain"):
-        _extend(dfs, depth, [3], frozenset({2, 4}), frozenset({3}))
+        _extend(t, {1, 2, 4}, 3, frozenset({2, 4}), frozenset({3}))
 
 
-
-def test_extend_rejects_a_component_out_of_preorder():
-    # the component {2, 3} below the tree 0-1 of the path 0-1-2-3, listed
-    # from 3: the depth-first tree enters it from 1 at 2, not at 3
+def test_extend_rejects_a_top_whose_parent_is_not_a_tree_neighbor():
+    # the component {2, 3} below the tree 0-1 of the path 0-1-2-3, named
+    # by 3: the depth-first tree enters it from 1 at 2, so 3's parent 2
+    # is no tree neighbor
     g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(AssertionError, match="does not hang below its deepest tree neighbor 1"):
-        _extend(_dfs(g, 0), {0: 0, 1: 1}, [3, 2], frozenset({1}), frozenset({3}))
+    with pytest.raises(AssertionError, match="top 3 hangs below 2, which is not a tree neighbor"):
+        _extend(dfs_nst(g, 0), {0, 1}, 3, frozenset({1}), frozenset({3}))
+
 
 @pytest.mark.parametrize("kwargs", [{"step_budget": -1}, {"kappa_small": -3}])
 def test_negative_budget_and_kappa_small_rejected(kwargs):
