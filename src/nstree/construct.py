@@ -70,7 +70,9 @@ class RunTrace(Record):
         _set(self, "status", status)
 
     def prefix_tree(self, count: int) -> RootedTree:
-        """Tree after the first `count` extensions."""
+        """Tree after the first `count` extensions, 0 <= count <= len(steps)."""
+        if not 0 <= count <= len(self.steps):
+            raise ValueError(f"prefix count must be in 0..{len(self.steps)}, got {count}")
         parent: dict[int, int] = {}
         for s in self.steps[:count]:
             parent.update(s.added)

@@ -259,6 +259,16 @@ def test_omega_trace_replays_to_prefix_trees():
         prev = len(t)
 
 
+def test_prefix_tree_rejects_a_count_out_of_range():
+    trace = omega_nst(K4, 1)
+    assert len(trace.steps) == 3
+    assert trace.prefix_tree(0) == RootedTree(1)
+    assert trace.prefix_tree(3) == trace.tree
+    for count in (-1, 4):
+        with pytest.raises(ValueError, match=f"^prefix count must be in 0..3, got {count}$"):
+            trace.prefix_tree(count)
+
+
 def test_omega_selection_indices_are_valid():
     from nstree import max_independent_paths
 
