@@ -144,31 +144,29 @@ def _extend(
     targets: frozenset[int],
 ) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
     """Grow tree, a down-closed vertex set of the depth-first tree t,
-    into the component of the subtree of t below h, in place.
+    in place into the component that is the subtree of t below h.
 
     h lies outside the tree and its t parent t_d inside: the search from
-    the root entered the component from t_d, at t_d's least neighbor in
-    it. Since t has no cross edges, the component's tree neighbors nbrs
-    are ancestors of h, t_d the deepest. The extension keeps the
-    down-closures of the targets in the subtree below h, which keeps the
-    tree down-closed in t, and so normal. Returns t_d, the new
-    (child, parent) edges in ascending order, and the tops of the
-    components left outside the tree: the children of kept vertices
-    that are not kept themselves.
+    the root entered the component from t_d, its deepest tree neighbor,
+    at t_d's least neighbor in it. Keeping the down-closures of the
+    targets keeps the tree down-closed in t, and so normal. Returns t_d,
+    the new (child, parent) edges in ascending order, and the tops of
+    the components left outside the tree, in preorder.
     """
-    index, end, parent = t._index, t._end, t._parent
+    index, pre, end, parent = t._index, t._pre, t._end, t._parent
     t_d = parent[h]
-    i = index[t_d]
-    # a normal tree's neighborhood of the component is a chain, and it
-    # lies on the root path of its deepest member
-    if not all(j <= i < end[j] for j in map(index.__getitem__, nbrs)):
-        raise AssertionError(
-            f"tree neighborhood of the component is not a chain of ancestors of {t_d} "
-            "(tree is not normal)"
-        )
     if t_d not in nbrs:
         raise AssertionError(
             f"component top {h} hangs below {t_d}, which is not a tree neighbor of the component"
+        )
+    # the neighborhood is a chain when every member is an ancestor of
+    # t_d: its preorder interval holds t_d's number
+    i = index[t_d]
+    nums = [*map(index.__getitem__, nbrs)]
+    if max(nums) > i or min(map(end.__getitem__, nums)) <= i:
+        raise AssertionError(
+            f"tree neighborhood of the component is not a chain of ancestors of {t_d} "
+            "(tree is not normal)"
         )
     keep = {h}
     for x in targets:
@@ -176,8 +174,20 @@ def _extend(
             keep.add(x)
             x = parent[x]
     tree |= keep
-    added = sorted((v, parent[v]) for v in keep)
-    return t_d, tuple(added), [c for v in keep for c in t.children(v) if c not in keep]
+    # t has no cross edges, so those components are the subtrees below
+    # the children of kept vertices that are not kept; a walk below h that
+    # enters kept vertices and jumps over any other's subtree meets them
+    tops = []
+    j = index[h]
+    stop = end[j]
+    while j < stop:
+        v = pre[j]
+        if v in keep:
+            j += 1
+        else:
+            tops.append(v)
+            j = end[j]
+    return t_d, tuple(sorted(zip(keep, map(parent.__getitem__, keep)))), tops
 
 
 def omega_nst(
@@ -324,7 +334,7 @@ def _run(
         # and split up only the component it extended into
         after: list[tuple[int, int, frozenset[int]]] = []
         for comp in comps:
-            _, h, d = comp
+            least, h, d = comp
             if skip is not None and skip(d):
                 after.append(comp)
                 continue
@@ -352,7 +362,7 @@ def _run(
                 targets.add(extra_target(d))
             fallback = None
             if not targets:
-                fallback = min(d)
+                fallback = least
                 targets.add(fallback)
             t_d, added, tops = _extend(t, tree, h, near, frozenset(targets))
             after += map(component, tops)
