@@ -3,9 +3,12 @@
 Every tie in nstree is broken by vertex order alone, so relabelling a
 graph by an increasing map f must relabel every output by f: trees,
 traces with their selection indices, path families, separators and
-normality witnesses. The check needs no reference engine, so it runs
-on graphs of up to 200 vertices and on a grid truncation. f(x) = 3x - 50
-keeps the order, spreads the ids apart and makes some of them negative.
+normality witnesses, and the fat-TK layer's certificates, failures and
+verdicts. The check needs no reference engine, so it runs on graphs of
+up to 200 vertices and on a grid truncation. f(x) = 3x - 50 keeps the
+order, spreads the ids apart and makes some of them negative; the
+source graphs have ids 0..n-1 and their images do not, so both ways a
+flow network numbers its vertices meet on every graph.
 """
 
 from __future__ import annotations
@@ -15,11 +18,16 @@ import random
 from helpers import bfs_tree, random_connected_graph, random_subtree
 from nstree import (
     DispersedCover,
+    DispersednessVerdict,
     ExtensionStep,
+    FatTKCertificate,
+    FatTKFailure,
     Graph,
     InseparableError,
     RootedTree,
     dfs_nst,
+    find_fat_tk,
+    is_dispersed,
     is_normal,
     local_normal_tree,
     max_independent_paths,
@@ -28,6 +36,7 @@ from nstree import (
     nst_from_dispersed_cover,
     omega_nst,
     truncate,
+    verify_fat_tk,
 )
 from nstree.generators import grid
 
@@ -59,6 +68,16 @@ def _image(x):
             _image(x.targets), tuple((_image(pair), k) for pair, k in x.selections),
             _image(x.fallback_vertex), _image(x.added),
         )
+    if isinstance(x, FatTKCertificate):
+        return FatTKCertificate(
+            _image(x.branch), x.m, {_image(key): _image(x.paths_for(*key)) for key in x.pair_keys()}
+        )
+    if isinstance(x, FatTKFailure):
+        # the routed count is not a vertex
+        return FatTKFailure(_image(x.pair), x.routed, _image(x.separator))
+    if isinstance(x, DispersednessVerdict):
+        # nor is the bound
+        return DispersednessVerdict(x.dispersed, x.bound, _image(x.examined))
     # every other record holds only vertices, sets and sequences of them
     return type(x)(*map(_image, x._values()))
 
@@ -138,3 +157,29 @@ def test_relabelling_the_input_relabels_every_output():
                 witnesses["edge" if len(x.witness[2]) == 2 else "path"] += 1
     # both kinds of violation, a chord and a path through a component
     assert min(witnesses.values()) >= 10, witnesses
+
+
+def test_relabelling_relabels_every_fat_tk_output():
+    rng = random.Random(2006)
+    seen = {"certificates": 0, "failures": 0, "blockers": 0}
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(5, 39), rng.choice([0.15, 0.3, 0.5]))
+        vs = g.vertices
+        probe = frozenset(rng.sample(vs, rng.randint(1, 3)))
+        branches = [rng.sample(vs, 3) for _ in range(3)]
+        # all calls on g before those on its image, as above
+        found = [find_fat_tk(g, u, 2) for u in branches]
+        verdict = is_dispersed(g, probe, 3, 2, 1, search_budget=20)
+        image = _image(g)
+        found_image = [find_fat_tk(image, _image(tuple(u)), 2) for u in branches]
+        verdict_image = is_dispersed(image, _image(probe), 3, 2, 1, search_budget=20)
+        for x, y in zip(found, found_image):
+            assert _image(x) == y, len(g)
+            if isinstance(x, FatTKCertificate):
+                assert verify_fat_tk(g, x).ok and verify_fat_tk(image, _image(x)).ok
+                seen["certificates"] += 1
+            else:
+                seen["failures"] += 1
+        assert _image(verdict) == verdict_image, len(g)
+        seen["blockers"] += len(verdict.examined)
+    assert min(seen.values()) >= 100, seen
