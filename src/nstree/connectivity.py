@@ -26,8 +26,7 @@ have computed on its graph, so sweeps on one graph share them.
 from __future__ import annotations
 
 import _thread
-from bisect import insort
-from collections.abc import Set as AbstractSet
+from bisect import bisect, insort
 
 from ._record import Record, _set
 from .graph import Graph
@@ -125,7 +124,9 @@ class FlowNetwork:
     place (_nbrs). That tuple lists the arcs of the vertex's out-node
     by ascending head, the tie-break of the breadth-first search: edge
     arcs to the neighbors' in-nodes and, at its own rank, the reverse of
-    its through-arc.
+    its through-arc. When the ids are 0..n-1 every id is its own rank,
+    and each tuple is the graph's own neighbor tuple with the rank
+    spliced in; other ids are mapped to their ranks first.
 
     Every query runs one kind of flow, found by one search (_search):
     from the out-nodes of a start set to the in-nodes of a sink set,
@@ -168,16 +169,23 @@ class FlowNetwork:
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        rank = {v: k for k, v in enumerate(g.vertices)}
+        vs = g.vertices
+        rank = {v: k for k, v in enumerate(vs)}
         self._rank = rank
         # _adj lists the vertices in ascending order, each with its
         # neighbours ascending, so their ranks come ascending too; the
         # vertex's own rank is inserted in its place
         nbrs = []
-        for k, row in enumerate(g._adj.values()):
-            row = list(map(rank.__getitem__, row))
-            insort(row, k)
-            nbrs.append(tuple(row))
+        if vs and vs[0] == 0 and vs[-1] == len(vs) - 1:
+            # distinct sorted ints from 0 to n - 1: each id is its rank
+            for k, row in enumerate(g._adj.values()):
+                i = bisect(row, k)
+                nbrs.append(row[:i] + (k,) + row[i:])
+        else:
+            for k, row in enumerate(g._adj.values()):
+                row = list(map(rank.__getitem__, row))
+                insort(row, k)
+                nbrs.append(tuple(row))
         self._nbrs = nbrs
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
@@ -210,18 +218,22 @@ class FlowNetwork:
         sorted.
 
         A direct v-w edge is one path; every other starts at a neighbor
-        y of v with pred[y] == v and follows succ to w. Raises
-        AssertionError unless the paths are simple, their interiors
-        pairwise disjoint and free of v and w, and as many as the flow
-        value: the invariants a PathFamily holds.
+        y of v with pred[y] == v and follows succ to w. The paths leave
+        v by distinct neighbors, so one walk along v's tuple, whose
+        ranks ascend with the ids, emits them in vertex-sequence order,
+        the direct edge at w's place. Raises AssertionError unless the
+        paths are simple, their interiors pairwise disjoint and free of
+        v and w, and as many as the flow value: the invariants a
+        PathFamily holds.
         """
         vs = self.graph.vertices
         kv, kw = self._rank[v], self._rank[w]
         seen = {v}
-        out = self._nbrs[kv]
-        seqs = [(v, w)] if kw in out else []
-        for y in out:
-            if pred[y] != kv:
+        seqs = []
+        for y in self._nbrs[kv]:
+            if pred[y] != kv:  # so is w's: a pair flow sets no pred for its sink
+                if y == kw:
+                    seqs.append((v, w))
                 continue
             seq = [v]
             while y != kw:
@@ -237,11 +249,10 @@ class FlowNetwork:
             seqs.append(tuple(seq))
         if len(seqs) != total:
             raise AssertionError(f"{len(seqs)} paths from {v} to {w} carry a flow of {total}")
-        seqs.sort()
         return tuple(seqs)
 
     def _pair_flow(
-        self, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
+        self, v: int, w: int, limit: int | None, blocked: set[int] | frozenset[int] = frozenset()
     ) -> tuple[int, list[int], list[int]]:
         """Value and path links (pred, succ) of the maximum v-w flow
         avoiding the blocked vertices, or of the first `limit`
@@ -274,11 +285,13 @@ class FlowNetwork:
         # unblocked neighbor, so a flow that many strong is maximum
         # without a failing search (a tuple holds its own rank as well)
         if blocked:
-            adj = self.graph.neighbors
             for x in blocked:
-                pred[rank[x]] = fresh[rank[x]] = -2
-            bound = min(len([x for x in adj(v) if x not in blocked]),
-                        len([x for x in adj(w) if x not in blocked]))
+                k = rank[x]
+                pred[k] = fresh[k] = -2
+            adj = self.graph._adj
+            row_v, row_w = adj[v], adj[w]
+            bound = min(len(row_v) - len(blocked.intersection(row_v)),
+                        len(row_w) - len(blocked.intersection(row_w)))
         else:
             bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
         if limit is not None:
@@ -360,24 +373,29 @@ class FlowNetwork:
         the flow of value `total` that _search left in pred and succ,
         from starts to sinks on the network nbrs.
 
-        Raises AssertionError unless the flow is maximum: the cut must
-        have as many vertices as the flow is strong (the max-flow min-cut
-        identity), and no start the source can still feed may reach the
-        sink side. That is every start when the sides may not be cut,
-        and a start with room otherwise: pred is -1 for both.
+        The cut is read from the out-nodes the backward walk marks, not
+        from a pass over every rank. Raises AssertionError unless the
+        flow is maximum: the cut must have as many vertices as the flow
+        is strong (the max-flow min-cut identity), and no start the
+        source can still feed may reach the sink side. That is every
+        start when the sides may not be cut, and a start with room
+        otherwise: pred is -1 for both.
         """
         n = len(nbrs)
         # the vertices whose in-node or out-node still reaches a sink
-        # out-node in the residual network, found backwards from those
+        # out-node in the residual network, found backwards from those;
+        # marked lists the out-nodes as the walk takes them
         side_in = bytearray(n)
         side_out = bytearray(n)
         for k in sinks:
             side_out[k] = 1
         outs = list(sinks)
         ins: list[int] = []
+        marked: list[int] = []
         while outs or ins:
             if outs:
                 y = outs.pop()
+                marked.append(y)
                 # into out(y): y's through-arc while it has room, and the
                 # reverse of y's outflow (an unbounded start's out-node
                 # is never here once the flow is maximum, so y has one
@@ -396,7 +414,7 @@ class FlowNetwork:
                         side_out[x] = 1
                         outs.append(x)
         vs = self.graph.vertices
-        cut = frozenset(vs[k] for k in range(n) if side_out[k] and not side_in[k] and pred[k] != -2)
+        cut = frozenset(vs[k] for k in marked if not side_in[k] and pred[k] != -2)
         if len(cut) != total:
             raise AssertionError(f"a cut of {len(cut)} vertices for a flow of {total}")
         fed = [vs[k] for k in starts if side_out[k] and pred[k] == -1]

@@ -23,7 +23,7 @@ from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
 from .connectivity import _network
-from .graph import Graph
+from .graph import Graph, _check_int
 from .tree import RootedTree
 
 SPANNING = "spanning"
@@ -284,9 +284,9 @@ def _run(
     # the one depth-first tree from r; every extension is a down-closed
     # part of it, so a tree vertex's parent is its t parent
     t = dfs_nst(g, r)
-    if step_budget is not None and step_budget < 0:
+    if step_budget is not None and _check_int("step budget", step_budget) < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
-    if kappa_small is not None and kappa_small < 0:
+    if kappa_small is not None and _check_int("kappa_small", kappa_small) < 0:
         raise ValueError(f"kappa_small must be non-negative, got {kappa_small}")
 
     # log only if the program has imported logging and enabled this logger
@@ -348,10 +348,9 @@ def _run(
                     if fam is None:
                         continue
                     for k, seq in enumerate(fam, 1):
-                        inside = d.intersection(seq)
-                        if inside:
+                        if not d.isdisjoint(seq):
                             selections.append(((v, w), k))
-                            targets |= inside
+                            targets |= d.intersection(seq)
                             if debug:
                                 logger.debug(
                                     "sweep %d: pair (%d,%d) path %d meets component %s",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import contains
 
 from ._record import Record, _set
 from .connectivity import FlowNetwork, _network, kappa
-from .graph import Graph
+from .graph import Graph, _check_int
 
 
 class FatTKCertificate:
@@ -206,9 +207,10 @@ def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
             t = seq[-1]
             if not (s == a and t == b or s == b and t == a):
                 return CertificateReport(False, f"path {seq} does not join {a} and {b}")
-            for x, y in zip(seq, seq[1:]):
-                if y not in adj.get(x, ()):
-                    return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
+            if not all(map(contains, map(adj.get, seq[:-1], repeat(())), seq[1:])):
+                for x, y in zip(seq, seq[1:]):
+                    if y not in adj.get(x, ()):
+                        return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
             if k == 2:
                 bare += 1
                 continue
@@ -247,19 +249,12 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    _check_multiplicity(m)
-    if m < 1:
+    if _check_int("multiplicity", m) < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
     missing = [v for v in branch if v not in g]
     if missing:
         raise ValueError(f"branch vertices not in graph: {missing}")
     return _route(_network(g), branch, m)
-
-
-def _check_multiplicity(m: object) -> None:
-    # bool is an int, but True is no multiplicity, nor is 2.0
-    if type(m) is not int:
-        raise ValueError(f"multiplicity must be an integer, got {m!r}")
 
 
 def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
@@ -278,7 +273,11 @@ def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificat
         for seq in chosen:
             used.update(seq[1:-1])
         routed[(a, b)] = chosen
-    cert = FatTKCertificate(branch, m, routed)
+    # the data is canonical already (a sorted branch, keys (a, b) with
+    # a < b, tuple paths), so the slots are set without the
+    # constructor's passes
+    cert = object.__new__(FatTKCertificate)
+    cert.branch, cert.m, cert._paths = branch, m, routed
     report = verify_fat_tk(net.graph, cert)
     if not report:
         raise AssertionError(f"greedy router built an invalid certificate: {report.reason}")
@@ -339,7 +338,8 @@ def is_dispersed(
     probe = frozenset(probe)
     if not probe <= g.vertex_set:
         raise ValueError(f"probe vertices not in graph: {sorted(probe - g.vertex_set)}")
-    _check_multiplicity(m)
+    for name, value in (("n", n), ("multiplicity", m), ("s", s), ("search budget", search_budget)):
+        _check_int(name, value)
     if n < 2 or m < 1 or s < 0:
         raise ValueError(f"need n >= 2, m >= 1, s >= 0, got n={n}, m={m}, s={s}")
     if search_budget < 1:

@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable
 from math import isqrt
 
 from ._record import Record, _set
-from .graph import Graph
+from .graph import Graph, _check_int
 
 
 class GraphGenerator(Record):
@@ -43,7 +43,7 @@ def truncate(gen: GraphGenerator, k: int) -> Graph:
     (possibly infinite) generated graph, so truncations are monotone
     under k.
     """
-    if k < 0:
+    if _check_int("radius", k) < 0:
         raise ValueError(f"radius must be non-negative, got {k}")
     dist = {gen.root: 0}
     frontier = [gen.root]

@@ -101,6 +101,13 @@ def _check_vertex(v: int) -> int:
     return v
 
 
+def _check_int(name: str, value: object) -> int:
+    # an exact int: bool is an int subclass but True is no count, nor is 2.0
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def components(g: Graph, removed: frozenset[int] | set[int] = frozenset()) -> list[frozenset[int]]:
     """Connected components of g minus the removed vertices.
 

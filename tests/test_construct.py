@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -202,6 +203,26 @@ def test_negative_budget_and_kappa_small_rejected(kwargs):
     with pytest.raises(ValueError, match="non-negative"):
         local_normal_tree(K4, {2}, 1, **kwargs)
     with pytest.raises(ValueError, match="non-negative"):
+        nst_from_dispersed_cover(K4, cover, 1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"step_budget": 1.5}, "step budget must be an integer, got 1.5"),
+        ({"step_budget": True}, "step budget must be an integer, got True"),
+        ({"kappa_small": 0.5}, "kappa_small must be an integer, got 0.5"),
+        ({"kappa_small": True}, "kappa_small must be an integer, got True"),
+    ],
+)
+def test_budget_and_kappa_small_that_are_not_ints_rejected(kwargs, message):
+    cover = DispersedCover((K4.vertex_set,))
+    message = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=message):
+        omega_nst(K4, 1, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        local_normal_tree(K4, {2}, 1, **kwargs)
+    with pytest.raises(ValueError, match=message):
         nst_from_dispersed_cover(K4, cover, 1, **kwargs)
 
 

@@ -299,6 +299,42 @@ def test_a_multiplicity_that_is_not_an_int_is_rejected_before_routing(m, monkeyp
         is_dispersed(K4, [1], 3, m, 1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 3.0}, "n must be an integer, got 3.0"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"m": 2.0}, "multiplicity must be an integer, got 2.0"),
+        ({"s": 1.5}, "s must be an integer, got 1.5"),
+        ({"s": True}, "s must be an integer, got True"),
+        ({"search_budget": 2.5}, "search budget must be an integer, got 2.5"),
+        ({"search_budget": False}, "search budget must be an integer, got False"),
+    ],
+)
+def test_is_dispersed_rejects_a_count_that_is_not_an_int_before_any_flow(kwargs, message, monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", no_flow)
+    args = {"n": 3, "m": 2, "s": 1, "search_budget": 100} | kwargs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_dispersed(K4, [1], **args)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 1}, "need n >= 2, m >= 1, s >= 0, got n=1, m=2, s=1"),
+        ({"s": -1}, "need n >= 2, m >= 1, s >= 0, got n=3, m=2, s=-1"),
+        ({"search_budget": 0}, "search budget must be positive, got 0"),
+    ],
+)
+def test_is_dispersed_keeps_its_range_messages(kwargs, message):
+    args = {"n": 3, "m": 2, "s": 1, "search_budget": 100} | kwargs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_dispersed(K4, [1], **args)
+
+
 def test_kappa_necessary_check_dst():
     assert kappa_necessary_check(DST, {1, 2, 3}, 2)
     # pairwise connectivity is 3 throughout, yet no fat TK(3, 3) fits:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from nstree import Graph, is_connected, make_generator, truncate
@@ -47,6 +49,12 @@ def test_radius_zero_is_root():
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         truncate(ray(), -1)
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_radius_that_is_not_an_int_rejected(k):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'radius must be an integer, got {k!r}')}$"):
+        truncate(grid(), k)
 
 
 @pytest.mark.parametrize(
