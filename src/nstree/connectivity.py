@@ -373,13 +373,12 @@ class FlowNetwork:
         the flow of value `total` that _search left in pred and succ,
         from starts to sinks on the network nbrs.
 
-        The cut is read from the out-nodes the backward walk marks, not
-        from a pass over every rank. Raises AssertionError unless the
-        flow is maximum: the cut must have as many vertices as the flow
-        is strong (the max-flow min-cut identity), and no start the
-        source can still feed may reach the sink side. That is every
-        start when the sides may not be cut, and a start with room
-        otherwise: pred is -1 for both.
+        The cut is read from the out-nodes the backward walk marks.
+        Raises AssertionError unless the flow is maximum: the cut must
+        have as many vertices as the flow is strong (the max-flow
+        min-cut identity), and no start the source can still feed may
+        reach the sink side. That is every start when the sides may not
+        be cut, and a start with room otherwise: pred is -1 for both.
         """
         n = len(nbrs)
         # the vertices whose in-node or out-node still reaches a sink
