@@ -140,11 +140,13 @@ class DispersednessVerdict(Record):
 
     @property
     def witness(self) -> tuple[FatTKCertificate, frozenset[int]] | None:
-        """The certificate that settles the verdict, if any."""
+        """The certificate that settles the verdict: the first examined
+        one whose blocker exceeds the bound, None if there is none (a
+        dispersed verdict)."""
         for cert, sep in self.examined:
-            if (len(sep) <= self.bound) != self.dispersed:
+            if len(sep) > self.bound:
                 return cert, sep
-        return self.examined[-1] if self.examined and not self.dispersed else None
+        return None
 
 
 def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
@@ -293,6 +295,8 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     branch = tuple(sorted(set(u)))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
+    if _check_int("multiplicity", m) < 1:
+        raise ValueError(f"multiplicity must be at least 1, got {m}")
     return all(kappa(g, a, b) >= m for a, b in combinations(branch, 2))
 
 

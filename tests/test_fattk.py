@@ -345,17 +345,33 @@ def test_kappa_necessary_check_dst():
     assert not kappa_necessary_check(DST, {1, 2, 3}, 4)
 
 
+_KAPPA_CHECK_ERRORS = [
+    ({1, 9}, 1, "vertex 9 not in graph"),
+    ({1}, 1, "need at least 2 branch vertices, got 1"),
+    # the multiplicity is checked as find_fat_tk checks it, before any flow
+    ({1, 2, 3}, True, "multiplicity must be an integer, got True"),
+    ({1, 2, 3}, 1.5, "multiplicity must be an integer, got 1.5"),
+    ({1, 2, 3}, "2", "multiplicity must be an integer, got '2'"),
+    ({1, 2, 3}, 0, "multiplicity must be at least 1, got 0"),
+    ({1, 2, 3}, -2, "multiplicity must be at least 1, got -2"),
+    ({1, 9}, 0, "multiplicity must be at least 1, got 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "u, message",
-    [
-        ({1, 9}, "vertex 9 not in graph"),
-        ({1}, "need at least 2 branch vertices, got 1"),
-    ],
+    "u, m, message",
+    _KAPPA_CHECK_ERRORS,
+    ids=["u0-vertex 9 not in graph", "u1-need at least 2 branch vertices, got 1", "m=True",
+         "m=1.5", "m='2'", "m=0", "m=-2", "m=0 before a missing vertex"],
 )
-def test_kappa_necessary_check_argument_errors(u, message):
+def test_kappa_necessary_check_argument_errors(u, m, message, monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
     k4 = Graph(edges=list(combinations((1, 2, 3, 4), 2)))
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", no_flow)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        kappa_necessary_check(k4, u, 1)
+        kappa_necessary_check(k4, u, m)
 
 
 def test_brute_confirms_dst_multiplicities():
@@ -397,6 +413,23 @@ def test_is_dispersed_probe_inside_certificate():
     assert not verdict.dispersed
     _cert, sep = verdict.witness
     assert len(sep) > 1
+
+
+def test_witness_is_the_certificate_that_settles_the_verdict():
+    """Two K6 joined by the edge 5-6, probe {10, 11} in the second: the
+    seven certificates inside the first K6 are cut from the probe by
+    {5}, within the bound, and the eighth, on 6, 7 and 8, needs {10, 11}
+    and settles the verdict."""
+    g = Graph(edges=[*combinations(range(6), 2), *combinations(range(6, 12), 2), (5, 6)])
+    verdict = is_dispersed(g, {10, 11}, 3, 2, 1, search_budget=25)
+    assert not verdict.dispersed and len(verdict.examined) == 8
+    assert [sep for _c, sep in verdict.examined[:7]] == [frozenset({5})] * 7
+    cert, sep = verdict.witness
+    assert (cert.branch, sep) == ((6, 7, 8), frozenset({10, 11}))
+    assert verdict.witness == verdict.examined[-1]
+    # a dispersed verdict has no witness, however many it examined
+    dispersed = is_dispersed(g, {10, 11}, 3, 2, 2, search_budget=25)
+    assert dispersed.dispersed and dispersed.examined and dispersed.witness is None
 
 
 def test_is_dispersed_empty_probe():
