@@ -112,6 +112,9 @@ class InseparableError(ValueError):
     """No separator disjoint from both sides exists (an edge joins them directly)."""
 
 
+_MISSING = object()  # a memo key not held
+
+
 class FlowNetwork:
     """Unit-vertex-capacity flow network of a graph, built once and
     queried many times.
@@ -155,17 +158,22 @@ class FlowNetwork:
     maximum flow leaves (_sink_side): _cut runs a flow for it, and
     _pair_cut reads one from a pair flow already run.
 
-    The neighbor tuples never change once built. The one mutable part is
-    _families, the sweeps' memo: the vertex sequences of each canonical
-    family _sweep_paths found, or None for a flow that reached its
-    limit, keyed (v, w, limit). A family depends on the graph alone, so
-    the memo is valid for as long as the network lives.
-    _sweep_paths, which the sweeps call, is its one reader and writer;
-    other queries neither read nor write it, so a loop over all pairs
-    does not pile families up.
+    The neighbor tuples never change once built. The network has two
+    mutable parts, each of which depends on the graph alone and is valid
+    for as long as the network lives. The first is _core, the rows of
+    the graph's 2-core (_core_rows), filled on the first unblocked pair
+    flow: such a flow between two core vertices runs on them, off the
+    pendant trees, which no path between core vertices enters.
+    Blocked flows and cuts keep the full tuples, so a network that
+    answers only those never peels. The second is _families, the
+    sweeps' memo: the vertex sequences of each canonical family
+    _sweep_paths found, or None for a flow that reached its limit,
+    keyed (v, w, limit). _sweep_paths, which the sweeps call, is its
+    one reader and writer; other queries neither read nor write it, so
+    a loop over all pairs does not pile families up.
     """
 
-    __slots__ = ("graph", "_rank", "_nbrs", "_families")
+    __slots__ = ("graph", "_rank", "_nbrs", "_core", "_families")
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
@@ -187,7 +195,38 @@ class FlowNetwork:
                 insort(row, k)
                 nbrs.append(tuple(row))
         self._nbrs = nbrs
+        self._core: list[tuple[int, ...] | None] | None = None
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
+
+    def _core_rows(self) -> list[tuple[int, ...] | None]:
+        """The rows of the graph's 2-core, by rank: None for a vertex
+        outside it, else the vertex's tuple without the vertices outside
+        it (the tuple itself when there are none).
+
+        The 2-core is what is left once vertices of degree 1 or 0 are
+        taken off until none is left: the graph without its pendant
+        trees, each of which hangs off one core vertex c, and without
+        its tree components. A search for an unblocked flow between two
+        core vertices enters a pendant tree only from out(c), once in(c)
+        is entered already (before out(c) when c is unused, by c's own
+        rank in its tuple otherwise), so the tree leads it back to no
+        node it has not reached, and it meets the core's nodes by the
+        same arcs without the tree.
+        """
+        nbrs = self._nbrs
+        deg = [len(row) - 1 for row in nbrs]  # a tuple holds its own rank
+        peeled = [k for k, d in enumerate(deg) if d < 2]
+        for k in peeled:  # grows while it is read
+            for y in nbrs[k]:
+                deg[y] -= 1
+                if deg[y] == 1:
+                    peeled.append(y)
+        # a core vertex keeps 2 or more core neighbors; a peeled one
+        # had 1 at most when it was taken off
+        return [
+            None if d < 2 else row if d == len(row) - 1 else tuple(y for y in row if deg[y] > 1)
+            for d, row in zip(deg, nbrs)
+        ]
 
     def _sweep_paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
         """Vertex sequences of the canonical v-w family, sorted, through
@@ -198,8 +237,9 @@ class FlowNetwork:
         flow that stops short of its limit is kept as the full family."""
         families = self._families
         key = (v, w, limit)
-        if key not in families:
-            full = families.get((v, w, None))
+        fam = families.get(key, _MISSING)
+        if fam is _MISSING:
+            full = None if limit is None else families.get((v, w, None))
             if full is None:
                 total, pred, succ = self._pair_flow(v, w, limit)
                 if limit is not None and total >= limit:
@@ -209,7 +249,7 @@ class FlowNetwork:
             else:
                 fam = None if len(full) >= limit else full
             families[key] = fam
-        return families[key]
+        return fam
 
     def _decompose(
         self, v: int, w: int, total: int, pred: list[int], succ: list[int]
@@ -228,7 +268,8 @@ class FlowNetwork:
         """
         vs = self.graph.vertices
         kv, kw = self._rank[v], self._rank[w]
-        seen = {v}
+        seen = [False] * len(vs)  # by rank
+        seen[kv] = True
         seqs = []
         for y in self._nbrs[kv]:
             if pred[y] != kv:  # so is w's: a pair flow sets no pred for its sink
@@ -238,9 +279,9 @@ class FlowNetwork:
             seq = [v]
             while y != kw:
                 x = vs[y]
-                if x in seen:
+                if seen[y]:
                     raise AssertionError(f"paths from {v} to {w} meet at {x}")
-                seen.add(x)
+                seen[y] = True
                 seq.append(x)
                 y = succ[y]
                 if y < 0:
@@ -263,7 +304,9 @@ class FlowNetwork:
         the residual network that path leaves is that of the graph
         without the edge. The other paths are the {v}-{w} flow there,
         which unbounded edges do not enlarge, since an edge lets through
-        no more than the unit vertex at one of its ends.
+        no more than the unit vertex at one of its ends. An unblocked
+        flow between two vertices of the 2-core runs on the core's rows
+        (_core_rows) and is bounded by their lengths.
         """
         rank = self._rank
         kv, kw = rank[v], rank[w]
@@ -274,13 +317,6 @@ class FlowNetwork:
         fresh = [-1] * n
         fresh[kv] = -2
         nbrs = self._nbrs
-        # the out-nodes whose arc into in(w) ends the search: w's
-        # neighbors, save v when the v-w edge is sliced out below (a
-        # blocked neighbor's out-node is never reached)
-        hot = [-1] * n
-        for x in nbrs[kw]:
-            hot[x] = kw
-        hot[kv] = hot[kw] = -1
         # every path leaves v and enters w by an edge of its own to an
         # unblocked neighbor, so a flow that many strong is maximum
         # without a failing search (a tuple holds its own rank as well)
@@ -293,7 +329,21 @@ class FlowNetwork:
             bound = min(len(row_v) - len(blocked.intersection(row_v)),
                         len(row_w) - len(blocked.intersection(row_w)))
         else:
+            # no path between two vertices of the 2-core leaves it, so
+            # a flow between them runs on its rows (see _core_rows)
+            core = self._core
+            if core is None:
+                core = self._core = self._core_rows()
+            if core[kv] is not None and core[kw] is not None:
+                nbrs = core
             bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
+        # the out-nodes whose arc into in(w) ends the search: w's
+        # neighbors, save v when the v-w edge is sliced out below (a
+        # blocked neighbor's out-node is never reached)
+        hot = [-1] * n
+        for x in nbrs[kw]:
+            hot[x] = kw
+        hot[kv] = hot[kw] = -1
         if limit is not None:
             bound = min(bound, limit)
         total = 0
@@ -476,31 +526,31 @@ def _search(
     all of them are queued, in queue order. The path back from x is
     fixed when x is queued, so the augmenting path is the same.
 
-    No edge needs a test of its flow. A used x other than a start is
-    only reached back from in(succ[x]), which is then entered already;
-    and the in-node of a vertex that carries a path from a start leads
-    only back to that start's out-node, which is reached already too.
-    So in-nodes are expanded in the order a layered search would scan
-    them, every node is reached by the same arc, and the same augmenting
-    path is found.
+    No edge needs a test of its flow, and no out-node a mark of its
+    own. A used in-node y leads back to out(p), p = pred[y]. When p is
+    a start with pred -1 (always when sides may not be cut, and while
+    it has room otherwise), out(p) is queued already. Any other such p
+    is used, and its out-node is reached only from in(succ[p]), in(y),
+    which is entered once: so out(p) is queued now, and at no other
+    time. So in-nodes are expanded in the order a layered search would
+    scan them, every node is reached by the same arc, and the same
+    augmenting path is found.
 
     seen[y] is the out-node rank that entered in-node y, y itself when
-    it was entered by the reverse of its own through-arc; came[z] is
-    the in-node rank that reached out-node z.
+    it was entered by the reverse of its own through-arc. The in-node
+    that reached an out-node follows from its links (_augment).
     """
     seen = fresh.copy()
-    came = [-1] * len(nbrs)
     queue = []
     for s in starts:
         if pred[s] == -1:
-            came[s] = s
             if hot[s] == s:
                 pred[s] = s  # a path of one vertex in a and b
                 return True
             queue.append(s)
     for x in queue:
         if hot[x] >= 0:
-            _augment(seen, came, pred, succ, x, hot[x], cuttable)
+            _augment(seen, pred, succ, x, hot[x], cuttable)
             return True
     for x in queue:  # grows while it is read: a FIFO queue
         for y in nbrs[x]:
@@ -508,23 +558,20 @@ def _search(
                 seen[y] = x
                 p = pred[y]
                 if p < 0:
-                    came[y] = y
                     if hot[y] >= 0:
-                        _augment(seen, came, pred, succ, y, hot[y], cuttable)
+                        _augment(seen, pred, succ, y, hot[y], cuttable)
                         return True
                     queue.append(y)
-                elif came[p] == -1:
-                    came[p] = y
+                elif pred[p] != -1:
                     if hot[p] >= 0:
-                        _augment(seen, came, pred, succ, p, hot[p], cuttable)
+                        _augment(seen, pred, succ, p, hot[p], cuttable)
                         return True
                     queue.append(p)
     return False
 
 
 def _augment(
-    seen: list[int], came: list[int], pred: list[int], succ: list[int], x: int, y: int,
-    cuttable: bool,
+    seen: list[int], pred: list[int], succ: list[int], x: int, y: int, cuttable: bool,
 ) -> None:
     """Relink pred and succ along the augmenting path that reaches
     out-node x and ends in the in-node of sink y, walking it back to its
@@ -532,26 +579,32 @@ def _augment(
 
     Every in-node z on the path is entered from seen[z]: by an edge,
     which becomes z's inflow, or by the reverse of z's own through-arc,
-    which frees z. Out-node x was reached from in-node came[x]: by x's
-    through-arc, or by the reverse of x's outflow to it, which the
-    path's next arc has already replaced.
+    which frees z. Out-node x was reached from in-node z: from in(x) by
+    x's through-arc when pred[x] is -1, from in(succ[x]) by the reverse
+    of x's outflow otherwise (_search). So z is read from x's links
+    before the path relinks them.
     """
-    succ[x] = y
     if cuttable:
         pred[y] = x
+    z = x if pred[x] == -1 else succ[x]
+    succ[x] = y
     while True:
-        z = came[x]
         u = seen[z]
         if u < 0:  # in(z) is never entered: out(z) starts the path
             if cuttable:
                 pred[x] = x
             return
         if u == z:
-            pred[z] = succ[z] = -1
+            # out(z) entered in(z): z, which carried flow, is freed, and
+            # out(z) was reached from in(succ[z])
+            x, z = z, succ[z]
+            pred[x] = succ[x] = -1
         else:
+            # out(u) entered in(z) by an edge, which now carries flow
             pred[z] = u
+            came = u if pred[u] == -1 else succ[u]
             succ[u] = z
-        x = u
+            x, z = u, came
 
 
 _last: FlowNetwork | None = None

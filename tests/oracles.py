@@ -101,6 +101,17 @@ def brute_kappa(g: Graph, v: int, w: int) -> int:
     return best
 
 
+def brute_two_core(g: Graph) -> frozenset[int]:
+    """Vertices of the 2-core: a vertex with fewer than two neighbours
+    left is dropped, one at a time, until none is."""
+    left = set(g.vertices)
+    while True:
+        low = [v for v in sorted(left) if sum(x in left for x in g.neighbors(v)) < 2]
+        if not low:
+            return frozenset(left)
+        left.discard(low[0])
+
+
 def brute_min_separator_size(g: Graph, a: frozenset[int], b: frozenset[int]) -> int:
     """Smallest S ⊆ V−(a∪b) disconnecting a from b, by subset sweep."""
     rest = sorted(g.vertex_set - a - b)

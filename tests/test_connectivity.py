@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_st, random_connected_graph
+from helpers import chorded_graph, connected_graphs_st, random_connected_graph
 from nstree import (
+    FatTKCertificate,
+    FatTKFailure,
     Graph,
     InseparableError,
     Path,
@@ -36,6 +38,7 @@ from oracles import (
     brute_kappa,
     brute_min_blocking_size,
     brute_min_separator_size,
+    brute_two_core,
     ref_family,
     ref_max_flow,
     ref_min_blocking_set,
@@ -402,6 +405,21 @@ def test_search_matches_layered_search(seed):
         blocked = frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))
         _search_matches_reference(g, v, w, frozenset())
         _search_matches_reference(g, v, w, blocked)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_layered_search_on_pendant_graphs(seed):
+    """The same on graphs most of whose vertices lie in pendant trees,
+    where an unblocked flow between core vertices runs on the core's
+    rows and any other on the full tuples."""
+    rng = random.Random(1200 + seed)
+    for _ in range(20):
+        g = _pendant_graph(rng, relabel=rng.random() < 0.5)
+        core = sorted(brute_two_core(g))
+        v, w = rng.sample(core, 2) if len(core) > 1 and rng.random() < 0.7 else rng.sample(g.vertices, 2)
+        rest = [x for x in g.vertices if x not in (v, w)]
+        _search_matches_reference(g, v, w, frozenset())
+        _search_matches_reference(g, v, w, frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3))))
 
 
 def test_search_leaves_a_used_vertex_by_its_inflow():
@@ -775,6 +793,131 @@ def test_blocked_neighbors_lower_the_bound(case, monkeypatch):
     assert len(found) == len(fam) < min(g.degree(v), g.degree(w))
     sub = induced_subgraph(g, g.vertex_set - blocked)
     assert [p.vertices for p in fam] == ref_family(sub, v, w)
+
+
+def _pendant_graph(rng: random.Random, relabel: bool) -> Graph:
+    """A random tree with a few chords, most of whose vertices lie in
+    pendant trees, sometimes beside a tree component of its own; ids
+    0..n-1, or spread out so ranks and ids differ."""
+    n = rng.randrange(6, 31)
+    g = chorded_graph(rng, n, rng.randint(1, max(1, n // 5)))
+    edges = list(g.edges)
+    if rng.random() < 0.3:
+        extra = rng.randrange(1, 6)
+        edges += [(n + i, n + rng.randrange(i)) for i in range(1, extra)]
+        n += extra
+    ids = rng.sample(range(-50, 200), n) if relabel else list(range(n))
+    return Graph(ids, [(ids[u], ids[v]) for u, v in edges])
+
+
+def _full_rows(g: Graph) -> FlowNetwork:
+    """A network of g whose pair flows all run on the full tuples."""
+    net = FlowNetwork(g)
+    net._core = [None] * len(g)
+    return net
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_core_rows_give_the_flows_of_the_full_rows(seed):
+    """On the 2-core's rows a pair flow between two core vertices has
+    the value, links and family it has on the full tuples, with and
+    without limits; a pair with an end outside the core runs on the
+    full tuples. The rows are those of the core the brute-force peel
+    leaves."""
+    rng = random.Random(900 + seed)
+    on_core = 0
+    for _ in range(20):
+        g = _pendant_graph(rng, relabel=rng.random() < 0.5)
+        net, full = FlowNetwork(g), _full_rows(g)
+        rank = net._rank
+        core = brute_two_core(g)
+        pairs = [rng.sample(g.vertices, 2) for _ in range(10)]
+        if len(core) > 1:
+            pairs += [rng.sample(sorted(core), 2) for _ in range(20)]
+        for v, w in pairs:
+            limit = rng.choice([None, None, 1, 2, 3])
+            got = net._pair_flow(v, w, limit)
+            assert got == full._pair_flow(v, w, limit)
+            assert net._decompose(v, w, *got) == full._decompose(v, w, *got)
+            on_core += v in core and w in core
+        rows = net._core
+        assert [k for k, row in enumerate(rows) if row is not None] == sorted(rank[x] for x in core)
+        for x in core:
+            want = tuple(sorted(rank[y] for y in (x, *g.neighbors(x)) if y in core))
+            assert rows[rank[x]] == want
+            if want == net._nbrs[rank[x]]:
+                assert rows[rank[x]] is net._nbrs[rank[x]]
+    assert on_core > 300
+
+
+def test_only_an_unblocked_pair_flow_peels_the_network():
+    """The fat-TK router's masked routings and failure cuts, and the
+    cuts of min_separator and min_blocking_set, run on the full tuples
+    and leave the core rows unfilled; kappa fills them. K7 on 1-7 with
+    the pendant path 7-8-9."""
+    g = Graph(edges=[*combinations(range(1, 8), 2), (7, 8), (8, 9)])
+    net = _network(g)
+    assert isinstance(find_fat_tk(g, [1, 2, 3], 2), FatTKCertificate)
+    assert isinstance(find_fat_tk(g, [1, 2, 3], 3), FatTKFailure)
+    assert min_separator(g, {1}, {9}).s == {8}
+    assert min_blocking_set(g, {1, 2}, {2, 3}).s == {2, 3}
+    assert _network(g) is net and net._core is None
+    assert kappa(g, 1, 9) == 1
+    assert net._core[net._rank[9]] is None and len(net._core[net._rank[7]]) == 7
+
+
+def test_a_flow_as_strong_as_the_core_degree_makes_no_failing_search(monkeypatch):
+    """Every vertex of an 8-cycle has a pendant path of one or two more
+    vertices: degree 3 and core degree 2. Each pair of cycle vertices
+    has two independent paths, so its flow is maximum at the core
+    bound, without the search that would fail."""
+    cycle = [(k, (k + 1) % 8) for k in range(8)]
+    g = Graph(edges=cycle + [(k, 8 + k) for k in range(8)] + [(8 + k, 16 + k) for k in range(0, 8, 2)])
+    found = _counted_searches(monkeypatch)
+    for v, w in combinations(range(8), 2):
+        assert kappa(g, v, w) == 2 < min(g.degree(v), g.degree(w))
+    assert all(found) and len(found) == 28 * 2 - 8  # adjacent pairs take their edge unsearched
+
+
+class _Scans(list):
+    """Rows that record the out-nodes a search scans."""
+
+    def __getitem__(self, k):
+        self.scanned.append(k)
+        return list.__getitem__(self, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_search_queues_each_out_node_once(seed, monkeypatch):
+    """No search of a pair flow (blocked or not) or of a cut scans an
+    out-node twice: a used in-node whose predecessor is a start with
+    room leads back to an out-node queued already."""
+    real = connectivity._search
+    twice = []
+
+    def search(nbrs, *args):
+        rows = _Scans(nbrs)
+        rows.scanned = []
+        found = real(rows, *args)
+        twice.append(len(rows.scanned) - len(set(rows.scanned)))
+        return found
+
+    monkeypatch.setattr(connectivity, "_search", search)
+    rng = random.Random(1300 + seed)
+    for _ in range(25):
+        g = _pendant_graph(rng, True) if rng.random() < 0.5 else _differential_graph(rng)
+        net = FlowNetwork(g)
+        for _ in range(6):
+            v, w = rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (v, w)]
+            blocked = frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))
+            net._pair_flow(v, w, None, rng.choice([frozenset(), blocked]))
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, min(3, len(g)))))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, min(3, len(g)))))
+            net._cut(a, b, True)
+            if not a & b and not any(g.has_edge(x, y) for x in a for y in b):
+                net._cut(a, b, False)
+    assert len(twice) > 400 and not any(twice)
 
 
 def _corrupt_k4_flow(monkeypatch, how: str) -> None:
