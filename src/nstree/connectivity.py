@@ -623,7 +623,8 @@ def _network(g: Graph) -> FlowNetwork:
     capacities, and the memo's entries are immutable and stored by one
     dict assignment each, so concurrent callers may share a network:
     two sweeps that race on one key compute the same family and store
-    equal values. A network is built and put in the slot under a lock,
+    equal values, and two first pair flows that race to peel store
+    equal core rows, each list whole. A network is built and put in the slot under a lock,
     after a second look at the slot, so callers that race on one graph
     share the one network the first of them built, and none of the
     families they store is lost with a network built beside it. A

@@ -882,6 +882,10 @@ def test_a_flow_as_strong_as_the_core_degree_makes_no_failing_search(monkeypatch
 class _Scans(list):
     """Rows that record the out-nodes a search scans."""
 
+    def __init__(self, rows) -> None:
+        super().__init__(rows)
+        self.scanned: list[int] = []
+
     def __getitem__(self, k):
         self.scanned.append(k)
         return list.__getitem__(self, k)
@@ -897,7 +901,6 @@ def test_a_search_queues_each_out_node_once(seed, monkeypatch):
 
     def search(nbrs, *args):
         rows = _Scans(nbrs)
-        rows.scanned = []
         found = real(rows, *args)
         twice.append(len(rows.scanned) - len(set(rows.scanned)))
         return found
