@@ -29,7 +29,7 @@ import _thread
 from bisect import bisect, insort
 
 from ._record import Record, _set
-from .graph import Graph
+from .graph import Graph, _check_vertex
 
 class Path(Record):
     __slots__ = ("vertices",)
@@ -641,6 +641,8 @@ def _network(g: Graph) -> FlowNetwork:
 
 
 def _check_pair(g: Graph, v: int, w: int) -> None:
+    _check_vertex(v)
+    _check_vertex(w)
     if v == w:
         raise ValueError(f"endpoints must differ, got {v} twice")
     for x in (v, w):

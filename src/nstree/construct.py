@@ -23,7 +23,7 @@ from collections.abc import Set as AbstractSet
 
 from ._record import Record, _set
 from .connectivity import _network
-from .graph import Graph, _check_int
+from .graph import Graph, _check_int, _check_vertex
 from .tree import RootedTree
 
 SPANNING = "spanning"
@@ -100,7 +100,7 @@ def dfs_nst(g: Graph, r: int) -> RootedTree:
     Depth-first trees are always normal: any edge of the graph joins an
     ancestor-descendant pair.
     """
-    if r not in g:
+    if _check_vertex(r) not in g:
         raise ValueError(f"root {r} not in graph")
     parent = _dfs(g, r)
     if len(parent) + 1 != len(g):
@@ -115,23 +115,30 @@ def _dfs(g: Graph, r: int) -> dict[int, int]:
 
     Vertices enter the map in discovery order, which is the tree's
     preorder with ascending children; so every parent precedes its
-    children. The search is the recursive one, kept by hand: each open
-    vertex holds an iterator over its neighbours, and the top one
-    descends into its next unseen neighbour, or closes. The map is the
-    seen set, with r marked in it until the search ends.
+    children. The search is the recursive one, kept by hand: the open
+    vertex x and its neighbour iterator are held in locals, and x
+    descends into its next unseen neighbour, or closes. Descending
+    pushes x's suspended frame on a stack, and closing pops the frame
+    of x's parent. The map is the seen set, with r marked in it until
+    the search ends.
     """
     adj = g._adj
     parent = {r: r}
-    stack = [(r, iter(adj[r]))]
-    while stack:
-        x, nbrs = stack[-1]
+    stack = []
+    x = r
+    nbrs = iter(adj[r])
+    while True:
         for y in nbrs:
             if y not in parent:
                 parent[y] = x
-                stack.append((y, iter(adj[y])))
+                stack.append((x, nbrs))
+                x = y
+                nbrs = iter(adj[y])
                 break
         else:
-            stack.pop()
+            if not stack:
+                break
+            x, nbrs = stack.pop()
     del parent[r]
     return parent
 

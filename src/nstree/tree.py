@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from itertools import chain
-from operator import contains
 
 from ._record import Record, _set
 from .graph import Graph, components
@@ -39,22 +38,30 @@ class RootedTree:
                 children[p].append(v)
             except KeyError:
                 raise ValueError(f"parent {p} of {v} is not a tree vertex") from None
-        # preorder with ascending children, from a stack holding each
-        # listed vertex's children greatest first; a cycle in the parent
-        # map is unreachable from the root and left out
+        # preorder with ascending children: the listing descends straight
+        # into a vertex's least child, and its later siblings wait on a
+        # stack, greatest first; a cycle in the parent map is unreachable
+        # from the root and left out
         pre: list[int] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        stack: list[int] = []
+        v = root
+        while True:
             pre.append(v)
             cs = children[v]
-            if cs:
+            if len(cs) == 1:
+                v = cs[0]
+            elif cs:
                 cs.sort(reverse=True)
+                v = cs.pop()
                 stack += cs
+            elif stack:
+                v = stack.pop()
+            else:
+                break
         if len(pre) != len(parent) + 1:
             stranded = sorted(set(parent).difference(pre))
             raise ValueError(f"parent map has a cycle through {stranded}")
-        self._number(root, parent, pre, map(parent.__getitem__, pre[:0:-1]))
+        self._number(root, parent, pre)
 
     @classmethod
     def _from_preorder(cls, root: int, parent: dict[int, int]) -> RootedTree:
@@ -65,21 +72,20 @@ class RootedTree:
         own order.
         """
         t = cls.__new__(cls)
-        t._number(root, parent, [root, *parent], reversed(parent.values()))
+        t._number(root, parent, [root, *parent])
         return t
 
-    def _number(
-        self, root: int, parent: dict[int, int], pre: list[int], ups: Iterable[int]
-    ) -> None:
-        """Set up the tree with preorder pre, given ups, the parents of
-        pre[n-1], ..., pre[1] in that order."""
+    def _number(self, root: int, parent: dict[int, int], pre: list[int]) -> None:
+        """Set up the tree with preorder pre, reading each vertex's
+        parent from the parent map."""
         n = len(pre)
         index = dict(zip(pre, range(n)))
         # a subtree ends where the subtree of its last child ends, and a
         # leaf's right after itself; children follow their parent, so a
         # backward pass sees every end before it passes it up
         end = list(range(1, n + 1))
-        for i, p in zip(range(n - 1, 0, -1), map(index.__getitem__, ups)):
+        for i in range(n - 1, 0, -1):
+            p = index[parent[pre[i]]]
             if end[p] < end[i]:
                 end[p] = end[i]
         self._root = root
@@ -236,7 +242,12 @@ def is_chain(t: RootedTree, s: Iterable[int]) -> bool:
         raise ValueError(f"vertex {v} not in tree") from None
     if len(nums) <= 1:
         return True
-    return min(map(t._end.__getitem__, nums)) > max(nums)
+    last = max(nums)
+    end = t._end
+    for i in nums:
+        if end[i] <= last:
+            return False
+    return True
 
 
 def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
@@ -250,29 +261,41 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
     comparable ends and (b) the tree neighborhood of every such
     component is a chain. With the preorder intervals of t each
     comparison is O(1), so the check is O(n + m) plus the test that
-    every tree edge is an edge of g. A spanning tree leaves no
-    component, so (b) is skipped for it.
+    every tree edge is an edge of g.
+
+    (a) is one pass over the edges of g, each end read by its preorder
+    number. A vertex outside the tree reads as the root's number 0; the
+    root is comparable with every vertex, so an edge with an end
+    outside passes. A spanning tree leaves no component, so (b) is
+    skipped for it.
     """
     index, end = t._index, t._end
     if not g.vertex_set.issuperset(index):
         raise ValueError(f"tree vertices not in graph: {sorted(index.keys() - g.vertex_set)}")
-    parent = t._parent
-    # every child is in its parent's neighbour tuple
-    if not all(map(contains, map(g._adj.__getitem__, parent.values()), parent)):
-        # name the least missing edge
-        for u, v in t.edges():
-            if not g.has_edge(u, v):
-                raise ValueError(f"tree edge {u}-{v} is not an edge of the graph")
-    for u, v in g.edges:
-        i = index.get(u)
-        j = index.get(v)
-        if i is None or j is None:
-            continue
-        if not (i <= j < end[i] or j <= i < end[j]):
-            return NormalityReport(False, (u, v, (u, v)))
-    if len(index) == len(g):  # spanning: no component is left outside
-        return NormalityReport(True)
     adj = g._adj
+    # every child is in its parent's neighbour tuple
+    for v, p in t._parent.items():
+        if v not in adj[p]:
+            # name the least missing edge
+            for a, b in t.edges():
+                if not g.has_edge(a, b):
+                    raise ValueError(f"tree edge {a}-{b} is not an edge of the graph")
+    spanning = len(index) == len(g)
+    if spanning:
+        num = index
+    else:
+        num = dict.fromkeys(g.vertices, 0)
+        num.update(index)
+    for u, v in g.edges:
+        i = num[u]
+        j = num[v]
+        if i < j:
+            if j >= end[i]:
+                return NormalityReport(False, (u, v, (u, v)))
+        elif i >= end[j]:
+            return NormalityReport(False, (u, v, (u, v)))
+    if spanning:  # no component is left outside
+        return NormalityReport(True)
     for comp in components(g, removed=t.vertex_set):
         nbrs = {y for x in comp for y in adj[x] if y in index}
         if is_chain(t, nbrs):

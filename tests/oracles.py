@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from collections.abc import Set as AbstractSet
 from itertools import combinations
+from operator import contains
 
 from nstree import (
     BUDGET_EXHAUSTED,
@@ -19,12 +20,14 @@ from nstree import (
     ExtensionStep,
     FatTKCertificate,
     Graph,
+    NormalityReport,
     RootedTree,
     RunTrace,
     components,
     is_connected,
 )
 from nstree.connectivity import _network
+from nstree.tree import _incomparable_pair, _through_path
 
 _INF = 1 << 30
 
@@ -683,6 +686,43 @@ def ref_is_chain(t: RootedTree, s: Iterable[int]) -> bool:
         return True
     deepest = max(s, key=lambda v: (t.depth(v), v))
     return s <= ref_down_closure(t, deepest)
+
+
+# The normality check as the library ran it before it read every edge
+# in one pass by preorder number, kept verbatim as the reference for the
+# differential tests: tree edges tested with a contains pipeline, edges
+# with an end outside the tree skipped, and both orders tested on the
+# rest. Only its chain test is the reference's, by down-closure.
+
+
+def ref_is_normal(g: Graph, t: RootedTree) -> NormalityReport:
+    index, end = t._index, t._end
+    if not g.vertex_set.issuperset(index):
+        raise ValueError(f"tree vertices not in graph: {sorted(index.keys() - g.vertex_set)}")
+    parent = t._parent
+    # every child is in its parent's neighbour tuple
+    if not all(map(contains, map(g._adj.__getitem__, parent.values()), parent)):
+        # name the least missing edge
+        for u, v in t.edges():
+            if not g.has_edge(u, v):
+                raise ValueError(f"tree edge {u}-{v} is not an edge of the graph")
+    for u, v in g.edges:
+        i = index.get(u)
+        j = index.get(v)
+        if i is None or j is None:
+            continue
+        if not (i <= j < end[i] or j <= i < end[j]):
+            return NormalityReport(False, (u, v, (u, v)))
+    if len(index) == len(g):  # spanning: no component is left outside
+        return NormalityReport(True)
+    adj = g._adj
+    for comp in components(g, removed=t.vertex_set):
+        nbrs = {y for x in comp for y in adj[x] if y in index}
+        if ref_is_chain(t, nbrs):
+            continue
+        u, v = _incomparable_pair(t, nbrs)
+        return NormalityReport(False, (u, v, _through_path(g, u, v, comp)))
+    return NormalityReport(True)
 
 
 # The depth-first search as the library ran it before it kept one

@@ -107,6 +107,17 @@ def test_pair_argument_errors(query, v, w, message):
         query(K4, v, w)
 
 
+@pytest.mark.parametrize("query", [kappa, max_independent_paths])
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize("first", [True, False], ids=["first end", "second end"])
+def test_pair_ends_equal_to_an_id_but_not_ints_are_refused(query, bad, first):
+    # True and 1.0 equal the vertex 1 of K4, as ids Graph refuses
+    with pytest.raises(TypeError) as want:
+        Graph([bad])
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        query(K4, *((bad, 3) if first else (3, bad)))
+
+
 def test_family_k4_canonical_order():
     fam = max_independent_paths(K4, 1, 2)
     assert [p.vertices for p in fam] == [(1, 2), (1, 3, 2), (1, 4, 2)]

@@ -59,6 +59,25 @@ def test_dfs_nst_rejects_disconnected():
         dfs_nst(Graph([1, 2]), 1)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        dfs_nst,
+        omega_nst,
+        lambda g, r: local_normal_tree(g, {3}, r),
+        lambda g, r: nst_from_dispersed_cover(g, DispersedCover((g.vertex_set,)), r),
+    ],
+    ids=["dfs_nst", "omega_nst", "local_normal_tree", "nst_from_dispersed_cover"],
+)
+@pytest.mark.parametrize("root", [True, 1.0], ids=["True", "1.0"])
+def test_a_root_equal_to_an_id_but_not_an_int_is_refused(run, root):
+    # True and 1.0 equal the vertex 1 of K4, as ids Graph refuses
+    with pytest.raises(TypeError) as want:
+        Graph([root])
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        run(K4, root)
+
+
 def test_jung_subtree_triangle():
     g = Graph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     t = RootedTree(0, _dfs(induced_subgraph(g, {0, 1, 2}), 0))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     bfs_tree,
+    chorded_graph,
     connected_graphs_st,
     random_connected_graph,
     random_rooted_spanning_tree,
@@ -16,7 +17,9 @@ from helpers import (
 )
 from nstree import (
     Graph,
+    NormalityReport,
     RootedTree,
+    dfs_nst,
     down_closure,
     is_chain,
     is_normal,
@@ -24,7 +27,15 @@ from nstree import (
     separates_incomparable,
     tree_leq,
 )
-from oracles import brute_is_normal, ref_is_chain, ref_numbering, ref_tree_leq
+from nstree.construct import _dfs
+from oracles import (
+    brute_is_normal,
+    ref_dfs,
+    ref_is_chain,
+    ref_is_normal,
+    ref_numbering,
+    ref_tree_leq,
+)
 
 K4 = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -283,6 +294,108 @@ def test_numbering_matches_the_bfs_reference():
         for v in order:
             levels.setdefault(depth[v], set()).add(v)
         assert levels_of(t).sets == tuple(frozenset(levels[d]) for d in range(len(levels)))
+
+
+def _spread_spanning_tree(rng: random.Random, g: Graph, r: int) -> RootedTree:
+    """Spanning tree of r's component grown by a random frontier edge at
+    each step: neither depth- nor breadth-first, so often not normal."""
+    parent: dict[int, int] = {}
+    seen = {r}
+    frontier = [(r, y) for y in g.neighbors(r)]
+    while frontier:
+        x, y = frontier.pop(rng.randrange(len(frontier)))
+        if y not in seen:
+            seen.add(y)
+            parent[y] = x
+            frontier += [(y, z) for z in g.neighbors(y) if z not in seen]
+    return RootedTree(r, parent)
+
+
+def _trees_at_scale():
+    """(rng, graph, root, trees) on 36 seeded sparse graphs of 5-600
+    vertices. The trees: the DFS, BFS, random-DFS and spread spanning
+    trees from the root, two random subtrees, the one-vertex tree, and the
+    BFS and spread trees each less one random leaf."""
+    for seed in range(36):
+        rng = random.Random(7100 + seed)
+        n = (5, 12, 40, 150, 600, 600)[seed % 6]
+        g = chorded_graph(rng, n, rng.choice([0, 2, n // 4, n]))
+        r = rng.randrange(n)
+        bfs = bfs_tree(g, r)
+        spread = _spread_spanning_tree(rng, g, r)
+        trees = [dfs_nst(g, r), bfs, random_rooted_spanning_tree(rng, g, r), spread,
+                 random_subtree(rng, g, r), random_subtree(rng, g, r), RootedTree(r)]
+        for t in (bfs, spread):
+            parent = t.parent_map
+            del parent[rng.choice(sorted(parent.keys() - parent.values()))]
+            trees.append(RootedTree(r, parent))
+        yield rng, g, r, trees
+
+
+def _outcome(check, g: Graph, t: RootedTree) -> NormalityReport | str:
+    try:
+        return check(g, t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_is_normal_matches_the_reference_at_scale():
+    seen = dict.fromkeys(("normal", "edge witness", "path witness", "error"), 0)
+    for rng, g, r, trees in _trees_at_scale():
+        # with them a tree on the same vertices, mostly of edges outside the graph
+        for t in trees + [bfs_tree(chorded_graph(rng, len(g), 0), r)]:
+            got = _outcome(is_normal, g, t)
+            assert got == _outcome(ref_is_normal, g, t)
+            seen["error" if isinstance(got, str) else "normal" if got
+                 else "edge witness" if len(got.witness[2]) == 2 else "path witness"] += 1
+    # every outcome is compared, not only the normal one
+    assert min(seen.values()) >= 10, seen
+
+
+def test_is_chain_matches_the_reference_on_600_vertex_trees():
+    seen = {True: 0, False: 0}
+    for rng, g, r, trees in _trees_at_scale():
+        if len(g) != 600:
+            continue
+        for t in trees:
+            vs = t.vertices
+            parent = t.parent_map
+            for _ in range(40):
+                path = [rng.choice(vs)]
+                while path[-1] != r:
+                    path.append(parent[path[-1]])
+                s = rng.sample(path, rng.randint(0, min(12, len(path))))
+                # a root path's subset is a chain; one more vertex often breaks it
+                for s in (s, s + [rng.choice(vs)], rng.sample(vs, min(8, len(vs)))):
+                    got = is_chain(t, s)
+                    assert got == ref_is_chain(t, s)
+                    seen[got] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_numbering_matches_the_reference_at_scale():
+    for rng, g, r, trees in _trees_at_scale():
+        # maps the constructor numbers, in key order and shuffled
+        for t in trees:
+            items = list(t.parent_map.items())
+            rng.shuffle(items)
+            for parent in (t.parent_map, dict(items)):
+                pre, end, _ = ref_numbering(r, parent)
+                got = RootedTree(r, parent)
+                assert (got._pre, got._end) == (pre, end)
+        # maps _from_preorder numbers: the depth-first map from r, and a
+        # down-closed part of it in the same key order
+        parent = _dfs(g, r)
+        assert list(parent.items()) == list(ref_dfs(g, r, g.vertex_set).items())
+        keep = {r}
+        for x in rng.sample(g.vertices, rng.randint(0, 3)):
+            while x not in keep:
+                keep.add(x)
+                x = parent[x]
+        for parent in (parent, {v: p for v, p in parent.items() if v in keep}):
+            pre, end, _ = ref_numbering(r, parent)
+            got = RootedTree._from_preorder(r, parent)
+            assert (got._pre, got._end) == (pre, end)
 
 
 @pytest.mark.parametrize(
