@@ -148,7 +148,9 @@ class FlowNetwork:
     A flow keeps these marks (hot) beside its links: a pair flow marks
     w's neighbors once, and a cut marks its sinks' neighbors, again
     before each search when a path uses up the sink it ends at
-    (_mark_hot).
+    (_mark_hot). A cut takes each vertex of both sides, a path of one
+    vertex, before its first search, so the search has one kind of
+    start.
 
     Blocked vertices are never entered, so one network answers for its
     induced subgraphs: the other vertices are found in the order of the
@@ -365,12 +367,14 @@ class FlowNetwork:
         the residual network of a maximum v-w pair flow: the value and
         links _pair_flow gave with no limit, whose blocked vertices the
         cut avoids too. That flow is the cut's flow plus the direct
-        edge, if any, so the cut takes no search of its own."""
+        edge, if any, so the cut takes no search of its own. The edge
+        is dropped from w's tuple alone: the backward walk of _sink_side
+        reads an edge into in(y) from y's tuple, and in(v) is never on
+        the sink side of a maximum flow, so v's tuple is never read."""
         kv, kw = self._rank[v], self._rank[w]
         nbrs = self._nbrs
         if kw in nbrs[kv]:
             nbrs = nbrs.copy()
-            nbrs[kv] = tuple(y for y in nbrs[kv] if y != kw)
             nbrs[kw] = tuple(y for y in nbrs[kw] if y != kv)
             total -= 1
         return self._sink_side(nbrs, pred, succ, [kv], [kw], total)
@@ -388,9 +392,12 @@ class FlowNetwork:
         that may not be cut must not be joined by an edge: every unit
         then passes a vertex outside them, so the flow is below n, and a
         flow stopped at n fails the maximality check instead of growing
-        without end. A cuttable sink is used up by the path that ends
-        at it, so its hot marks (_mark_hot) are made again before each
-        search; those of unbounded sinks, once.
+        without end. A vertex of both sides is a path of one vertex. The
+        first searches would take those, one each, least rank first,
+        before any other path, so they are taken before the first search
+        and the flow is the same. A cuttable sink is used up by the path
+        that ends at it, so its hot marks (_mark_hot) are made again
+        before each search; those of unbounded sinks, once.
         """
         rank = self._rank
         n = len(rank)
@@ -403,13 +410,19 @@ class FlowNetwork:
         for k in starts:
             fresh[k] = -2
         sinks = sorted(rank[x] for x in b)
+        # a vertex of both sides is a path of one vertex, which the first
+        # searches would take, one each, least rank first
+        total = 0
+        for k in sinks:
+            if fresh[k] == -2:
+                pred[k] = k
+                total += 1
         nbrs = self._nbrs
         hot = [-1] * n
         bound = min(len(a), len(b)) if sides_cuttable else n
-        total = 0
         while total < bound:
             if sides_cuttable or not total:
-                _mark_hot(nbrs, fresh, pred, sinks, hot)
+                _mark_hot(nbrs, pred, sinks, hot)
             if not _search(nbrs, fresh, pred, succ, starts, hot, sides_cuttable):
                 break
             total += 1
@@ -472,27 +485,22 @@ class FlowNetwork:
         return cut
 
 
-def _mark_hot(
-    nbrs: list[tuple[int, ...]], fresh: list[int], pred: list[int], sinks: list[int],
-    hot: list[int],
-) -> None:
+def _mark_hot(nbrs: list[tuple[int, ...]], pred: list[int], sinks: list[int], hot: list[int]) -> None:
     """Mark in hot, for _search, the out-nodes next to the sinks of a
     cut: hot[x] is the least sink whose in-node x's tuple holds and the
-    search may enter, one that is unused and neither a start nor
-    blocked, and -1 if there is none. A start that is a sink marks
-    itself while it has room, for its path of one vertex. Only the
-    marks of the sinks' neighbors (in ascending rank, sinks) change.
+    search may enter, one that is unused, and -1 if there is none. A
+    sink that is also a start is used before the first search (_cut),
+    and a cut blocks no vertex, so every unused sink may be entered.
+    Only the marks of the sinks' neighbors (in ascending rank, sinks)
+    change.
     """
     for y in sinks:
         for x in nbrs[y]:
             hot[x] = -1
     for y in reversed(sinks):  # the least sink in a tuple marks it last
-        if pred[y] == -1 and fresh[y] == -1:
+        if pred[y] == -1:
             for x in nbrs[y]:
                 hot[x] = y
-    for y in sinks:
-        if pred[y] == -1 and fresh[y] == -2:
-            hot[y] = y
 
 
 def _search(
@@ -517,14 +525,15 @@ def _search(
     The search ends when it queues a hot out-node x, one whose tuple
     holds the in-node of a sink it may enter: unused, and neither a
     start nor blocked. hot[x] is the least such sink, and -1 marks the
-    other out-nodes; a start that is a sink and has room is marked with
-    itself and ends the search at once, as a path of one vertex. The
-    search that scanned every out-node would end at the same place: the
-    queue is first in, first out, so the first hot out-node queued is
-    the first one scanned, the out-nodes queued before it are not hot,
-    and scanning it enters hot[x] first. The starts are checked once
-    all of them are queued, in queue order. The path back from x is
-    fixed when x is queued, so the augmenting path is the same.
+    other out-nodes. No search looks for a path of one vertex, a start
+    that is also a sink: _cut takes each of those before its first
+    search. The search that scanned every out-node would end at the same
+    place: the queue is first in, first out, so the first hot out-node
+    queued is the first one scanned, the out-nodes queued before it are
+    not hot, and scanning it enters hot[x] first. The starts are queued
+    first, in rank order, each checked as it is queued. The path back
+    from x is fixed when x is queued, so the augmenting path is the
+    same.
 
     No edge needs a test of its flow, and no out-node a mark of its
     own. A used in-node y leads back to out(p), p = pred[y]. When p is
@@ -544,14 +553,10 @@ def _search(
     queue = []
     for s in starts:
         if pred[s] == -1:
-            if hot[s] == s:
-                pred[s] = s  # a path of one vertex in a and b
+            if hot[s] >= 0:
+                _augment(seen, pred, succ, s, hot[s], cuttable)
                 return True
             queue.append(s)
-    for x in queue:
-        if hot[x] >= 0:
-            _augment(seen, pred, succ, x, hot[x], cuttable)
-            return True
     for x in queue:  # grows while it is read: a FIFO queue
         for y in nbrs[x]:
             if seen[y] == -1:
@@ -689,8 +694,8 @@ def min_separator(
     interiors outside a ∪ b. Raises InseparableError when an edge joins
     a directly to b, since then no separator avoiding both sides exists.
     """
-    a = frozenset(a)
-    b = frozenset(b)
+    a = frozenset(map(_check_vertex, a))
+    b = frozenset(map(_check_vertex, b))
     _check_sides(g, a, b)
     if a & b:
         raise ValueError(f"sides overlap on {sorted(a & b)}")
@@ -713,7 +718,7 @@ def min_blocking_set(
     blocking sets the right notion for separating a probe set from a
     structure it touches.
     """
-    a = frozenset(a)
-    b = frozenset(b)
+    a = frozenset(map(_check_vertex, a))
+    b = frozenset(map(_check_vertex, b))
     _check_sides(g, a, b)
     return Separator(_network(g)._cut(a, b, sides_cuttable=True), a, b)

@@ -18,8 +18,9 @@ replays exactly.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Sequence
 from collections.abc import Set as AbstractSet
+from itertools import chain, combinations
 
 from ._record import Record, _set
 from .connectivity import _network
@@ -213,7 +214,7 @@ def omega_nst(
     or after step_budget sweeps. kappa_small, when given, ignores
     pairs whose connectivity exceeds it.
     """
-    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=None)
+    return _run(g, r, step_budget, kappa_small, None)
 
 
 def local_normal_tree(
@@ -230,17 +231,10 @@ def local_normal_tree(
     uncovered u-vertex of its component. Ends target-covered once
     u is inside the tree (spanning when that coincides with all of g).
     """
-    u = frozenset(u)
+    u = frozenset(map(_check_vertex, u))
     if not u <= g.vertex_set:
         raise ValueError(f"target vertices not in graph: {sorted(u - g.vertex_set)}")
-    return _run(
-        g,
-        r,
-        step_budget,
-        kappa_small,
-        skip=lambda d: not (u & d),
-        extra_target=lambda d: min(u & d),
-    )
+    return _run(g, r, step_budget, kappa_small, (u,))
 
 
 def nst_from_dispersed_cover(
@@ -255,20 +249,15 @@ def nst_from_dispersed_cover(
     Each extension into a component D additionally targets the least
     vertex of D ∩ V_i for the first cover class V_i meeting D.
     """
+    for v in chain.from_iterable(cover.sets):
+        _check_vertex(v)
     stray = [sorted(s - g.vertex_set) for s in cover.sets if not s <= g.vertex_set]
     if stray:
         raise ValueError(f"cover contains vertices outside the graph: {stray[0]}")
-    union = frozenset().union(*cover.sets) if cover.sets else frozenset()
+    union = frozenset().union(*cover.sets)
     if union != g.vertex_set:
         raise ValueError(f"cover misses vertices: {sorted(g.vertex_set - union)}")
-
-    def first_class_target(d: frozenset[int]) -> int:
-        for s in cover.sets:
-            if s & d:
-                return min(s & d)
-        raise AssertionError("cover validated to span the graph")
-
-    return _run(g, r, step_budget, kappa_small, skip=None, extra_target=first_class_target)
+    return _run(g, r, step_budget, kappa_small, cover.sets)
 
 
 def levels_of(t: RootedTree) -> DispersedCover:
@@ -285,9 +274,18 @@ def _run(
     r: int,
     step_budget: int | None,
     kappa_small: int | None,
-    skip: Callable[[frozenset[int]], bool] | None,
-    extra_target: Callable[[frozenset[int]], int] | None,
+    classes: Sequence[frozenset[int]] | None,
 ) -> RunTrace:
+    """The sweep loop of the three entry points, grown inside the one
+    depth-first tree dfs_nst(g, r).
+
+    classes is None for omega_nst, (u,) for local_normal_tree and the
+    cover's sets for nst_from_dispersed_cover. With classes, an
+    extension into a component D also targets the least vertex of D in
+    the first class that meets D, and a D that no class meets is carried
+    over as it is. The run ends target-covered when no class meets any
+    component, before the budget is checked.
+    """
     # the one depth-first tree from r; every extension is a down-closed
     # part of it, so a tree vertex's parent is its t parent
     t = dfs_nst(g, r)
@@ -329,8 +327,8 @@ def _run(
             status = SPANNING
             break
         # the components partition the vertices outside the tree, so the
-        # targets lie in the tree once every component is skipped
-        if skip is not None and all(skip(d) for _, _, d in comps):
+        # classes lie in the tree once no class meets a component
+        if classes is not None and all(c.isdisjoint(d) for _, _, d in comps for c in classes):
             status = TARGET_COVERED
             break
         if step_budget is not None and sweep >= step_budget:
@@ -342,39 +340,41 @@ def _run(
         after: list[tuple[int, int, frozenset[int]]] = []
         for comp in comps:
             least, h, d = comp
-            if skip is not None and skip(d):
-                after.append(comp)
-                continue
-            near = {y for x in d for y in adj[x] if y in tree}
-            nbrs = sorted(near)
-            selections: list[tuple[tuple[int, int], int]] = []
             targets: set[int] = set()
-            for i, v in enumerate(nbrs):
-                for w in nbrs[i + 1 :]:
-                    fam = sweep_paths(v, w, limit)
-                    if fam is None:
-                        continue
-                    for k, seq in enumerate(fam, 1):
-                        if not d.isdisjoint(seq):
-                            selections.append(((v, w), k))
-                            targets |= d.intersection(seq)
-                            if debug:
-                                logger.debug(
-                                    "sweep %d: pair (%d,%d) path %d meets component %s",
-                                    sweep, v, w, k, sorted(d),
-                                )
-                            break
-            if extra_target is not None:
-                targets.add(extra_target(d))
+            if classes is not None:
+                for c in classes:
+                    if not c.isdisjoint(d):
+                        targets.add(min(c & d))
+                        break
+                else:  # no class meets d: it is carried over
+                    after.append(comp)
+                    continue
+            near = {y for x in d for y in adj[x] if y in tree}
+            selections: list[tuple[tuple[int, int], int]] = []
+            for v, w in combinations(sorted(near), 2):
+                fam = sweep_paths(v, w, limit)
+                if fam is None:
+                    continue
+                for k, seq in enumerate(fam, 1):
+                    if not d.isdisjoint(seq):
+                        selections.append(((v, w), k))
+                        targets |= d.intersection(seq)
+                        if debug:
+                            logger.debug(
+                                "sweep %d: pair (%d,%d) path %d meets component %s",
+                                sweep, v, w, k, sorted(d),
+                            )
+                        break
             fallback = None
             if not targets:
                 fallback = least
                 targets.add(fallback)
-            t_d, added, tops = _extend(t, tree, h, near, frozenset(targets))
+            chosen = frozenset(targets)
+            t_d, added, tops = _extend(t, tree, h, near, chosen)
             after += map(component, tops)
             steps.append(ExtensionStep(
                 step=sweep, component=d, attach_vertex=t_d, entry_vertex=h,
-                targets=frozenset(targets), selections=tuple(selections),
+                targets=chosen, selections=tuple(selections),
                 fallback_vertex=fallback, added=added,
             ))
             if info:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from itertools import combinations, repeat
-from operator import contains
+from itertools import combinations
 
 from ._record import Record, _set
 from .connectivity import FlowNetwork, _network, kappa
-from .graph import Graph, _check_int
+from .graph import Graph, _check_int, _check_vertex
 
 
 class FatTKCertificate:
@@ -209,10 +208,9 @@ def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
             t = seq[-1]
             if not (s == a and t == b or s == b and t == a):
                 return CertificateReport(False, f"path {seq} does not join {a} and {b}")
-            if not all(map(contains, map(adj.get, seq[:-1], repeat(())), seq[1:])):
-                for x, y in zip(seq, seq[1:]):
-                    if y not in adj.get(x, ()):
-                        return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
+            for x, y in zip(seq, seq[1:]):
+                if y not in adj.get(x, ()):
+                    return CertificateReport(False, f"claimed edge {x}-{y} is not in the graph")
             if k == 2:
                 bare += 1
                 continue
@@ -248,7 +246,7 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     an earlier pair may have consumed vertices a cleverer assignment
     would have spared.
     """
-    branch = tuple(sorted(set(u)))
+    branch = tuple(sorted(set(map(_check_vertex, u))))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
     if _check_int("multiplicity", m) < 1:
@@ -339,7 +337,7 @@ def is_dispersed(
     candidate routes or none passes the degree test. It does not say
     which of these happened.
     """
-    probe = frozenset(probe)
+    probe = frozenset(map(_check_vertex, probe))
     if not probe <= g.vertex_set:
         raise ValueError(f"probe vertices not in graph: {sorted(probe - g.vertex_set)}")
     for name, value in (("n", n), ("multiplicity", m), ("s", s), ("search budget", search_budget)):

@@ -15,11 +15,6 @@ from .graph import Graph
 from .tree import RootedTree
 
 
-def _is_int(x: Any) -> bool:
-    # JSON true/false parse as bool, which is an int subclass
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _json(text: str) -> Any:
     """The value JSON text holds; malformed text is an input error."""
     try:
@@ -50,13 +45,13 @@ def graph_from_obj(obj: Any) -> Graph:
         raise ValueError('graph JSON must be an object with "vertices" and "edges"')
     vertices = obj["vertices"]
     edges = obj["edges"]
-    if not isinstance(vertices, list) or not all(_is_int(v) for v in vertices):
+    if not isinstance(vertices, list) or not all(type(v) is int for v in vertices):
         raise ValueError("graph vertices must be a list of integers")
     if not isinstance(edges, list):
         raise ValueError("graph edges must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"bad edge entry {e!r}; expected [u, v]")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
@@ -125,7 +120,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
     if not isinstance(obj, dict) or "root" not in obj or "parent" not in obj:
         raise ValueError('tree JSON must be an object with "root" and "parent"')
     root = obj["root"]
-    if not _is_int(root):
+    if type(root) is not int:
         raise ValueError("tree root must be an integer")
     parent_obj = obj["parent"]
     if not isinstance(parent_obj, dict):
@@ -136,7 +131,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
             child = parse_id(k)
         except ValueError:
             raise ValueError(f"bad child id {k!r} in parent map") from None
-        if not _is_int(p):
+        if type(p) is not int:
             raise ValueError(f"bad parent {p!r} for child {k}")
         parent[child] = p
     return RootedTree(root, parent)
@@ -199,9 +194,9 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError('certificate JSON needs "branch", "m" and "paths"')
     branch = obj["branch"]
     m = obj["m"]
-    if not isinstance(branch, list) or not all(_is_int(v) for v in branch):
+    if not isinstance(branch, list) or not all(type(v) is int for v in branch):
         raise ValueError("certificate branch must be a list of integers")
-    if not _is_int(m):
+    if type(m) is not int:
         raise ValueError("certificate m must be an integer")
     paths: dict[tuple[int, int], list[list[int]]] = {}
     if not isinstance(obj["paths"], dict):
@@ -212,7 +207,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
         if not isinstance(plist, list) or not all(
-            isinstance(p, list) and all(_is_int(x) for x in p) for p in plist
+            isinstance(p, list) and all(type(x) is int for x in p) for p in plist
         ):
             raise ValueError(f"paths for {key} must be lists of integer lists")
         paths[(a, b)] = plist
@@ -249,7 +244,7 @@ def cover_from_obj(obj: Any) -> DispersedCover:
     if isinstance(obj, dict):
         obj = obj.get("cover", obj.get("levels"))
     if not isinstance(obj, list) or not all(
-        isinstance(s, list) and all(_is_int(v) for v in s) for s in obj
+        isinstance(s, list) and all(type(v) is int for v in s) for s in obj
     ):
         raise ValueError("cover must be a list of integer lists")
     return DispersedCover(tuple(frozenset(s) for s in obj))

@@ -6,7 +6,7 @@ from collections.abc import Iterable, Mapping
 from itertools import chain
 
 from ._record import Record, _set
-from .graph import Graph, components
+from .graph import Graph, _check_vertex, components
 
 
 class RootedTree:
@@ -178,9 +178,10 @@ class RootedTree:
         return f"RootedTree(root={self._root}, {len(self._index)} vertices)"
 
     def _num(self, v: int) -> int:
-        """The preorder number of v."""
+        """The preorder number of v. A value that equals an id but is not
+        an int, such as True or 1.0, raises the TypeError Graph raises."""
         try:
-            return self._index[v]
+            return self._index[_check_vertex(v)]
         except KeyError:
             raise ValueError(f"vertex {v} not in tree") from None
 
@@ -230,6 +231,9 @@ def is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     Empty and single-vertex sets are chains. A set is a chain exactly
     when every member is an ancestor of (or equal to) the member with
     the largest preorder number, which takes one interval test each.
+    Unlike the other tree queries, members are not checked to be ints:
+    the answer carries no vertex, and a test per member would tax the
+    calls on many small sets.
     """
     if iter(s) is s:  # an iterator is read once, and kept for the message
         s = tuple(s)

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from nstree import Graph, RootedTree, is_normal
+from helpers import bfs_tree, random_connected_graph, random_subtree
+from nstree import FatTKCertificate, Graph, RootedTree, find_fat_tk, is_dispersed, is_normal
 from nstree.cli import main
-from nstree.io import dumps, graph_to_obj, tree_to_obj
+from nstree.io import cert_to_obj, dumps, graph_to_obj, tree_to_obj
 
 DST_EDGES = "\n".join(
     f"{u} {v}"
@@ -337,8 +340,14 @@ def test_both_sources_rejected(capsys, k4_file):
     assert "not both" in capsys.readouterr().err
 
 
+# the checkout's package, which a CLI child imports whether or not the
+# test run itself found it through PYTHONPATH
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_proc(argv, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -373,9 +382,8 @@ def test_log_modes():
 def _imported(argv, env_extra=None):
     """Names of the modules a fresh interpreter imports to run argv, with
     NTK_LOG unset unless env_extra sets it (read from -X importtime)."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "NTK_LOG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True, env=env, check=True)
@@ -488,3 +496,136 @@ def test_a_known_command_builds_its_own_parser_alone(capsys, monkeypatch):
         main(["gen-lis"])
     assert built == list(cli._COMMANDS)
     capsys.readouterr()
+
+
+# ---- relabelling oracle through the CLI -------------------------------------
+#
+# Every tie is broken by vertex order alone, so relabelling the input files
+# by the increasing map f must relabel every output by f (tests/test_relabel.py
+# checks the library calls the same way). f(x) = 3x - 50 makes some ids
+# negative, which the CLI must read in its id lists and --pair.
+
+# output keys whose numbers count something rather than name a vertex
+_COUNTS = {"step", "index", "kappa", "size", "m", "routed", "bound"}
+
+
+def _relabel(x, fn):
+    """JSON data x with every vertex id mapped through fn: ints, and the
+    object keys that hold ids, a tree's "v" and a certificate's "a,b"."""
+    if isinstance(x, dict):
+        return {_relabel_key(k, fn): v if k in _COUNTS else _relabel(v, fn) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_relabel(v, fn) for v in x]
+    return fn(x) if type(x) is int else x  # a string, a bool or null
+
+
+def _relabel_key(k: str, fn) -> str:
+    if re.fullmatch(r"-?\d+(,-?\d+)?", k):
+        return ",".join(str(fn(int(p))) for p in k.split(","))
+    return k
+
+
+def _f(x: int) -> int:
+    return 3 * x - 50
+
+
+def _f_inverse(y: int) -> int:
+    x, rest = divmod(y + 50, 3)
+    assert rest == 0, f"{y} is not an image of f"
+    return x
+
+
+def _cli_runs(rng: random.Random, g: Graph) -> tuple[list[list], dict]:
+    """CLI commands on g and the JSON files they read, by name. An argv
+    item is text, a file name, an id or a list of ids; ids are relabelled
+    with the files."""
+    vs = g.vertices
+    r = rng.choice(vs)
+    v, w = rng.sample(vs, 2)
+    # sides joined by no edge, so that the separator exists
+    a = rng.choice(vs)
+    b = rng.choice([x for x in vs if x != a and not g.has_edge(a, x)])
+    shuffled = list(vs)
+    rng.shuffle(shuffled)
+    files = {
+        "graph": graph_to_obj(g),
+        "bfs": tree_to_obj(bfs_tree(g, r)),
+        "subtree": tree_to_obj(random_subtree(rng, g, r)),
+        "cover": {"cover": [sorted(shuffled[i::3]) for i in range(3)]},
+    }
+    runs: list[list] = [
+        ["omega", "--root", r],
+        ["omega", "--root", r, "--budget", "1", "--kappa-small", "2"],
+        ["local", "--root", r, "--targets", rng.sample(vs, 3)],
+        ["cover-nst", "--root", r, "--cover", "cover", "--kappa-small", "3"],
+        ["kappa", "--pair", v, w],
+        ["separator", "--a", [a], "--b", [b]],
+        ["fat-tk-find", "--branch", rng.sample(vs, 3), "--m", "2"],
+        ["check-normal", "--tree", "bfs"],
+        ["check-normal", "--tree", "subtree"],
+    ]
+    for _ in range(20):
+        found = find_fat_tk(g, rng.sample(vs, 3), 2)
+        if isinstance(found, FatTKCertificate):
+            files["cert"] = cert_to_obj(found)
+            runs.append(["fat-tk-verify", "--cert", "cert"])
+            break
+    # a probe inside the first certificate the search finds, and one that
+    # also holds a vertex outside it: the blocking-set cut's sides overlap
+    examined = is_dispersed(g, [r], 3, 2, 1, search_budget=5).examined
+    if examined:
+        inside = sorted(examined[0][0].vertices)
+        outside = [x for x in vs if x not in inside]
+        dispersed = ["dispersed", "--n", "3", "--m", "2", "--s", "1", "--search-budget", "5"]
+        runs.append(dispersed + ["--probe", rng.sample(inside, 2)])
+        if outside:
+            runs.append(dispersed + ["--probe", [rng.choice(inside), rng.choice(outside)]])
+    runs = [[argv[0], "--input", "graph", *argv[1:]] for argv in runs]
+    return runs + [["levels", "--tree", "bfs"]], files
+
+
+def _cli_output(capsys, tmp_path, argv, files, fn):
+    """Exit code and parsed stdout of the CLI run argv on files relabelled by fn."""
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(dumps(_relabel(obj, fn)))
+    args = []
+    for item in argv:
+        if isinstance(item, list):
+            # "--opt=ids" keeps a list that starts with a negative id from
+            # reading as an option
+            args[-1] += "=" + ",".join(str(fn(x)) for x in item)
+            continue
+        if isinstance(item, int):
+            item = str(fn(item))
+        elif item in files:
+            item = str(tmp_path / f"{item}.json")
+        args.append(item)
+    code = main(args)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_relabelling_the_cli_inputs_relabels_every_cli_output(capsys, tmp_path):
+    rng = random.Random(2520)
+    seen: dict[str, int] = {}
+    overlaps = 0
+    for _ in range(6):
+        g = random_connected_graph(rng, rng.randint(20, 60), rng.choice([0.1, 0.15, 0.2]))
+        runs, files = _cli_runs(rng, g)
+        for argv in runs:
+            code, out = _cli_output(capsys, tmp_path, argv, files, lambda x: x)
+            image_code, image_out = _cli_output(capsys, tmp_path, argv, files, _f)
+            assert (image_code, _relabel(image_out, _f_inverse)) == (code, out), argv
+            seen[argv[0]] = seen.get(argv[0], 0) + 1
+            if argv[0] == "dispersed":
+                first = out["examined"][0]
+                paths = first["certificate"]["paths"].values()
+                cert = {x for plist in paths for p in plist for x in p}
+                probe = set(argv[argv.index("--probe") + 1])
+                overlaps += bool(probe & cert)
+                if probe <= cert:  # every vertex of both sides is in the blocking set
+                    assert first["separator"] == sorted(probe)
+    assert seen.keys() == {
+        "omega", "local", "cover-nst", "kappa", "separator", "fat-tk-find",
+        "fat-tk-verify", "dispersed", "check-normal", "levels",
+    }, seen
+    assert overlaps >= 6, overlaps

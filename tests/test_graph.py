@@ -1,10 +1,29 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
 from helpers import connected_graphs_st
-from nstree import Graph, components, induced_subgraph, is_connected, neighborhood
+from nstree import (
+    DispersedCover,
+    Graph,
+    RootedTree,
+    components,
+    down_closure,
+    find_fat_tk,
+    induced_subgraph,
+    is_connected,
+    is_dispersed,
+    local_normal_tree,
+    min_blocking_set,
+    min_separator,
+    neighborhood,
+    nst_from_dispersed_cover,
+    separates_incomparable,
+    tree_leq,
+)
 
 
 def test_graph_basics():
@@ -34,6 +53,39 @@ def test_graph_rejects_bool_ids(v):
         Graph([v])
     with pytest.raises(TypeError):
         Graph(edges=[(v, 2)])
+
+
+# the 4-cycle 0-1-3-2 and a normal tree of it, in which 1 and 2 are
+# incomparable; each call passes x where the vertex 1 goes
+C4 = Graph(edges=[(0, 1), (1, 3), (2, 3), (0, 2)])
+C4_TREE = RootedTree(0, {1: 0, 2: 0, 3: 1})
+_VERTEX_ARGUMENTS = {
+    "parent": lambda x: C4_TREE.parent(x),
+    "children": lambda x: C4_TREE.children(x),
+    "depth": lambda x: C4_TREE.depth(x),
+    "tree_leq": lambda x: tree_leq(C4_TREE, 2, x),
+    "down_closure": lambda x: down_closure(C4_TREE, x),
+    "separates_incomparable": lambda x: separates_incomparable(C4, C4_TREE, x, 2),
+    "find_fat_tk": lambda x: find_fat_tk(C4, [x, 2, 3], 1),
+    "is_dispersed": lambda x: is_dispersed(C4, [x], 3, 1, 0),
+    "local_normal_tree": lambda x: local_normal_tree(C4, [x], 0),
+    "nst_from_dispersed_cover": lambda x: nst_from_dispersed_cover(
+        C4, DispersedCover((frozenset({0, 2, 3}), frozenset({x}))), 0
+    ),
+    "min_separator": lambda x: min_separator(C4, {x}, {2}),
+    "min_blocking_set": lambda x: min_blocking_set(C4, {x}, {2}),
+}
+
+
+@pytest.mark.parametrize("call", _VERTEX_ARGUMENTS.values(), ids=_VERTEX_ARGUMENTS.keys())
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["True", "1.0"])
+def test_vertex_arguments_equal_to_an_id_but_not_ints_are_refused(call, bad):
+    # True and 1.0 equal the vertex 1, and would otherwise be carried into
+    # the result; each entry point raises Graph's error before it answers
+    with pytest.raises(TypeError) as want:
+        Graph([bad])
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        call(bad)
 
 
 def test_parallel_edges_collapse():
