@@ -1,7 +1,9 @@
 """Reading and writing graphs, trees, traces, and certificates.
 
 All JSON emitted here is deterministic: containers are sorted and dumps
-use sorted keys, so identical inputs give byte-identical output.
+use sorted keys, so identical inputs give byte-identical output. Ids
+read from JSON must be exact ints (type(x) is int): true and false load
+as bool, an int subclass, and are refused.
 """
 
 from __future__ import annotations
