@@ -5,7 +5,9 @@ One subcommand per library operation. Graphs come from a file
 (--gen NAME --radius K). Results are printed as deterministic JSON, or
 DOT where --format dot makes sense. Exit status: 0 on success, 1 when
 a checked property fails to hold (non-normal tree, invalid or missing
-certificate, not dispersed, inseparable sides), 2 on input errors.
+certificate, not dispersed, inseparable sides), 2 on input errors,
+which print one `error:` line on stderr, cut to 300 characters after
+the prefix.
 
 The NTK_LOG environment variable controls construction logging:
 off (default), steps (one line per extension), full (per-pair
@@ -43,9 +45,14 @@ def main(argv: list[str] | None = None) -> int:
     handler = _COMMANDS[args.command][1]
     try:
         _parse_integers(args)
-        return handler(args)
+        # levels and gen-list declare no --input and take no graph
+        g = _load_graph(args) if hasattr(args, "input") else None
+        out, code = handler(args, g)
+        sys.stdout.write(out if isinstance(out, str) else io.dumps(out))
+        return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = str(exc)  # cut, since it may quote a whole input line
+        print(f"error: {msg if len(msg) <= 300 else msg[:297] + '...'}", file=sys.stderr)
         return 2
 
 
@@ -137,16 +144,17 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark is dropped, not sniffed as an edge list
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "input", None) and getattr(args, "gen", None):
+    if args.input and args.gen:
         raise ValueError("give either --input or --gen, not both")
-    if getattr(args, "input", None):
+    if args.input:
         return io.loads_graph(_read(args.input))
-    if getattr(args, "gen", None):
+    if args.gen:
         if args.radius is None:
             raise ValueError("--gen requires --radius")
         m = _GEN_WITH_ARGS.fullmatch(args.gen)
@@ -171,59 +179,49 @@ def _ids(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated decimal ids, got {text!r}") from None
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+# Each handler takes the parsed arguments and the graph and returns its
+# output, DOT text or a JSON object for io.dumps, with its exit code.
 
 
-def _cmd_nst(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_nst(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     t = dfs_nst(g, args.root)
     if args.format == "dot":
-        _emit(io.tree_to_dot(t, g))
-    else:
-        _emit(io.dumps(io.tree_to_obj(t)))
-    return 0
+        return io.tree_to_dot(t, g), 0
+    return io.tree_to_obj(t), 0
 
 
-def _cmd_omega(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_omega(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     trace = omega_nst(g, args.root, step_budget=args.budget, kappa_small=args.kappa_small)
-    return _emit_trace(trace, g, args.format)
+    return _trace_out(trace, g, args.format), 0
 
 
-def _cmd_local(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_local(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     trace = local_normal_tree(
         g, _ids(args.targets), args.root, step_budget=args.budget, kappa_small=args.kappa_small
     )
-    return _emit_trace(trace, g, args.format)
+    return _trace_out(trace, g, args.format), 0
 
 
-def _cmd_cover_nst(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_cover_nst(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     cover = io.loads_cover(_read(args.cover))
     trace = nst_from_dispersed_cover(
         g, cover, args.root, step_budget=args.budget, kappa_small=args.kappa_small
     )
-    return _emit_trace(trace, g, args.format)
+    return _trace_out(trace, g, args.format), 0
 
 
-def _emit_trace(trace, g: Graph, fmt: str) -> int:
+def _trace_out(trace, g: Graph, fmt: str) -> str | dict:
     if fmt == "dot":
-        _emit(io.tree_to_dot(trace.tree, g))
-    else:
-        _emit(io.dumps(io.trace_to_obj(trace)))
-    return 0
+        return io.tree_to_dot(trace.tree, g)
+    return io.trace_to_obj(trace)
 
 
-def _cmd_levels(args: argparse.Namespace) -> int:
+def _cmd_levels(args: argparse.Namespace, g: None) -> tuple[str | dict, int]:
     t = io.loads_tree(_read(args.tree))
-    _emit(io.dumps(io.cover_to_obj(levels_of(t))))
-    return 0
+    return io.cover_to_obj(levels_of(t)), 0
 
 
-def _cmd_check_normal(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_check_normal(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     t = io.loads_tree(_read(args.tree))
     report = is_normal(g, t)
     obj = {"normal": report.normal}
@@ -232,61 +230,47 @@ def _cmd_check_normal(args: argparse.Namespace) -> int:
         obj["witness"] = {"ends": [u, v], "path": list(path)}
     else:
         obj["witness"] = None
-    _emit(io.dumps(obj))
-    return 0 if report.normal else 1
+    return obj, 0 if report.normal else 1
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_kappa(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     v, w = args.pair
     fam = max_independent_paths(g, v, w)
-    _emit(io.dumps({"kappa": len(fam), "paths": [list(p.vertices) for p in fam]}))
-    return 0
+    return {"kappa": len(fam), "paths": [list(p.vertices) for p in fam]}, 0
 
 
-def _cmd_separator(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_separator(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     try:
         sep = min_separator(g, frozenset(_ids(args.a)), frozenset(_ids(args.b)))
     except InseparableError as exc:
-        _emit(io.dumps({"inseparable": True, "reason": str(exc), "separator": None}))
-        return 1
-    _emit(io.dumps({"separator": sorted(sep.s), "size": len(sep.s)}))
-    return 0
+        return {"inseparable": True, "reason": str(exc), "separator": None}, 1
+    return {"separator": sorted(sep.s), "size": len(sep.s)}, 0
 
 
-def _cmd_fat_tk_find(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_fat_tk_find(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     found = find_fat_tk(g, _ids(args.branch), args.m)
     if isinstance(found, FatTKFailure):
-        _emit(io.dumps(io.failure_to_obj(found)))
-        return 1
-    _emit(io.dumps(io.cert_to_obj(found)))
-    return 0
+        return io.failure_to_obj(found), 1
+    return io.cert_to_obj(found), 0
 
 
-def _cmd_fat_tk_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_fat_tk_verify(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     cert = io.loads_cert(_read(args.cert))
     report = verify_fat_tk(g, cert)
-    _emit(io.dumps({"ok": report.ok, "reason": report.reason}))
-    return 0 if report.ok else 1
+    return {"ok": report.ok, "reason": report.reason}, 0 if report.ok else 1
 
 
-def _cmd_dispersed(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _cmd_dispersed(args: argparse.Namespace, g: Graph) -> tuple[str | dict, int]:
     verdict = is_dispersed(
         g, _ids(args.probe), args.n, args.m, args.s, search_budget=args.search_budget
     )
-    _emit(io.dumps(io.verdict_to_obj(verdict)))
-    return 0 if verdict.dispersed else 1
+    return io.verdict_to_obj(verdict), 0 if verdict.dispersed else 1
 
 
-def _cmd_gen_list(args: argparse.Namespace) -> int:
+def _cmd_gen_list(args: argparse.Namespace, g: None) -> tuple[str | dict, int]:
     names = sorted(BUILTIN_GENERATORS)
     names[names.index("fat-tk-gen")] = "fat-tk-gen(n,m)"
-    _emit(io.dumps({"generators": names}))
-    return 0
+    return {"generators": names}, 0
 
 
 # each command's help line and handler, in the order help lists them

@@ -15,7 +15,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
 from ._record import Record, _set
-from .connectivity import FlowNetwork, _network, kappa
+from .connectivity import FlowNetwork, _network
 from .graph import Graph, _check_int, _check_vertex
 
 
@@ -290,12 +290,16 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     False proves no such certificate exists; true proves nothing beyond
     the pairwise bound (necessary, not sufficient).
     """
-    branch = tuple(sorted(set(u)))
+    branch = tuple(sorted(set(map(_check_vertex, u))))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
     if _check_int("multiplicity", m) < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
-    return all(kappa(g, a, b) >= m for a, b in combinations(branch, 2))
+    for v in branch:
+        if v not in g:
+            raise ValueError(f"vertex {v} not in graph")
+    net = _network(g)
+    return all(net._pair_flow(a, b, None)[0] >= m for a, b in combinations(branch, 2))
 
 
 def is_dispersed(

@@ -18,11 +18,24 @@ from .tree import RootedTree
 
 
 def _json(text: str) -> Any:
-    """The value JSON text holds; malformed text is an input error."""
+    """The value JSON text holds; malformed text is an input error, and so
+    are a key repeated in one object (json.loads would keep its last
+    value) and nesting too deep for the decoder."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_object)
+    except ValueError as exc:  # malformed, a repeated key, an int of too many digits
         raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def parse_id(text: str) -> int:
@@ -212,6 +225,9 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
             isinstance(p, list) and all(type(x) is int for x in p) for p in plist
         ):
             raise ValueError(f"paths for {key} must be lists of integer lists")
+        # "1,2" and "2,1" name one pair; the certificate would keep the last
+        if (a, b) in paths or (b, a) in paths:
+            raise ValueError(f"pair key {key!r} names a pair already listed")
         paths[(a, b)] = plist
     return FatTKCertificate(branch, m, paths)
 

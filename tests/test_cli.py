@@ -263,6 +263,67 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+_K3 = '{"vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]]}'
+_DEEP = "[" * 100_000 + "]" * 100_000
+# "0,1" and "1,0" name one pair, once read as whichever came last:
+# fat-tk-verify exited 0 or 1 on the same two path lists
+_PAIR_TWICE = '{{"branch": [0, 1], "m": 1, "paths": {{"{}": [[0, 1]], "{}": [[0, 7, 1]]}}}}'
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["kappa", "--pair", "0", "1"],
+         {"--input": '{"vertices":[0,1,2],"edges":[[0,1],[1,2]],"edges":[[0,2]]}'}),
+        (["check-normal"],
+         {"--input": _K3, "--tree": '{"root":0,"parent":{"1":0},"parent":{"2":0}}'}),
+        (["kappa", "--pair", "0", "1"], {"--input": '{"vertices": ' + _DEEP + "}"}),
+        (["check-normal"], {"--input": _K3, "--tree": '{"root": 0, "parent": ' + _DEEP + "}"}),
+        (["kappa", "--pair", "0", "1"], {"--input": "0 1\n" + "1 " * 100_000 + "\n"}),
+        (["levels"], {"--tree": '{"root": 0, "parent": {"1' + "[" * 3000 + '": 0}}'}),
+        (["fat-tk-verify"], {"--input": _K3, "--cert": _PAIR_TWICE.format("0,1", "1,0")}),
+        (["fat-tk-verify"], {"--input": _K3, "--cert": _PAIR_TWICE.format("1,0", "0,1")}),
+    ],
+    ids=["repeated graph key", "repeated tree key", "deep graph", "deep tree",
+         "long edge-list line", "long tree key", "pair twice", "pair twice reversed"],
+)
+def test_malformed_files_exit_2_with_one_bounded_error_line(capsys, tmp_path, argv, files):
+    for i, (option, text) in enumerate(files.items()):
+        path = tmp_path / f"f{i}"
+        path.write_text(text)
+        argv = [*argv, option, str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 310
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["kappa", "--pair", "1", "2"], "--input", _K3.replace("[0, 1, 2]", "[0, 1, 2, 3]")),
+        (["nst", "--root", "1"], "--input", DST_EDGES),
+        (["levels"], "--tree", '{"root": 0, "parent": {"1": 0, "2": 1}}'),
+        (["cover-nst", "--input", "K3", "--root", "0"], "--cover", "[[0], [1, 2]]"),
+        (["fat-tk-verify", "--input", "K3"], "--cert",
+         '{"branch": [0, 1], "m": 2, "paths": {"0,1": [[0, 1], [0, 2, 1]]}}'),
+    ],
+    ids=["graph JSON", "edge list", "tree", "cover", "certificate"],
+)
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path, argv, option, text):
+    # a JSON file saved with a BOM was once sniffed as an edge list
+    k3 = tmp_path / "k3.json"
+    k3.write_text(_K3)
+    argv = [str(k3) if a == "K3" else a for a in argv]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "f"
+        path.write_bytes(bom + text.encode())
+        outputs.append((main([*argv, option, str(path)]), *capsys.readouterr()))
+    assert outputs[0][1] != ""
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize(
     "text",
     [

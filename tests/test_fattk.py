@@ -374,6 +374,27 @@ def test_kappa_necessary_check_argument_errors(u, m, message, monkeypatch):
         kappa_necessary_check(k4, u, m)
 
 
+@pytest.mark.parametrize(
+    "g, u, error, message",
+    [
+        # 1.0 and True equal 1, and were once merged into it: the check said True
+        (K4, [1, 1.0, 2], TypeError, "vertex ids must be integers, got float"),
+        (K4, [1, True, 2], TypeError, "vertex ids must be integers, got bool"),
+        # κ(1, 2) = 1 < m once answered False before 9 was looked at
+        (Graph(edges=[(1, 2), (2, 3)]), {1, 2, 9}, ValueError, "vertex 9 not in graph"),
+    ],
+    ids=["1.0", "True", "missing vertex"],
+)
+def test_kappa_necessary_check_reads_its_branch_as_find_fat_tk_does(g, u, error, message,
+                                                                    monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", no_flow)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        kappa_necessary_check(g, u, 2)
+
+
 def test_brute_confirms_dst_multiplicities():
     assert brute_fat_tk_exists(DST, (1, 2, 3), 2)
     assert not brute_fat_tk_exists(DST, (1, 2, 3), 3)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,33 @@ def test_loads_graph_sniffs_format():
     assert loads_graph("1 2\n") == Graph(edges=[(1, 2)])
     with pytest.raises(ValueError, match="invalid JSON"):
         loads_graph("{broken")
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (loads_graph, '{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "edges": [[0, 2]]}',
+         "duplicate key 'edges'"),
+        (loads_tree, '{"root": 0, "parent": {"1": 0}, "parent": {"2": 0}}',
+         "duplicate key 'parent'"),
+        (loads_tree, '{"root": 0, "parent": {"1": 0, "1": 2}}', "duplicate key '1'"),
+        (loads_cert, '{"branch": [1, 2], "m": 1, "paths": {"1,2": [[1, 2]], "1,2": []}}',
+         "duplicate key '1,2'"),
+        (loads_cover, '{"cover": [[0]], "cover": [[1]]}', "duplicate key 'cover'"),
+        (loads_graph, '{"vertices": ' + _DEEP + ', "edges": []}', "nested too deeply"),
+        (loads_tree, '{"root": 0, "parent": ' + _DEEP + "}", "nested too deeply"),
+    ],
+    ids=["graph-key", "tree-key", "child-key", "cert-key", "cover-key", "graph-deep",
+         "tree-deep"],
+)
+def test_repeated_keys_and_deep_nesting_are_invalid_json(read, text, message):
+    # json.loads keeps a repeated key's last value, and raises RecursionError
+    # on deep nesting; each reader refuses both as malformed input
+    with pytest.raises(ValueError, match=f"^invalid JSON: {re.escape(message)}$"):
+        read(text)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +234,8 @@ def test_cert_with_keys_that_do_not_compare_round_trips_to_a_rejection():
         {"branch": [1, 2], "m": 1, "paths": {"01,2": [[1, 2]]}},
         {"branch": [1, 2], "m": 1, "paths": {"1, 2": [[1, 2]]}},
         {"branch": [1, 10], "m": 1, "paths": {"1,1_0": [[1, 10]]}},
+        # one pair under two keys: the certificate would keep the last
+        {"branch": [1, 2], "m": 1, "paths": {"1,2": [[1, 2]], "2,1": [[2, 3, 1]]}},
     ],
 )
 def test_cert_from_obj_rejects_malformed(obj):
