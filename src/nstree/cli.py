@@ -144,8 +144,8 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
 
 
 def _read(path: str) -> str:
-    # utf-8-sig: a leading byte-order mark is dropped, not sniffed as an edge list
-    with open(path, encoding="utf-8-sig") as fh:
+    # a leading byte-order mark is dropped by the io readers
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

@@ -46,11 +46,13 @@ def truncate(gen: GraphGenerator, k: int) -> Graph:
     if _check_int("radius", k) < 0:
         raise ValueError(f"radius must be non-negative, got {k}")
     dist = {gen.root: 0}
+    rows: dict[int, tuple[int, ...]] = {}  # the neighbours of each expanded vertex
     frontier = [gen.root]
     for d in range(1, k + 1):
         nxt = []
         for v in frontier:
-            for w in gen.neighbors(v):
+            rows[v] = row = gen.neighbors(v)
+            for w in row:
                 if w not in dist:
                     dist[w] = d
                     nxt.append(w)
@@ -58,7 +60,8 @@ def truncate(gen: GraphGenerator, k: int) -> Graph:
     ball = frozenset(dist)
     edges = []
     for v in ball:
-        for w in gen.neighbors(v):
+        # only the outer layer, never expanded, asks its rule here
+        for w in rows[v] if v in rows else gen.neighbors(v):
             if w in ball and v < w:
                 edges.append((v, w))
     return Graph(ball, edges)

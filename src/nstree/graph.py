@@ -10,7 +10,8 @@ class Graph:
 
     Vertex ids are integers; their total order drives every deterministic
     tie-break in this package (component ordering, DFS child order, flow
-    augmentation order). Self-loops and parallel edges are rejected.
+    augmentation order). A self-loop raises ValueError; an edge given
+    more than once, in either orientation, is kept once.
     Instances never mutate after construction and are safe to share
     between concurrent tasks.
     """
@@ -22,28 +23,37 @@ class Graph:
         vertices: Iterable[int] = (),
         edges: Iterable[tuple[int, int]] = (),
     ) -> None:
+        # exact ints pass on their type alone; anything else is checked
         vs: set[int] = set()
+        add = vs.add
         for v in vertices:
-            vs.add(_check_vertex(v))
-        pairs: set[tuple[int, int]] = set()
+            if type(v) is not int:
+                _check_vertex(v)
+            add(v)
+        # a dict, not a set: edges given in order stay in order, and the
+        # sort below then makes one pass over them
+        pairs: dict[tuple[int, int], None] = {}
         for u, v in edges:
-            u = _check_vertex(u)
-            v = _check_vertex(v)
+            if type(u) is not int:
+                _check_vertex(u)
+            if type(v) is not int:
+                _check_vertex(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            vs.add(u)
-            vs.add(v)
-            pairs.add((u, v) if u < v else (v, u))
-        nbrs: dict[int, set[int]] = {v: set() for v in vs}
-        for u, v in pairs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self._vertices: tuple[int, ...] = tuple(sorted(vs))
+            pairs[(u, v) if u < v else (v, u)] = None
+        es = sorted(pairs)
+        vs.update(*zip(*es))
+        order = sorted(vs)
+        # the sorted edges give each vertex its smaller neighbours, then
+        # its larger ones, both ascending: every row comes out sorted
+        nbrs: dict[int, list[int]] = {v: [] for v in order}
+        for u, v in es:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._vertices: tuple[int, ...] = tuple(order)
         self._vset: frozenset[int] = frozenset(vs)
-        self._adj: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(nbrs[v])) for v in self._vertices
-        }
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(row) for v, row in nbrs.items()}
+        self._edges: tuple[tuple[int, int], ...] = tuple(es)
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ as bool, an int subclass, and are refused.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .construct import DispersedCover, RunTrace
@@ -24,9 +25,20 @@ def _json(text: str) -> Any:
     try:
         return json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # malformed, a repeated key, an int of too many digits
+        if str(exc).startswith("Exceeds the limit"):
+            # Python's own message advises sys.set_int_max_str_digits(),
+            # a call no CLI user can make
+            exc = f"an integer has more than {sys.get_int_max_str_digits()} digits"
         raise ValueError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def _unmarked(text: str) -> str:
+    """text without one leading byte-order mark (U+FEFF), which a file
+    decoded as plain UTF-8 keeps; JSON text would not parse with it, and
+    the format sniffing would take the file for an edge list."""
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -103,6 +115,7 @@ def graph_to_edge_list(g: Graph) -> str:
 
 def loads_graph(text: str) -> Graph:
     """Parse a graph from JSON or from the edge-list format, sniffing."""
+    text = _unmarked(text)
     if text.lstrip().startswith("{"):
         return graph_from_obj(_json(text))
     return graph_from_edge_list(text)
@@ -153,7 +166,7 @@ def tree_from_obj(obj: Any) -> RootedTree:
 
 
 def loads_tree(text: str) -> RootedTree:
-    return tree_from_obj(_json(text))
+    return tree_from_obj(_json(_unmarked(text)))
 
 
 def tree_to_dot(t: RootedTree, g: Graph | None = None) -> str:
@@ -233,7 +246,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
 
 
 def loads_cert(text: str) -> FatTKCertificate:
-    return cert_from_obj(_json(text))
+    return cert_from_obj(_json(_unmarked(text)))
 
 
 def failure_to_obj(failure: FatTKFailure) -> dict[str, Any]:
@@ -269,7 +282,7 @@ def cover_from_obj(obj: Any) -> DispersedCover:
 
 
 def loads_cover(text: str) -> DispersedCover:
-    return cover_from_obj(_json(text))
+    return cover_from_obj(_json(_unmarked(text)))
 
 
 def cover_to_obj(cover: DispersedCover) -> dict[str, Any]:

@@ -20,6 +20,7 @@ from nstree import (
     ExtensionStep,
     FatTKCertificate,
     Graph,
+    GraphGenerator,
     NormalityReport,
     RootedTree,
     RunTrace,
@@ -1049,3 +1050,62 @@ def ref_run(
             ))
         comps = sorted(after, key=min)
         sweep += 1
+
+
+# Graph's constructor as it was before it checked exact ints inline,
+# sorted the edges once and filled the rows in order, kept verbatim as
+# the reference: one check call per vertex and per edge end, a set per
+# vertex, and a sort per row. It returns the four fields in slot order.
+
+
+def _ref_check_vertex(v: int) -> int:
+    if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+        raise TypeError(f"vertex ids must be integers, got {type(v).__name__}")
+    return v
+
+
+def ref_graph_fields(vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()) -> tuple:
+    vs: set[int] = set()
+    for v in vertices:
+        vs.add(_ref_check_vertex(v))
+    pairs: set[tuple[int, int]] = set()
+    for u, v in edges:
+        u = _ref_check_vertex(u)
+        v = _ref_check_vertex(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        vs.add(u)
+        vs.add(v)
+        pairs.add((u, v) if u < v else (v, u))
+    nbrs: dict[int, set[int]] = {v: set() for v in vs}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    ordered = tuple(sorted(vs))
+    adj = {v: tuple(sorted(nbrs[v])) for v in ordered}
+    return ordered, frozenset(vs), adj, tuple(sorted(pairs))
+
+
+# truncate as it was before the BFS kept the rows it asked for, kept
+# verbatim as the reference: every ball vertex's rule is asked again in
+# the edge pass.
+
+
+def ref_truncate(gen: GraphGenerator, k: int) -> Graph:
+    dist = {gen.root: 0}
+    frontier = [gen.root]
+    for d in range(1, k + 1):
+        nxt = []
+        for v in frontier:
+            for w in gen.neighbors(v):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    ball = frozenset(dist)
+    edges = []
+    for v in ball:
+        for w in gen.neighbors(v):
+            if w in ball and v < w:
+                edges.append((v, w))
+    return Graph(ball, edges)

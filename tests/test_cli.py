@@ -690,3 +690,15 @@ def test_relabelling_the_cli_inputs_relabels_every_cli_output(capsys, tmp_path):
         "fat-tk-verify", "dispersed", "check-normal", "levels",
     }, seen
     assert overlaps >= 6, overlaps
+
+
+def test_an_integer_past_the_digit_limit_exits_2_without_python_advice(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"vertices": [{"9" * 5000}], "edges": []}}')
+    assert main(["nst", "--input", str(path), "--root", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid JSON: an integer has more than {limit} digits\n"

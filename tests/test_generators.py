@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
-from nstree import Graph, is_connected, make_generator, truncate
+from nstree import Graph, GraphGenerator, is_connected, make_generator, truncate
 from nstree.generators import _pair_id, _unpair, binary_tree, double_ray, fat_tk, grid, ray
-from oracles import ref_unpair
+from oracles import ref_truncate, ref_unpair
 
 
 def test_ray_truncation():
@@ -123,3 +124,28 @@ def test_unpair_closed_form_matches_the_diagonal_walk():
     for x in range(300):
         for y in range(300):
             assert _unpair(_pair_id(x, y)) == (x, y)
+
+
+@pytest.mark.parametrize(
+    ("gen", "k"), [(grid(), 30), (ray(), 3000), (fat_tk(3, 2), 8), (grid(), 0), (binary_tree(), 5)],
+    ids=lambda x: x.name if isinstance(x, GraphGenerator) else str(x),
+)
+def test_truncate_asks_each_ball_vertex_rule_once(gen, k):
+    calls = Counter()
+
+    def rule(v):
+        calls[v] += 1
+        return gen.rule(v)
+
+    g = truncate(GraphGenerator(gen.name, gen.root, rule), k)
+    assert sorted(calls) == list(g.vertices)
+    assert set(calls.values()) == {1}
+    assert g == ref_truncate(gen, k)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_truncate_checks_every_ball_vertex_for_a_self_loop(where):
+    # the ray with a loop at vertex `where`; radius 2 makes 2 the outer layer
+    gen = GraphGenerator("looped-ray", 0, lambda v: ray().rule(v) + ((v,) if v == where else ()))
+    with pytest.raises(ValueError, match=f"^generator 'looped-ray' produced a self-loop at {where}$"):
+        truncate(gen, 2)
