@@ -112,9 +112,6 @@ class InseparableError(ValueError):
     """No separator disjoint from both sides exists (an edge joins them directly)."""
 
 
-_MISSING = object()  # a memo key not held
-
-
 class FlowNetwork:
     """Unit-vertex-capacity flow network of a graph, built once and
     queried many times.
@@ -233,24 +230,15 @@ class FlowNetwork:
     def _sweep_paths(self, v: int, w: int, limit: int | None) -> tuple[tuple[int, ...], ...] | None:
         """Vertex sequences of the canonical v-w family, sorted, through
         the sweeps' memo, _families; None once `limit` paths are found,
-        skipping the decomposition. Arguments are taken as valid. A
-        limited answer follows from a held full family: None when that
-        has at least `limit` paths, else the family itself; and a limited
-        flow that stops short of its limit is kept as the full family."""
-        families = self._families
+        skipping the decomposition. Arguments are taken as valid."""
         key = (v, w, limit)
-        fam = families.get(key, _MISSING)
-        if fam is _MISSING:
-            full = None if limit is None else families.get((v, w, None))
-            if full is None:
-                total, pred, succ = self._pair_flow(v, w, limit)
-                if limit is not None and total >= limit:
-                    fam = None
-                else:
-                    fam = families[v, w, None] = self._decompose(v, w, total, pred, succ)
-            else:
-                fam = None if len(full) >= limit else full
-            families[key] = fam
+        try:
+            return self._families[key]
+        except KeyError:
+            pass
+        total, pred, succ = self._pair_flow(v, w, limit)
+        fam = None if limit is not None and total >= limit else self._decompose(v, w, total, pred, succ)
+        self._families[key] = fam
         return fam
 
     def _decompose(

@@ -72,7 +72,7 @@ class RunTrace(Record):
 
     def prefix_tree(self, count: int) -> RootedTree:
         """Tree after the first `count` extensions, 0 <= count <= len(steps)."""
-        if not 0 <= count <= len(self.steps):
+        if not 0 <= _check_int("prefix count", count) <= len(self.steps):
             raise ValueError(f"prefix count must be in 0..{len(self.steps)}, got {count}")
         parent: dict[int, int] = {}
         for s in self.steps[:count]:

@@ -140,7 +140,7 @@ def fat_tk(n: int, m: int) -> GraphGenerator:
     core = n + m*n*(n-1)/2; the depth-d ray vertex above branch i is
     core + (d-1)*n + i.
     """
-    if n < 2 or m < 1:
+    if _check_int("n", n) < 2 or _check_int("m", m) < 1:
         raise ValueError(f"need n >= 2 branch vertices and m >= 1 paths, got n={n}, m={m}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     core = n + len(pairs) * m

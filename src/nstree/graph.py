@@ -124,7 +124,7 @@ def components(g: Graph, removed: frozenset[int] | set[int] = frozenset()) -> li
     Returns the component vertex sets sorted by their smallest member.
     The removed set must be a subset of the graph's vertices.
     """
-    removed = frozenset(removed)
+    removed = frozenset(map(_check_vertex, removed))
     if not removed <= g.vertex_set:
         extra = sorted(removed - g.vertex_set)
         raise ValueError(f"removed vertices not in graph: {extra}")
@@ -154,8 +154,8 @@ def neighborhood(
 
     The two sets must be disjoint subsets of the graph's vertices.
     """
-    d = frozenset(d)
-    inside = frozenset(inside)
+    d = frozenset(map(_check_vertex, d))
+    inside = frozenset(map(_check_vertex, inside))
     if not d <= g.vertex_set or not inside <= g.vertex_set:
         raise ValueError("neighborhood arguments must be subsets of the graph")
     if d & inside:

@@ -29,6 +29,10 @@ class RootedTree:
 
     def __init__(self, root: int, parent: Mapping[int, int] = ()) -> None:
         parent = dict(parent)
+        # ids before the map's shape, so a bad id is Graph's TypeError
+        for x in chain((root,), parent, parent.values()):
+            if type(x) is not int:
+                _check_vertex(x)
         if root in parent:
             raise ValueError(f"root {root} must not have a parent")
         children: dict[int, list[int]] = {v: [] for v in parent}

@@ -307,6 +307,9 @@ def test_prefix_tree_rejects_a_count_out_of_range():
     for count in (-1, 4):
         with pytest.raises(ValueError, match=f"^prefix count must be in 0..3, got {count}$"):
             trace.prefix_tree(count)
+    for count in (True, 1.0, "2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'prefix count must be an integer, got {count!r}')}$"):
+            trace.prefix_tree(count)
 
 
 def test_omega_selection_indices_are_valid():
@@ -658,14 +661,31 @@ def test_sweeps_with_and_without_kappa_small_match_fresh_networks():
     assert net.graph is a and {limit for _v, _w, limit in net._families} == {None, 3}
 
 
-def test_a_kappa_small_sweep_reads_the_held_full_families(monkeypatch):
-    """A limited family follows from the full one held for its pair:
-    None when that has at least `limit` paths, else the full family."""
+def test_each_family_memo_key_holds_the_answer_of_its_own_flow(monkeypatch):
+    """A (v, w, limit) key is filled by its own flow alone: a limited
+    run neither reads the full family held for its pair nor stores one."""
     g = truncate(grid(), 6)
+    expected = [omega_nst(_copy(g), r, kappa_small=2) for r in g.vertices]
     for r in g.vertices:
         omega_nst(g, r)
+    assert [omega_nst(g, r, kappa_small=2) for r in g.vertices] == expected
+    net = _network(g)
+    memo = net._families
+    assert {limit for _v, _w, limit in memo} == {None, 3}
+    fresh = FlowNetwork(g)
+    assert all(fresh._sweep_paths(*key) == fam for key, fam in memo.items())
+    # one limited miss runs one flow and stores its own key alone, both
+    # for a pair whose full family is held and for a pair with nothing
+    # held whose flow stops short of the limit
+    held = next((v, w) for v, w, limit in memo if limit is None)
+    unheld = next(
+        (v, w) for v, w in combinations(g.vertices, 2)
+        if min(g.degree(v), g.degree(w)) < 2 and not {(v, w, None), (v, w, 3)} & memo.keys()
+    )
+    want = [fresh._sweep_paths(v, w, 2) for v, w in (held, unheld)]
     flows = _counted_pair_flows(monkeypatch)
-    got = [omega_nst(g, r, kappa_small=2) for r in g.vertices]
-    # 181 when every (v, w, 3) family is computed anew
-    assert len(flows) == 59
-    assert got == [omega_nst(_copy(g), r, kappa_small=2) for r in g.vertices]
+    for (v, w), fam in zip((held, unheld), want):
+        before = set(memo)
+        assert net._sweep_paths(v, w, 2) == fam
+        assert set(memo) == before | {(v, w, 2)}
+    assert flows == [held, unheld]

@@ -103,6 +103,22 @@ def test_fat_tk_parameter_validation():
         fat_tk(3, 0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "2"], ids=["True", "1.0", "'2'"])
+@pytest.mark.parametrize(
+    ("name", "build"),
+    [
+        ("n", lambda x: fat_tk(x, 2)),
+        ("m", lambda x: fat_tk(3, x)),
+        ("n", lambda x: make_generator("fat-tk-gen", x, 2)),
+        ("m", lambda x: make_generator("fat-tk-gen", 3, x)),
+    ],
+    ids=["fat_tk n", "fat_tk m", "make_generator n", "make_generator m"],
+)
+def test_fat_tk_parameters_that_are_not_ints_rejected(name, build, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {bad!r}')}$"):
+        build(bad)
+
+
 def test_make_generator():
     assert make_generator("ray").name == "ray"
     assert make_generator("fat-tk-gen", 3, 2).name == "fat-tk-gen(3,2)"

@@ -74,6 +74,12 @@ _VERTEX_ARGUMENTS = {
     ),
     "min_separator": lambda x: min_separator(C4, {x}, {2}),
     "min_blocking_set": lambda x: min_blocking_set(C4, {x}, {2}),
+    "RootedTree root": lambda x: RootedTree(x),
+    "RootedTree child": lambda x: RootedTree(0, {x: 0}),
+    "RootedTree parent": lambda x: RootedTree(0, {1: 0, 2: x}),
+    "components": lambda x: components(C4, {x}),
+    "neighborhood d": lambda x: neighborhood(C4, {x}, {0, 2}),
+    "neighborhood inside": lambda x: neighborhood(C4, {0}, {x, 2}),
 }
 
 

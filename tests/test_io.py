@@ -304,3 +304,20 @@ def test_graph_round_trips_any(g):
 def test_tree_round_trips_any(g, rng):
     t = dfs_nst(g, rng.choice(g.vertices))
     assert tree_from_obj(tree_to_obj(t)) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50) | st.booleans(), min_size=1, max_size=12, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_every_tree_that_builds_reads_back_from_its_json(ids, rng):
+    # each vertex hangs below one listed before it; a bool id equals 0
+    # or 1 but JSON writes it as true or false, so the tree refuses it
+    parent = {v: rng.choice(ids[:i]) for i, v in enumerate(ids) if i}
+    try:
+        t = RootedTree(ids[0], parent)
+    except TypeError:
+        assert any(type(x) is bool for x in ids)
+        return
+    assert loads_tree(dumps(tree_to_obj(t))) == t
