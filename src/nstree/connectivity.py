@@ -12,7 +12,9 @@ breadth-first search over ascending vertex ranks. The search stops as
 soon as it queues an out-node next to a sink it may enter, which the
 search that scanned every queued out-node would have scanned first, so
 the augmenting paths are those of that search. A v-w family is that
-flow from {v} to {w} without a v-w edge, plus the edge. The paths the
+flow from {v} to {w} without a v-w edge, plus the edge; its paths
+through common neighbours of v and w, which the first searches find
+while they scan out(v), are taken without a search. The paths the
 final flow splits into are sorted, so every result is a deterministic
 function of the graph alone. That determinism is load-bearing: the
 construction algorithms select paths by index out of these families,
@@ -26,7 +28,7 @@ have computed on its graph, so sweeps on one graph share them.
 from __future__ import annotations
 
 import _thread
-from bisect import bisect, insort
+from bisect import insort
 
 from ._record import Record, _set
 from .graph import Graph, _check_vertex
@@ -126,7 +128,7 @@ class FlowNetwork:
     arcs to the neighbors' in-nodes and, at its own rank, the reverse of
     its through-arc. When the ids are 0..n-1 every id is its own rank,
     and each tuple is the graph's own neighbor tuple with the rank
-    spliced in; other ids are mapped to their ranks first.
+    inserted; other ids are mapped to their ranks first.
 
     Every query runs one kind of flow, found by one search (_search):
     from the out-nodes of a start set to the in-nodes of a sink set,
@@ -137,7 +139,10 @@ class FlowNetwork:
     and every residual arc follows from them. A pair flow (_pair_flow)
     is the {v}-{w} flow on the graph without a v-w edge, plus that edge
     as a path of its own; pred[y] == v marks each first vertex y of the
-    other paths.
+    other paths. The paths v-y-w through unused, unblocked common
+    neighbors y are taken without a search, in the order of v's tuple,
+    since the searches would end at them one by one while they scan
+    out(v).
 
     The search ends when it queues a hot out-node, one whose tuple holds
     the in-node of a sink it may enter, and skips the out-nodes queued
@@ -186,8 +191,9 @@ class FlowNetwork:
         if vs and vs[0] == 0 and vs[-1] == len(vs) - 1:
             # distinct sorted ints from 0 to n - 1: each id is its rank
             for k, row in enumerate(g._adj.values()):
-                i = bisect(row, k)
-                nbrs.append(row[:i] + (k,) + row[i:])
+                row = list(row)
+                insort(row, k)
+                nbrs.append(tuple(row))
         else:
             for k, row in enumerate(g._adj.values()):
                 row = list(map(rank.__getitem__, row))
@@ -232,10 +238,10 @@ class FlowNetwork:
         the sweeps' memo, _families; None once `limit` paths are found,
         skipping the decomposition. Arguments are taken as valid."""
         key = (v, w, limit)
-        try:
-            return self._families[key]
-        except KeyError:
-            pass
+        # no family is the key tuple, so the key marks a miss
+        fam = self._families.get(key, key)
+        if fam is not key:
+            return fam
         total, pred, succ = self._pair_flow(v, w, limit)
         fam = None if limit is not None and total >= limit else self._decompose(v, w, total, pred, succ)
         self._families[key] = fam
@@ -294,7 +300,13 @@ class FlowNetwork:
         the residual network that path leaves is that of the graph
         without the edge. The other paths are the {v}-{w} flow there,
         which unbounded edges do not enlarge, since an edge lets through
-        no more than the unit vertex at one of its ends. An unblocked
+        no more than the unit vertex at one of its ends. A path v-y-w
+        through an unused, unblocked common neighbor y takes no search
+        either: the search stops at the least such y while it scans
+        out(v), since a used neighbor of v, so far the middle of such a
+        path, leads back to out(v) alone. These paths are taken first,
+        in the order of v's tuple and up to the bound, with the links
+        _augment would leave. An unblocked
         flow between two vertices of the 2-core runs on the core's rows
         (_core_rows) and is bounded by their lengths.
         """
@@ -345,6 +357,17 @@ class FlowNetwork:
             nbrs = nbrs.copy()
             nbrs[kv] = out[:i] + out[i + 1:]
             total = 1
+        # the paths v-y-w through unused, unblocked common neighbors,
+        # linked as _augment links them (out may still hold w, which is
+        # not hot)
+        for y in out:
+            if hot[y] >= 0 and pred[y] == -1:
+                if total >= bound:
+                    break
+                pred[y] = kv
+                succ[y] = kw
+                succ[kv] = y
+                total += 1
         starts = [kv]
         while total < bound and _search(nbrs, fresh, pred, succ, starts, hot, False):
             total += 1

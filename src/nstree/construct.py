@@ -349,7 +349,7 @@ def _run(
                 else:  # no class meets d: it is carried over
                     after.append(comp)
                     continue
-            near = {y for x in d for y in adj[x] if y in tree}
+            near = tree.intersection(chain.from_iterable(map(adj.__getitem__, d)))
             selections: list[tuple[tuple[int, int], int]] = []
             for v, w in combinations(sorted(near), 2):
                 fam = sweep_paths(v, w, limit)
@@ -372,11 +372,7 @@ def _run(
             chosen = frozenset(targets)
             t_d, added, tops = _extend(t, tree, h, near, chosen)
             after += map(component, tops)
-            steps.append(ExtensionStep(
-                step=sweep, component=d, attach_vertex=t_d, entry_vertex=h,
-                targets=chosen, selections=tuple(selections),
-                fallback_vertex=fallback, added=added,
-            ))
+            steps.append(ExtensionStep(sweep, d, t_d, h, chosen, tuple(selections), fallback, added))
             if info:
                 logger.info(
                     "sweep %d: extended at %d into component %s, entry %d, %d targets",

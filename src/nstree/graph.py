@@ -71,6 +71,9 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
+        # exact ints pass on their type alone, as in __init__
+        if type(v) is not int:
+            _check_vertex(v)
         try:
             return self._adj[v]
         except KeyError:
@@ -80,9 +83,14 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
+        if type(u) is not int:
+            _check_vertex(u)
+        if type(v) is not int:
+            _check_vertex(v)
         return v in self._adj.get(u, ())
 
     def __contains__(self, v: object) -> bool:
+        # plain set membership: 1.0 and True are found as the vertex 1
         return v in self._vset
 
     def __len__(self) -> int:

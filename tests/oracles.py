@@ -27,7 +27,8 @@ from nstree import (
     components,
     is_connected,
 )
-from nstree.connectivity import _network
+from nstree import connectivity
+from nstree.connectivity import FlowNetwork, _network
 from nstree.tree import _incomparable_pair, _through_path
 
 _INF = 1 << 30
@@ -638,6 +639,58 @@ def _ref_augment(seen: list[int], came: list[int], pred: list[int], succ: list[i
             pred[y] = u
             succ[u] = y
         x = u
+
+
+# The pair flow as FlowNetwork ran it before it took the paths through
+# common neighbours without a search, kept as the reference for the
+# differential tests: after the direct edge, one search per path. It
+# reads connectivity._search at each call, so a test can count them.
+
+
+def ref_pair_flow(
+    net: FlowNetwork, v: int, w: int, limit: int | None, blocked: AbstractSet[int] = frozenset()
+) -> tuple[int, list[int], list[int]]:
+    """Value and path links (pred, succ) of the v-w pair flow on net."""
+    rank = net._rank
+    kv, kw = rank[v], rank[w]
+    n = len(rank)
+    pred = [-1] * n
+    succ = [-1] * n
+    fresh = [-1] * n
+    fresh[kv] = -2
+    nbrs = net._nbrs
+    if blocked:
+        for x in blocked:
+            k = rank[x]
+            pred[k] = fresh[k] = -2
+        adj = net.graph._adj
+        row_v, row_w = adj[v], adj[w]
+        bound = min(len(row_v) - len(blocked.intersection(row_v)),
+                    len(row_w) - len(blocked.intersection(row_w)))
+    else:
+        core = net._core
+        if core is None:
+            core = net._core = net._core_rows()
+        if core[kv] is not None and core[kw] is not None:
+            nbrs = core
+        bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
+    hot = [-1] * n
+    for x in nbrs[kw]:
+        hot[x] = kw
+    hot[kv] = hot[kw] = -1
+    if limit is not None:
+        bound = min(bound, limit)
+    total = 0
+    out = nbrs[kv]
+    if kw in out:
+        i = out.index(kw)
+        nbrs = nbrs.copy()
+        nbrs[kv] = out[:i] + out[i + 1:]
+        total = 1
+    starts = [kv]
+    while total < bound and connectivity._search(nbrs, fresh, pred, succ, starts, hot, False):
+        total += 1
+    return total, pred, succ
 
 
 # The tree order as the library computed it before RootedTree numbered

@@ -43,6 +43,7 @@ from oracles import (
     ref_max_flow,
     ref_min_blocking_set,
     ref_min_separator,
+    ref_pair_flow,
     ref_search,
 )
 
@@ -491,11 +492,12 @@ def test_search_stops_where_the_scanning_search_does(seed, monkeypatch):
     """Every search of pair flows (with and without limits and blocked
     vertices, adjacent pairs included), of min_separator and of cuts
     with cuttable, often overlapping, sides finds the path the search
-    that scans every out-node it queues finds."""
+    that scans every out-node it queues finds. A pair flow's paths
+    through common neighbors take no search, so there are 33 graphs."""
     sink, counts = _search_against_reference(monkeypatch)
     rng = random.Random(500 + seed)
     overlaps = 0
-    for _ in range(25):
+    for _ in range(33):
         if rng.random() < 0.7:
             g = _differential_graph(rng)
         else:
@@ -535,16 +537,31 @@ def test_a_used_sink_ends_no_later_search(monkeypatch):
     assert counts == {True: 2, False: 0}
 
 
+# the direct edge 1-2 and the paths 1-3-4-2 and 1-5-6-2
+THETA = Graph(edges=[(1, 2), (1, 3), (3, 4), (2, 4), (1, 5), (5, 6), (2, 6)])
+
+
 def test_a_sliced_direct_edge_ends_no_search(monkeypatch):
-    """In K4 minus the 3-4 edge, out-node 1 no longer reaches in(2) once
-    the direct 1-2 edge is sliced out, so the search goes on to 3 and 4:
-    paths 1-2, 1-3-2 and 1-4-2."""
-    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    """Out-node 1 no longer reaches in(2) once the direct 1-2 edge is
+    sliced out, so each search goes on past 1's neighbors: paths 1-2,
+    1-3-4-2 and 1-5-6-2."""
     sink, counts = _search_against_reference(monkeypatch)
-    net = FlowNetwork(g)
+    net = FlowNetwork(THETA)
     sink[0] = _sink_marks(net, {2})
-    assert _full(net, 1, 2) == ((1, 2), (1, 3, 2), (1, 4, 2))
+    assert _full(net, 1, 2) == ((1, 2), (1, 3, 4, 2), (1, 5, 6, 2))
     assert counts == {True: 2, False: 0}
+
+
+def test_paths_through_common_neighbors_take_no_search(monkeypatch):
+    """In K4 minus the 3-4 edge, the paths 1-3-2 and 1-4-2 run through
+    common neighbors of 1 and 2, so with the direct edge the flow takes
+    no search at all, limited or not."""
+    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    net = FlowNetwork(g)
+    found = _counted_searches(monkeypatch)
+    assert _full(net, 1, 2) == ((1, 2), (1, 3, 2), (1, 4, 2))
+    assert _family(net, 1, 2, limit=2) is None
+    assert found == []
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -800,8 +817,11 @@ def test_blocked_neighbors_lower_the_bound(case, monkeypatch):
         blocked = frozenset(g.neighbors(v)[:1] + g.neighbors(w)[:1])
     found = _counted_searches(monkeypatch)
     fam = _family(FlowNetwork(g), v, w, blocked=blocked)
-    assert all(found)
-    assert len(found) == len(fam) < min(g.degree(v), g.degree(w))
+    if case == "k23":
+        assert found == []  # both paths run through common neighbors
+    else:
+        assert all(found) and len(found) == len(fam)
+    assert len(fam) < min(g.degree(v), g.degree(w))
     sub = induced_subgraph(g, g.vertex_set - blocked)
     assert [p.vertices for p in fam] == ref_family(sub, v, w)
 
@@ -881,13 +901,15 @@ def test_a_flow_as_strong_as_the_core_degree_makes_no_failing_search(monkeypatch
     """Every vertex of an 8-cycle has a pendant path of one or two more
     vertices: degree 3 and core degree 2. Each pair of cycle vertices
     has two independent paths, so its flow is maximum at the core
-    bound, without the search that would fail."""
+    bound, without the search that would fail. Adjacent pairs take
+    their edge, and pairs two apart their common neighbor, without a
+    search."""
     cycle = [(k, (k + 1) % 8) for k in range(8)]
     g = Graph(edges=cycle + [(k, 8 + k) for k in range(8)] + [(8 + k, 16 + k) for k in range(0, 8, 2)])
     found = _counted_searches(monkeypatch)
     for v, w in combinations(range(8), 2):
         assert kappa(g, v, w) == 2 < min(g.degree(v), g.degree(w))
-    assert all(found) and len(found) == 28 * 2 - 8  # adjacent pairs take their edge unsearched
+    assert all(found) and len(found) == 28 * 2 - 8 - 8
 
 
 class _Scans(list):
@@ -906,7 +928,8 @@ class _Scans(list):
 def test_a_search_queues_each_out_node_once(seed, monkeypatch):
     """No search of a pair flow (blocked or not) or of a cut scans an
     out-node twice: a used in-node whose predecessor is a start with
-    room leads back to an out-node queued already."""
+    room leads back to an out-node queued already. A pair flow's paths
+    through common neighbors take no search, so there are 33 graphs."""
     real = connectivity._search
     twice = []
 
@@ -918,7 +941,7 @@ def test_a_search_queues_each_out_node_once(seed, monkeypatch):
 
     monkeypatch.setattr(connectivity, "_search", search)
     rng = random.Random(1300 + seed)
-    for _ in range(25):
+    for _ in range(33):
         g = _pendant_graph(rng, True) if rng.random() < 0.5 else _differential_graph(rng)
         net = FlowNetwork(g)
         for _ in range(6):
@@ -932,6 +955,55 @@ def test_a_search_queues_each_out_node_once(seed, monkeypatch):
             if not a & b and not any(g.has_edge(x, y) for x in a for y in b):
                 net._cut(a, b, False)
     assert len(twice) > 400 and not any(twice)
+
+
+def _relabelled(g: Graph) -> Graph:
+    """g with each id x renamed 3x - 50, so that ranks and ids differ."""
+    return Graph([3 * x - 50 for x in g.vertices], [(3 * u - 50, 3 * v - 50) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_flow_matches_the_loop_that_searches_for_every_path(seed, monkeypatch):
+    """Blocked or not, with limits None and 0 to 3, on adjacent pairs,
+    pendant graphs and relabelled ids, _pair_flow gives the value and
+    links, succ[v] included, of the loop that runs a search for every
+    path (ref_pair_flow), and makes one search fewer for each of its
+    paths through a common neighbor of v and w."""
+    found = _counted_searches(monkeypatch)
+    rng = random.Random(1500 + seed)
+    saved = searched = 0
+    for j in range(40):
+        kind = j % 4
+        if kind == 0:
+            g = _differential_graph(rng)
+        elif kind == 1:
+            g = _pendant_graph(rng, relabel=False)
+        elif kind == 2:
+            g = truncate(make_generator("grid"), rng.randint(2, 5))
+        else:
+            g = _larger_graph(f"random-{rng.randrange(99)}")
+        if rng.random() < 0.5:
+            g = _relabelled(g)
+        net, ref = FlowNetwork(g), FlowNetwork(g)
+        for _ in range(10):
+            if g.edges and rng.random() < 0.4:
+                v, w = rng.sample(rng.choice(g.edges), 2)
+            else:
+                v, w = rng.sample(g.vertices, 2)
+            rest = [x for x in g.vertices if x not in (v, w)]
+            blocked = rng.choice([frozenset(), frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))])
+            limit = rng.choice([None, 0, 1, 2, 3])
+            found.clear()
+            total, pred, succ = want = ref_pair_flow(ref, v, w, limit, blocked)
+            ref_searches = len(found)
+            found.clear()
+            assert net._pair_flow(v, w, limit, blocked) == want
+            kv, kw = net._rank[v], net._rank[w]
+            through = sum(pred[y] == kv and succ[y] == kw for y in net._nbrs[kv])
+            assert ref_searches - len(found) == through
+            saved += through
+            searched += len(found)
+    assert saved > 60 and searched > 150
 
 
 def _corrupt_k4_flow(monkeypatch, how: str) -> None:
@@ -972,16 +1044,17 @@ def test_decomposition_checks_the_recorded_flow(how, message, monkeypatch):
     ("edge", "a cut of 0 vertices for a flow of 4"),
 ])
 def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
-    """The K4 cut between 1 and 2 without their edge is {3, 4}, for a
-    flow of 2. A flow stopped below its maximum, or one whose path links
-    were damaged, leaves a cut of another size. On grid r=3 no flow from
-    corner 0 to corner 9 leaves a cut of 0 vertices, the right size, but
-    0 still reaches 9. Sides joined by an edge, which cannot be cut apart,
-    stop at a flow of n, 4 in K4, where they would grow without end."""
-    net = FlowNetwork(K4)
-    assert _pair_cut(net, 1, 2, frozenset()) == {3, 4}
+    """The THETA cut between 1 and 2 without their edge is {4, 6}, for
+    a flow of 2 whose paths both take a search. A flow stopped below its
+    maximum, or one whose path links were damaged, leaves a cut of
+    another size. On grid r=3 no flow from corner 0 to corner 9 leaves a
+    cut of 0 vertices, the right size, but 0 still reaches 9. Sides
+    joined by an edge, which cannot be cut apart, stop at a flow of n, 4
+    in K4, where they would grow without end."""
+    net = FlowNetwork(THETA)
+    assert _pair_cut(net, 1, 2, frozenset()) == {4, 6}
     real = connectivity._search
-    k3 = net._rank[3]
+    inner = [net._rank[3], net._rank[4]]
     searches: list[bool] = []
 
     def search(nbrs, fresh, pred, succ, *args):
@@ -990,7 +1063,8 @@ def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
             return False
         searches.append(real(nbrs, fresh, pred, succ, *args))
         if how == "links":
-            pred[k3] = succ[k3] = -1  # as if 3 carried nothing
+            for k in inner:  # as if 3 and 4 carried nothing
+                pred[k] = succ[k] = -1
         return searches[-1]
 
     monkeypatch.setattr(connectivity, "_search", search)
@@ -998,6 +1072,6 @@ def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
         if how == "start":
             FlowNetwork(truncate(make_generator("grid"), 3))._cut(frozenset({0}), frozenset({9}), False)
         elif how == "edge":
-            net._cut(frozenset({1}), frozenset({2}), False)
+            FlowNetwork(K4)._cut(frozenset({1}), frozenset({2}), False)
         else:
             _pair_cut(net, 1, 2, frozenset())

@@ -80,6 +80,10 @@ _VERTEX_ARGUMENTS = {
     "components": lambda x: components(C4, {x}),
     "neighborhood d": lambda x: neighborhood(C4, {x}, {0, 2}),
     "neighborhood inside": lambda x: neighborhood(C4, {0}, {x, 2}),
+    "neighbors": lambda x: C4.neighbors(x),
+    "degree": lambda x: C4.degree(x),
+    "has_edge u": lambda x: C4.has_edge(x, 3),
+    "has_edge v": lambda x: C4.has_edge(3, x),
 }
 
 
