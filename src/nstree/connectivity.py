@@ -104,11 +104,6 @@ class Separator(Record):
 
     __slots__ = ("s", "a", "b")
 
-    def __init__(self, s: frozenset[int], a: frozenset[int], b: frozenset[int]) -> None:
-        _set(self, "s", s)
-        _set(self, "a", a)
-        _set(self, "b", b)
-
 
 class InseparableError(ValueError):
     """No separator disjoint from both sides exists (an edge joins them directly)."""

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from collections.abc import Set as AbstractSet
 from itertools import chain, combinations
 
-from ._record import Record, _set
+from ._record import Record
 from .connectivity import _network
 from .graph import Graph, _check_int, _check_vertex
 from .tree import RootedTree
@@ -47,28 +47,9 @@ class ExtensionStep(Record):
     __slots__ = ("step", "component", "attach_vertex", "entry_vertex",
                  "targets", "selections", "fallback_vertex", "added")
 
-    def __init__(
-        self, step: int, component: frozenset[int], attach_vertex: int, entry_vertex: int,
-        targets: frozenset[int], selections: tuple[tuple[tuple[int, int], int], ...],
-        fallback_vertex: int | None, added: tuple[tuple[int, int], ...],
-    ) -> None:
-        _set(self, "step", step)
-        _set(self, "component", component)
-        _set(self, "attach_vertex", attach_vertex)
-        _set(self, "entry_vertex", entry_vertex)
-        _set(self, "targets", targets)
-        _set(self, "selections", selections)
-        _set(self, "fallback_vertex", fallback_vertex)
-        _set(self, "added", added)
-
 
 class RunTrace(Record):
     __slots__ = ("steps", "tree", "status")
-
-    def __init__(self, steps: tuple[ExtensionStep, ...], tree: RootedTree, status: str) -> None:
-        _set(self, "steps", steps)
-        _set(self, "tree", tree)
-        _set(self, "status", status)
 
     def prefix_tree(self, count: int) -> RootedTree:
         """Tree after the first `count` extensions, 0 <= count <= len(steps)."""
@@ -84,9 +65,6 @@ class DispersedCover(Record):
     """Ordered list of vertex sets whose union covers the host graph."""
 
     __slots__ = ("sets",)
-
-    def __init__(self, sets: tuple[frozenset[int], ...]) -> None:
-        _set(self, "sets", sets)
 
     def __len__(self) -> int:
         return len(self.sets)

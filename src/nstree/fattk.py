@@ -14,7 +14,7 @@ from bisect import insort
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
-from ._record import Record, _set
+from ._record import Record
 from .connectivity import FlowNetwork, _network
 from .graph import Graph, _check_int, _check_vertex
 
@@ -91,10 +91,7 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
 
 class CertificateReport(Record):
     __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str | None = None) -> None:
-        _set(self, "ok", ok)
-        _set(self, "reason", reason)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -113,11 +110,6 @@ class FatTKFailure(Record):
 
     __slots__ = ("pair", "routed", "separator")
 
-    def __init__(self, pair: tuple[int, int], routed: int, separator: frozenset[int]) -> None:
-        _set(self, "pair", pair)
-        _set(self, "routed", routed)
-        _set(self, "separator", separator)
-
 
 class DispersednessVerdict(Record):
     """Outcome of the bounded dispersedness search.
@@ -129,13 +121,6 @@ class DispersednessVerdict(Record):
     """
 
     __slots__ = ("dispersed", "bound", "examined")
-
-    def __init__(
-        self, dispersed: bool, bound: int, examined: tuple[tuple[FatTKCertificate, frozenset[int]], ...]
-    ) -> None:
-        _set(self, "dispersed", dispersed)
-        _set(self, "bound", bound)
-        _set(self, "examined", examined)
 
     @property
     def witness(self) -> tuple[FatTKCertificate, frozenset[int]] | None:
@@ -235,6 +220,17 @@ def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
     return CertificateReport(True)
 
 
+def _branch(u: Iterable[int], m: int) -> tuple[int, ...]:
+    """The distinct ids of u in ascending order, once u and the
+    multiplicity m pass the checks both branch searches open with."""
+    branch = tuple(sorted(set(map(_check_vertex, u))))
+    if len(branch) < 2:
+        raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
+    if _check_int("multiplicity", m) < 1:
+        raise ValueError(f"multiplicity must be at least 1, got {m}")
+    return branch
+
+
 def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKFailure:
     """Greedy routing of a fat TK(n, m) on the branch set u.
 
@@ -246,11 +242,7 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     an earlier pair may have consumed vertices a cleverer assignment
     would have spared.
     """
-    branch = tuple(sorted(set(map(_check_vertex, u))))
-    if len(branch) < 2:
-        raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    if _check_int("multiplicity", m) < 1:
-        raise ValueError(f"multiplicity must be at least 1, got {m}")
+    branch = _branch(u, m)
     missing = [v for v in branch if v not in g]
     if missing:
         raise ValueError(f"branch vertices not in graph: {missing}")
@@ -290,11 +282,7 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     False proves no such certificate exists; true proves nothing beyond
     the pairwise bound (necessary, not sufficient).
     """
-    branch = tuple(sorted(set(map(_check_vertex, u))))
-    if len(branch) < 2:
-        raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
-    if _check_int("multiplicity", m) < 1:
-        raise ValueError(f"multiplicity must be at least 1, got {m}")
+    branch = _branch(u, m)
     for v in branch:
         if v not in g:
             raise ValueError(f"vertex {v} not in graph")

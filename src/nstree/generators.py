@@ -8,20 +8,15 @@ given radius around the root.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from math import isqrt
 
-from ._record import Record, _set
+from ._record import Record
 from .graph import Graph, _check_int
 
 
 class GraphGenerator(Record):
     __slots__ = ("name", "root", "rule")
-
-    def __init__(self, name: str, root: int, rule: Callable[[int], Iterable[int]]) -> None:
-        _set(self, "name", name)
-        _set(self, "root", root)
-        _set(self, "rule", rule)
 
     def _key(self) -> tuple:
         # the rule is code, not data: it takes no part in equality or hashing

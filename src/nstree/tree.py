@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import chain
 
-from ._record import Record, _set
+from ._record import Record
 from .graph import Graph, _check_vertex, components
 
 
@@ -200,12 +200,7 @@ class NormalityReport(Record):
     """
 
     __slots__ = ("normal", "witness")
-
-    def __init__(
-        self, normal: bool, witness: tuple[int, int, tuple[int, ...]] | None = None
-    ) -> None:
-        _set(self, "normal", normal)
-        _set(self, "witness", witness)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.normal

@@ -1075,3 +1075,41 @@ def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
             FlowNetwork(K4)._cut(frozenset({1}), frozenset({2}), False)
         else:
             _pair_cut(net, 1, 2, frozenset())
+
+
+@pytest.mark.parametrize("query", [min_separator, min_blocking_set])
+@pytest.mark.parametrize("a, b", [({9}, {1}), ({1}, {3, 9})])
+def test_sides_outside_the_graph_are_refused(query, a, b):
+    with pytest.raises(ValueError, match="^sides must be subsets of the graph$"):
+        query(K4, a, b)
+
+
+def _menger_cases():
+    """Seeded non-adjacent pairs of grid r=40 and of two random
+    400-vertex graphs, with their graphs."""
+    rng = random.Random(3001)
+    graphs = [truncate(make_generator("grid"), 40)]
+    graphs += [chorded_graph(rng, 400, chords) for chords in (400, 1200)]
+    for g in graphs:
+        pairs = 0
+        while pairs < 40:
+            v, w = rng.sample(g.vertices, 2)
+            if not g.has_edge(v, w):
+                pairs += 1
+                yield g, v, w
+
+
+def test_menger_duality_at_scale():
+    # κ certified where no brute-force or reference oracle reaches: the
+    # family and the separator bound each other, so both are optimal
+    for g, v, w in _menger_cases():
+        family = max_independent_paths(g, v, w)
+        inner: list[int] = []
+        for p in family:
+            assert p.ends == (v, w)
+            assert all(map(g.has_edge, p.vertices, p.vertices[1:]))
+            inner += p.interior
+        assert len(set(inner)) == len(inner)
+        s = min_separator(g, {v}, {w}).s
+        assert len(s) == len(family) and not {v, w} & s
+        assert not any(v in c and w in c for c in components(g, removed=s))

@@ -689,3 +689,8 @@ def test_each_family_memo_key_holds_the_answer_of_its_own_flow(monkeypatch):
         assert net._sweep_paths(v, w, 2) == fam
         assert set(memo) == before | {(v, w, 2)}
     assert flows == [held, unheld]
+
+
+def test_dfs_nst_refuses_a_root_outside_the_graph():
+    with pytest.raises(ValueError, match="^root 99 not in graph$"):
+        dfs_nst(Graph(edges=[(0, 1)]), 99)

@@ -206,3 +206,9 @@ def test_induced_subgraph_idempotent(g):
     assert induced_subgraph(sub, half) == sub
     for u, v in g.edges:
         assert ((u, v) in sub.edges) == (u in half and v in half)
+
+
+def test_neighborhood_names_the_overlap():
+    g = Graph(edges=[(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match=r"^sets overlap on \[2, 3\]$"):
+        neighborhood(g, {1, 2, 3}, {2, 3, 4})

@@ -321,3 +321,14 @@ def test_every_tree_that_builds_reads_back_from_its_json(ids, rng):
         assert any(type(x) is bool for x in ids)
         return
     assert loads_tree(dumps(tree_to_obj(t))) == t
+
+
+@pytest.mark.parametrize("edges", ["no", {"0": 1}, None])
+def test_graph_edges_that_are_not_a_list_are_refused(capsys, tmp_path, edges):
+    obj = {"vertices": [0, 1], "edges": edges}
+    with pytest.raises(ValueError, match="^graph edges must be a list of pairs$"):
+        graph_from_obj(obj)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["nst", "--input", str(path), "--root", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: graph edges must be a list of pairs\n")

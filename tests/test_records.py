@@ -9,6 +9,7 @@ and deletion, and survives pickle and copy.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -264,3 +265,60 @@ def test_methods_and_properties_survive():
     verdict = DispersednessVerdict(False, 0, ((CERT, frozenset({4})),))
     assert verdict.witness == (CERT, frozenset({4}))
     assert GraphGenerator("line", 0, _rule).neighbors(5) == (4, 6)
+
+
+# a subclass of each record that adds no field, made at module level so
+# that pickle finds it by name
+SUBS = {}
+for _name, (_cls, *_) in CASES.items():
+    SUBS[_name] = globals()[f"Sub{_name}"] = type(f"Sub{_name}", (_cls,), {"__slots__": ()})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_subclass_with_no_new_field_keeps_its_parents_fields(name):
+    cls, fields, changed, text = CASES[name]
+    sub = SUBS[name]
+    a = sub(**fields)
+    assert repr(a) == f"Sub{text}"
+    assert a == sub(*fields.values()) and not a != sub(*fields.values())
+    assert a != sub(**changed) and not a == sub(**changed)
+    assert a != cls(**fields)
+    if name != "DispersednessVerdict":  # its certificate has no hash
+        key = tuple(fields.values())[: 2 if name == "GraphGenerator" else None]
+        assert hash(a) == hash(sub(**fields)) == hash(key)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is sub and repr(b) == repr(a)
+        if name != "RunTrace" or b.tree is a.tree:  # a RootedTree compares by identity
+            assert b == a
+
+
+def test_a_subclass_keeps_its_parents_checks():
+    with pytest.raises(ValueError, match="^a path has at least one vertex$"):
+        SUBS["Path"](())
+    with pytest.raises(ValueError, match=r"^paths share interior vertices \[2\]$"):
+        SUBS["PathFamily"](1, 3, (Path((1, 2, 3)), Path((1, 2, 4, 3))))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_wrong_call_raises_pythons_own_type_error(name):
+    cls, fields, _, _ = CASES[name]
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    call = rf"^{name}\.__init__\(\) "
+    with pytest.raises(TypeError, match=rf"{call}missing 1 required .*'{first}'$"):
+        cls(**{f: v for f, v in fields.items() if f != first})
+    with pytest.raises(TypeError, match=rf"{call}takes .* but {len(values) + 2} were given$"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=rf"{call}got an unexpected keyword argument 'extra'$"):
+        cls(**fields, extra=None)
+    with pytest.raises(TypeError, match=rf"{call}got multiple values for argument '{first}'$"):
+        cls(values[0], **fields)
+
+
+def test_built_constructors_read_like_written_ones():
+    assert str(inspect.signature(CertificateReport)) == "(ok, reason=None)"
+    assert str(inspect.signature(NormalityReport)) == "(normal, witness=None)"
+    assert str(inspect.signature(Separator)) == "(s, a, b)"
+    init = ExtensionStep.__init__
+    assert (init.__module__, init.__qualname__) == ("nstree.construct", "ExtensionStep.__init__")
+    assert SUBS["Separator"].__init__ is Separator.__init__

@@ -1,0 +1,51 @@
+"""The repository's measuring tools count what they say they count."""
+
+from __future__ import annotations
+
+import json
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os
+
+
+def f(x):
+    """Function docstring."""
+    y = (x +
+         1)  # a trailing comment
+
+    return y
+
+
+class C:
+    """Class docstring."""
+
+    s = """a string
+that is data"""
+'''
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    count = runpy.run_path(str(TOOLS / "code_lines.py"))["count"]
+    path = tmp_path / "sample.py"
+    path.write_text(SOURCE)
+    # import, def, the two lines of y, return, class and the two of s
+    assert count(path) == (8, 20)
+
+
+def test_work_counts_reads_the_fattk_figures():
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "work_counts.py"), "--workload", "fattk", "--seed", "7"],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    counts = json.loads(out)
+    assert (counts["networks"], counts["pair_flows"]) == (124, 854)

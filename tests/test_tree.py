@@ -436,3 +436,18 @@ def test_is_chain_of_an_iterator_names_the_non_member_of_its_list():
     with pytest.raises(ValueError) as want:
         ref_is_chain(t, [9, 40, 2])
     assert str(got.value) == str(want.value)
+
+
+def test_is_normal_refuses_tree_vertices_outside_the_graph():
+    g = Graph(edges=[(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^tree vertices not in graph: \[7, 9\]$"):
+        is_normal(g, RootedTree(0, {1: 0, 9: 1, 7: 0}))
+
+
+def test_separates_incomparable_fails_on_a_non_normal_tree():
+    # the triangle's star from 0 is not normal: the chord 1-2 joins two
+    # incomparable vertices, whose common down-closure {0} leaves it
+    g = Graph(edges=[(0, 1), (0, 2), (1, 2)])
+    t = RootedTree(0, {1: 0, 2: 0})
+    assert not is_normal(g, t)
+    assert separates_incomparable(g, t, 1, 2) is False
