@@ -17,7 +17,7 @@ Regenerate (only on purpose, recording why in CHANGES.md) with
     PYTHONPATH=src python tests/make_golden.py
 
 One run rewrites the whole corpus: families/*.txt, traces.txt,
-order.txt, fattk.txt, dispersed.txt, cuts.txt and cli/*. To pin a new
+order.txt, fattk.txt, dispersed.txt, cuts.txt, scale.txt and cli/*. To pin a new
 file before changing the code it covers, add its writer here and run
 this at the parent commit: `git status` must then list only the new
 file, since every existing one comes out byte-identical.
@@ -352,6 +352,71 @@ def cuts_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def scale_graphs() -> dict[str, Graph]:
+    """The graphs scale_text pins outputs on: grid r=28 and r=40, the
+    ray truncated at 1000, and a seeded random 400-vertex graph (a
+    spanning tree plus 1200 chords)."""
+    grid = make_generator("grid")
+    return {
+        "grid-r28": truncate(grid, 28),
+        "grid-r40": truncate(grid, 40),
+        "ray-k1000": truncate(make_generator("ray"), 1000),
+        "chorded-400": chorded_graph(random.Random(9000), 400, 1200),
+    }
+
+
+def scale_text() -> str:
+    """One line per output at the scale the engines target: its
+    parameters and the sha256 of the output.
+
+    omega: the omega_nst trace JSON on grid r=28 from three roots and on
+    ray k=1000 from 0. families: the family_text lines of 1000 seeded
+    pairs, a tenth of them adjacent, on grid r=40 and on the random
+    400-vertex graph. separator and blocking: min_separator on 100
+    seeded pairs of disjoint, non-adjacent sides of 1-3 vertices, and
+    min_blocking_set on 100 pairs of sides of 1-12 vertices, on the same
+    two graphs. find: find_fat_tk on 200 seeded branch sets of 3-4
+    vertices with m = 2-3 on the random graph, digested as in
+    fattk_text.
+    """
+    graphs = scale_graphs()
+    lines = []
+    for name, roots in (("grid-r28", (0, 217, 434)), ("ray-k1000", (0,))):
+        g = graphs[name]
+        for r in roots:
+            lines.append(f"{name} omega r={r} {_sha(dumps(trace_to_obj(omega_nst(g, r))))}")
+    for name in ("grid-r40", "chorded-400"):
+        g = graphs[name]
+        rng = random.Random(f"scale {name}")
+        fams = []
+        for j in range(1000):
+            v, w = rng.sample(rng.choice(g.edges), 2) if j % 10 == 0 else rng.sample(g.vertices, 2)
+            fam = max_independent_paths(g, v, w)
+            fams.append(f"{v} {w}: " + " | ".join(" ".join(map(str, p.vertices)) for p in fam))
+        lines.append(f"{name} families pairs=1000 {_sha(chr(10).join(fams))}")
+        cuts = []
+        while len(cuts) < 100:
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
+            if not a & b and not any(g.has_edge(x, y) for x in a for y in b):
+                cuts.append(f"{sorted(a)} {sorted(b)} {sorted(min_separator(g, a, b).s)}")
+        lines.append(f"{name} separator sides=100 {_sha(chr(10).join(cuts))}")
+        cuts = []
+        for _ in range(100):
+            a = frozenset(rng.sample(g.vertices, rng.randint(1, 12)))
+            b = frozenset(rng.sample(g.vertices, rng.randint(1, 12)))
+            cuts.append(f"{sorted(a)} {sorted(b)} {sorted(min_blocking_set(g, a, b).s)}")
+        lines.append(f"{name} blocking sides=100 {_sha(chr(10).join(cuts))}")
+    g = graphs["chorded-400"]
+    rng = random.Random("scale find chorded-400")
+    found = []
+    for _ in range(200):
+        branch, m = tuple(rng.sample(g.vertices, rng.randint(3, 4))), rng.randint(2, 3)
+        found.append(f"{branch} {m} {_fattk_repr(find_fat_tk(g, branch, m))}")
+    lines.append(f"chorded-400 find branches=200 {_sha(chr(10).join(found))}")
+    return "\n".join(lines) + "\n"
+
+
 # name -> (argv, cover JSON written to a file passed as --cover, or None)
 CLI_CASES: dict[str, tuple[list[str], str | None]] = {
     "omega-grid-r6": (["omega", "--gen", "grid", "--radius", "6", "--root", "0"], None),
@@ -433,6 +498,7 @@ def main() -> None:
     (GOLDEN / "fattk.txt").write_text(fattk_text())
     (GOLDEN / "dispersed.txt").write_text(dispersed_text())
     (GOLDEN / "cuts.txt").write_text(cuts_text())
+    (GOLDEN / "scale.txt").write_text(scale_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name in CLI_CASES:
             out = io.StringIO()

@@ -18,6 +18,7 @@ from make_golden import (
     fattk_text,
     log_stderr,
     order_text,
+    scale_text,
     trace_digest_text,
 )
 from nstree import omega_nst, truncate
@@ -73,3 +74,7 @@ def test_dispersed_digests_match_golden():
 
 def test_cut_digests_match_golden():
     assert cuts_text() == (GOLDEN / "cuts.txt").read_text()
+
+
+def test_scale_digests_match_golden():
+    assert scale_text() == (GOLDEN / "scale.txt").read_text()
