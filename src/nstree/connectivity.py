@@ -12,9 +12,9 @@ breadth-first search over ascending vertex ranks. The search stops as
 soon as it queues an out-node next to a sink it may enter, which the
 search that scanned every queued out-node would have scanned first, so
 the augmenting paths are those of that search. A v-w family is that
-flow from {v} to {w} without a v-w edge, plus the edge; its paths
-through common neighbours of v and w, which the first searches find
-while they scan out(v), are taken without a search. The paths the
+flow from {v} to {w} without a v-w edge, plus the edge; its paths of
+two and three edges, v-y-w and v-y-z-w, which the first searches would
+find before any longer one, are taken without a search. The paths the
 final flow splits into are sorted, so every result is a deterministic
 function of the graph alone. That determinism is load-bearing: the
 construction algorithms select paths by index out of these families,
@@ -137,7 +137,8 @@ class FlowNetwork:
     other paths. The paths v-y-w through unused, unblocked common
     neighbors y are taken without a search, in the order of v's tuple,
     since the searches would end at them one by one while they scan
-    out(v).
+    out(v). So are the paths v-y-z-w the searches would find next, each
+    unused y taking the first unused neighbor z of w in its own tuple.
 
     The search ends when it queues a hot out-node, one whose tuple holds
     the in-node of a sink it may enter, and skips the out-nodes queued
@@ -300,10 +301,27 @@ class FlowNetwork:
         either: the search stops at the least such y while it scans
         out(v), since a used neighbor of v, so far the middle of such a
         path, leads back to out(v) alone. These paths are taken first,
-        in the order of v's tuple and up to the bound, with the links
-        _augment would leave. An unblocked
-        flow between two vertices of the 2-core runs on the core's rows
-        (_core_rows) and is bounded by their lengths.
+        in the order of v's tuple.
+
+        Augmenting paths never get shorter from one augmentation to the
+        next (Edmonds and Karp, JACM 1972), so the paths v-y-z-w of three
+        edges come next, before any longer one, and take no search
+        either. Such a path enters an unused neighbor y of v, since a
+        used one leads back to out(v), and from out(y) the in-node of an
+        unused neighbor z of w. A used z would lead back to out(pred[z]),
+        which is v or the first vertex of an earlier such path, and
+        neither is next to w: it would have been a common neighbor, and
+        those are all used once a search runs. The search scans v's
+        unused neighbors in the order of v's tuple, each one's tuple in
+        order, and stops at the first unused hot z, since one it entered
+        earlier would have stopped it then. So it takes the least such y,
+        then the least z. Once that path is taken, the earlier y's still
+        have no such z, so the next search resumes at the next y, and
+        one walk of v's tuple takes every such path.
+
+        Both kinds stop at the bound and leave the links _augment would
+        leave. An unblocked flow between two vertices of the 2-core runs
+        on the core's rows (_core_rows) and is bounded by their lengths.
         """
         rank = self._rank
         kv, kw = rank[v], rank[w]
@@ -363,6 +381,21 @@ class FlowNetwork:
                 succ[y] = kw
                 succ[kv] = y
                 total += 1
+        # then the paths v-y-z-w: each unused, unblocked y in v's tuple
+        # takes the first unused hot z in its own, linked the same way
+        for y in nbrs[kv]:
+            if total >= bound:
+                break
+            if pred[y] == -1 and y != kv:
+                for z in nbrs[y]:
+                    if hot[z] >= 0 and pred[z] == -1:
+                        pred[y] = kv
+                        succ[kv] = y
+                        succ[y] = z
+                        pred[z] = y
+                        succ[z] = kw
+                        total += 1
+                        break
         starts = [kv]
         while total < bound and _search(nbrs, fresh, pred, succ, starts, hot, False):
             total += 1

@@ -393,27 +393,27 @@ def scale_text() -> str:
             v, w = rng.sample(rng.choice(g.edges), 2) if j % 10 == 0 else rng.sample(g.vertices, 2)
             fam = max_independent_paths(g, v, w)
             fams.append(f"{v} {w}: " + " | ".join(" ".join(map(str, p.vertices)) for p in fam))
-        lines.append(f"{name} families pairs=1000 {_sha(chr(10).join(fams))}")
+        lines.append(f"{name} families pairs=1000 " + _sha("\n".join(fams)))
         cuts = []
         while len(cuts) < 100:
             a = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
             b = frozenset(rng.sample(g.vertices, rng.randint(1, 3)))
             if not a & b and not any(g.has_edge(x, y) for x in a for y in b):
                 cuts.append(f"{sorted(a)} {sorted(b)} {sorted(min_separator(g, a, b).s)}")
-        lines.append(f"{name} separator sides=100 {_sha(chr(10).join(cuts))}")
+        lines.append(f"{name} separator sides=100 " + _sha("\n".join(cuts)))
         cuts = []
         for _ in range(100):
             a = frozenset(rng.sample(g.vertices, rng.randint(1, 12)))
             b = frozenset(rng.sample(g.vertices, rng.randint(1, 12)))
             cuts.append(f"{sorted(a)} {sorted(b)} {sorted(min_blocking_set(g, a, b).s)}")
-        lines.append(f"{name} blocking sides=100 {_sha(chr(10).join(cuts))}")
+        lines.append(f"{name} blocking sides=100 " + _sha("\n".join(cuts)))
     g = graphs["chorded-400"]
     rng = random.Random("scale find chorded-400")
     found = []
     for _ in range(200):
         branch, m = tuple(rng.sample(g.vertices, rng.randint(3, 4))), rng.randint(2, 3)
         found.append(f"{branch} {m} {_fattk_repr(find_fat_tk(g, branch, m))}")
-    lines.append(f"chorded-400 find branches=200 {_sha(chr(10).join(found))}")
+    lines.append("chorded-400 find branches=200 " + _sha("\n".join(found)))
     return "\n".join(lines) + "\n"
 
 

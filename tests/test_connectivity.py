@@ -492,12 +492,12 @@ def test_search_stops_where_the_scanning_search_does(seed, monkeypatch):
     """Every search of pair flows (with and without limits and blocked
     vertices, adjacent pairs included), of min_separator and of cuts
     with cuttable, often overlapping, sides finds the path the search
-    that scans every out-node it queues finds. A pair flow's paths
-    through common neighbors take no search, so there are 33 graphs."""
+    that scans every out-node it queues finds. A pair flow's paths of
+    two and three edges take no search, so there are 40 graphs."""
     sink, counts = _search_against_reference(monkeypatch)
     rng = random.Random(500 + seed)
     overlaps = 0
-    for _ in range(33):
+    for _ in range(40):
         if rng.random() < 0.7:
             g = _differential_graph(rng)
         else:
@@ -537,18 +537,19 @@ def test_a_used_sink_ends_no_later_search(monkeypatch):
     assert counts == {True: 2, False: 0}
 
 
-# the direct edge 1-2 and the paths 1-3-4-2 and 1-5-6-2
-THETA = Graph(edges=[(1, 2), (1, 3), (3, 4), (2, 4), (1, 5), (5, 6), (2, 6)])
+# the direct edge 1-2 and the paths 1-3-4-5-2 and 1-6-7-8-2, which
+# take a search each: no path of two or three edges joins 1 and 2
+THETA = Graph(edges=[(1, 2), (1, 3), (3, 4), (4, 5), (2, 5), (1, 6), (6, 7), (7, 8), (2, 8)])
 
 
 def test_a_sliced_direct_edge_ends_no_search(monkeypatch):
     """Out-node 1 no longer reaches in(2) once the direct 1-2 edge is
     sliced out, so each search goes on past 1's neighbors: paths 1-2,
-    1-3-4-2 and 1-5-6-2."""
+    1-3-4-5-2 and 1-6-7-8-2."""
     sink, counts = _search_against_reference(monkeypatch)
     net = FlowNetwork(THETA)
     sink[0] = _sink_marks(net, {2})
-    assert _full(net, 1, 2) == ((1, 2), (1, 3, 4, 2), (1, 5, 6, 2))
+    assert _full(net, 1, 2) == ((1, 2), (1, 3, 4, 5, 2), (1, 6, 7, 8, 2))
     assert counts == {True: 2, False: 0}
 
 
@@ -562,6 +563,33 @@ def test_paths_through_common_neighbors_take_no_search(monkeypatch):
     assert _full(net, 1, 2) == ((1, 2), (1, 3, 2), (1, 4, 2))
     assert _family(net, 1, 2, limit=2) is None
     assert found == []
+
+
+def test_paths_of_three_edges_take_no_search(monkeypatch):
+    """On the 6-cycle, 0 and 3 are joined by 0-1-2-3 and 0-5-4-3, and on
+    the 3-cube the antipodes 0 and 7 by 0-1-3-7, 0-2-6-7 and 0-4-5-7:
+    each neighbor y of v takes the first unused neighbor of w in its
+    tuple, and no path takes a search. A blocked z is passed over, so
+    1 takes 5 in the cube without 3, and 1 takes nothing in the 6-cycle
+    without 2; a limit of 1 stops at the first path. The links are
+    those of the loop that searches for every path."""
+    c6 = Graph(edges=[(k, (k + 1) % 6) for k in range(6)])
+    cube = Graph(edges=[(x, x | b) for x in range(8) for b in (1, 2, 4) if not x & b])
+    cases = [(c6, 0, 3, None, frozenset()), (cube, 0, 7, None, frozenset()),
+             (cube, 0, 7, None, frozenset({3})), (c6, 0, 3, None, frozenset({2})),
+             (cube, 0, 7, 1, frozenset()), (c6, 0, 3, 1, frozenset())]
+    found = _counted_searches(monkeypatch)
+    assert _full(FlowNetwork(c6), 0, 3) == ((0, 1, 2, 3), (0, 5, 4, 3))
+    assert _full(FlowNetwork(cube), 0, 7) == ((0, 1, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7))
+    paths = [p.vertices for p in _family(FlowNetwork(cube), 0, 7, blocked=frozenset({3}))]
+    assert paths == [(0, 1, 5, 7), (0, 2, 6, 7)]
+    assert [p.vertices for p in _family(FlowNetwork(c6), 0, 3, blocked=frozenset({2}))] == [(0, 5, 4, 3)]
+    net = FlowNetwork(cube)
+    total, pred, succ = net._pair_flow(0, 7, 1)
+    assert total == 1 and (succ[0], succ[1], succ[3]) == (1, 3, 7) and pred[2] == pred[4] == -1
+    got = [FlowNetwork(g)._pair_flow(v, w, limit, blocked) for g, v, w, limit, blocked in cases]
+    assert found == []
+    assert got == [ref_pair_flow(FlowNetwork(g), *case) for g, *case in cases]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -897,19 +925,76 @@ def test_only_an_unblocked_pair_flow_peels_the_network():
     assert net._core[net._rank[9]] is None and len(net._core[net._rank[7]]) == 7
 
 
+def _with_pendant_trees(rng: random.Random) -> tuple[Graph, Graph]:
+    """A seeded graph of 5-40 vertices, and the same graph with pendant
+    trees attached: each new vertex joins one vertex already there. The
+    old vertices keep their order, and the new ids fall anywhere among
+    theirs."""
+    n = rng.randint(5, 40)
+    base = chorded_graph(rng, n, min(rng.randint(0, 2 * n), (n - 1) * (n - 2) // 2))
+    extra = rng.randint(1, n)
+    ids = sorted(rng.sample(range(n + extra), n))
+    new = sorted(set(range(n + extra)).difference(ids))
+    rng.shuffle(new)
+    edges = [(ids[u], ids[v]) for u, v in base.edges]
+    g = Graph(ids, edges)
+    there = list(ids)
+    for x in new:
+        edges.append((x, rng.choice(there)))
+        there.append(x)
+    return g, Graph(range(n + extra), edges)
+
+
+def _old_answers(g: Graph, old: Graph, seed: int) -> list:
+    """On g, the families of 12 pairs of vertices of old, a third of
+    them joined by an edge of old when it has one, min_separator and
+    min_blocking_set on 4 pairs of sides in old each, and find_fat_tk
+    on 3 branch sets in old with m = 2, all drawn from the seed."""
+    rng = random.Random(seed)
+    vs = old.vertices
+    out: list = []
+    for j in range(12):
+        v, w = rng.sample(rng.choice(old.edges), 2) if j % 3 == 0 and old.edges else rng.sample(vs, 2)
+        out.append(max_independent_paths(g, v, w))
+    for _ in range(4):
+        a = frozenset(rng.sample(vs, rng.randint(1, 2)))
+        b = frozenset(rng.sample(vs, rng.randint(1, 2))) - a or old.vertex_set - a
+        try:
+            out.append(min_separator(g, a, b))
+        except InseparableError as e:
+            out.append(str(e))
+        out.append(min_blocking_set(g, rng.sample(vs, rng.randint(1, 3)), rng.sample(vs, rng.randint(1, 3))))
+    for _ in range(3):
+        out.append(find_fat_tk(g, rng.sample(vs, 3), 2))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pendant_trees_change_no_answer_between_old_vertices(seed):
+    """No path between two old vertices enters a pendant tree, so
+    attaching pendant trees on new ids changes no family, separator,
+    blocking set or fat-TK routing between old vertices: the 2-core
+    argument of _core_rows, checked on the whole engine without a
+    reference."""
+    rng = random.Random(3100 + seed)
+    for j in range(30):
+        g, grown = _with_pendant_trees(rng)
+        assert _old_answers(grown, g, j) == _old_answers(g, g, j)
+
+
 def test_a_flow_as_strong_as_the_core_degree_makes_no_failing_search(monkeypatch):
     """Every vertex of an 8-cycle has a pendant path of one or two more
     vertices: degree 3 and core degree 2. Each pair of cycle vertices
     has two independent paths, so its flow is maximum at the core
     bound, without the search that would fail. Adjacent pairs take
-    their edge, and pairs two apart their common neighbor, without a
-    search."""
+    their edge, pairs two apart their common neighbor, and pairs three
+    apart their path of three edges, without a search."""
     cycle = [(k, (k + 1) % 8) for k in range(8)]
     g = Graph(edges=cycle + [(k, 8 + k) for k in range(8)] + [(8 + k, 16 + k) for k in range(0, 8, 2)])
     found = _counted_searches(monkeypatch)
     for v, w in combinations(range(8), 2):
         assert kappa(g, v, w) == 2 < min(g.degree(v), g.degree(w))
-    assert all(found) and len(found) == 28 * 2 - 8 - 8
+    assert all(found) and len(found) == 28 * 2 - 8 - 8 - 8
 
 
 class _Scans(list):
@@ -962,17 +1047,43 @@ def _relabelled(g: Graph) -> Graph:
     return Graph([3 * x - 50 for x in g.vertices], [(3 * u - 50, 3 * v - 50) for u, v in g.edges])
 
 
+def _augmented_edges(monkeypatch) -> list[int]:
+    """Record the number of edges of every augmenting path, forward or
+    backward, read by walking it back as _augment does before it
+    relinks: the edge into the sink, each in-node entered by an edge,
+    and each out-node reached back along its outflow."""
+    edges: list[int] = []
+    real = connectivity._augment
+
+    def augment(seen, pred, succ, x, y, cuttable):
+        z = x if pred[x] == -1 else succ[x]
+        count = 1 + (z != x)
+        while (u := seen[z]) >= 0:
+            if u == z:  # back through z, then back along its outflow
+                z = succ[z]
+                count += 1
+            else:
+                z = u if pred[u] == -1 else succ[u]
+                count += 1 + (z != u)
+        edges.append(count)
+        real(seen, pred, succ, x, y, cuttable)
+
+    monkeypatch.setattr(connectivity, "_augment", augment)
+    return edges
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_flow_matches_the_loop_that_searches_for_every_path(seed, monkeypatch):
     """Blocked or not, with limits None and 0 to 3, on adjacent pairs,
     pendant graphs and relabelled ids, _pair_flow gives the value and
     links, succ[v] included, of the loop that runs a search for every
     path (ref_pair_flow), and makes one search fewer for each of its
-    paths through a common neighbor of v and w."""
+    paths of two or three edges."""
     found = _counted_searches(monkeypatch)
+    edges = _augmented_edges(monkeypatch)
     rng = random.Random(1500 + seed)
     saved = searched = 0
-    for j in range(40):
+    for j in range(64):
         kind = j % 4
         if kind == 0:
             g = _differential_graph(rng)
@@ -994,14 +1105,14 @@ def test_pair_flow_matches_the_loop_that_searches_for_every_path(seed, monkeypat
             blocked = rng.choice([frozenset(), frozenset(rng.sample(rest, rng.randint(0, len(rest) // 3)))])
             limit = rng.choice([None, 0, 1, 2, 3])
             found.clear()
-            total, pred, succ = want = ref_pair_flow(ref, v, w, limit, blocked)
+            edges.clear()
+            want = ref_pair_flow(ref, v, w, limit, blocked)
             ref_searches = len(found)
+            short = sum(n <= 3 for n in edges)
             found.clear()
             assert net._pair_flow(v, w, limit, blocked) == want
-            kv, kw = net._rank[v], net._rank[w]
-            through = sum(pred[y] == kv and succ[y] == kw for y in net._nbrs[kv])
-            assert ref_searches - len(found) == through
-            saved += through
+            assert ref_searches - len(found) == short
+            saved += short
             searched += len(found)
     assert saved > 60 and searched > 150
 
@@ -1044,7 +1155,7 @@ def test_decomposition_checks_the_recorded_flow(how, message, monkeypatch):
     ("edge", "a cut of 0 vertices for a flow of 4"),
 ])
 def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
-    """The THETA cut between 1 and 2 without their edge is {4, 6}, for
+    """The THETA cut between 1 and 2 without their edge is {5, 8}, for
     a flow of 2 whose paths both take a search. A flow stopped below its
     maximum, or one whose path links were damaged, leaves a cut of
     another size. On grid r=3 no flow from corner 0 to corner 9 leaves a
@@ -1052,9 +1163,9 @@ def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
     joined by an edge, which cannot be cut apart, stop at a flow of n, 4
     in K4, where they would grow without end."""
     net = FlowNetwork(THETA)
-    assert _pair_cut(net, 1, 2, frozenset()) == {4, 6}
+    assert _pair_cut(net, 1, 2, frozenset()) == {5, 8}
     real = connectivity._search
-    inner = [net._rank[3], net._rank[4]]
+    inner = [net._rank[x] for x in (3, 4, 5)]
     searches: list[bool] = []
 
     def search(nbrs, fresh, pred, succ, *args):
@@ -1063,7 +1174,7 @@ def test_cut_checks_the_max_flow_min_cut_identity(how, message, monkeypatch):
             return False
         searches.append(real(nbrs, fresh, pred, succ, *args))
         if how == "links":
-            for k in inner:  # as if 3 and 4 carried nothing
+            for k in inner:  # as if 3, 4 and 5 carried nothing
                 pred[k] = succ[k] = -1
         return searches[-1]
 

@@ -49,3 +49,4 @@ def test_work_counts_reads_the_fattk_figures():
     ).stdout
     counts = json.loads(out)
     assert (counts["networks"], counts["pair_flows"]) == (124, 854)
+    assert (counts["searches_found"], counts["paths"]) == (691, 2767)

@@ -6,10 +6,12 @@ The inputs are built by perfbench/workloads.py from the seed, as a
 benchmark run builds them. One round of every operation warms up, then
 one more round is counted, and one JSON line is printed: the flow
 networks built, the pair flows (and how many of them were blocked or
-limited), the augmenting searches that found a path and those that
-failed, the decompositions of pair flows into paths, the hits and
-misses of the sweeps' family memo, the flows run for a cut and the cuts
-read from pair flows. The counters wrap FlowNetwork's methods and
+limited), the paths they found (the sum of their values, so that paths
+minus searches_found is the number of paths taken without a search),
+the augmenting searches that found a path and those that failed, the
+decompositions of pair flows into paths, the hits and misses of the
+sweeps' family memo, the flows run for a cut and the cuts read from
+pair flows. The counters wrap FlowNetwork's methods and
 connectivity._search from outside, so the library runs unchanged.
 
 DIR is the checkout whose src/ and perfbench/ are used (default: this
@@ -44,7 +46,9 @@ def _install(connectivity, counts: dict[str, int]) -> None:
         counts["pair_flows"] += 1
         counts["blocked"] += bool(blocked)
         counts["limited"] += limit is not None
-        return pair_flow(self, v, w, limit, blocked)
+        flow = pair_flow(self, v, w, limit, blocked)
+        counts["paths"] += flow[0]
+        return flow
 
     def counted_decompose(self, *args):
         counts["decompositions"] += 1
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         for op in wl.ops:
             op.call()
         counts = dict.fromkeys((
-            "networks", "pair_flows", "blocked", "limited", "searches_found", "searches_failed",
+            "networks", "pair_flows", "blocked", "limited", "paths", "searches_found", "searches_failed",
             "decompositions", "memo_hits", "memo_misses", "cuts", "pair_cuts",
         ), 0)
         _install(connectivity, counts)
