@@ -355,13 +355,18 @@ def cuts_text() -> str:
 def scale_graphs() -> dict[str, Graph]:
     """The graphs scale_text pins outputs on: grid r=28 and r=40, the
     ray truncated at 1000, and a seeded random 400-vertex graph (a
-    spanning tree plus 1200 chords)."""
+    spanning tree plus 1200 chords), also with each id x relabelled
+    3x - 50, so that its ids are not 0..n-1 and a network maps them to
+    ranks."""
     grid = make_generator("grid")
+    chorded = chorded_graph(random.Random(9000), 400, 1200)
     return {
         "grid-r28": truncate(grid, 28),
         "grid-r40": truncate(grid, 40),
         "ray-k1000": truncate(make_generator("ray"), 1000),
-        "chorded-400": chorded_graph(random.Random(9000), 400, 1200),
+        "chorded-400": chorded,
+        "chorded-400-3x-50": Graph([3 * x - 50 for x in chorded.vertices],
+                                   [(3 * u - 50, 3 * v - 50) for u, v in chorded.edges]),
     }
 
 
@@ -370,14 +375,16 @@ def scale_text() -> str:
     parameters and the sha256 of the output.
 
     omega: the omega_nst trace JSON on grid r=28 from three roots and on
-    ray k=1000 from 0. families: the family_text lines of 1000 seeded
+    ray k=1000 from 0. local and cover: local_normal_tree to 5 seeded
+    targets and nst_from_dispersed_cover on a seeded cover of 3 classes,
+    on grid r=28 from 0. families: the family_text lines of 1000 seeded
     pairs, a tenth of them adjacent, on grid r=40 and on the random
-    400-vertex graph. separator and blocking: min_separator on 100
-    seeded pairs of disjoint, non-adjacent sides of 1-3 vertices, and
-    min_blocking_set on 100 pairs of sides of 1-12 vertices, on the same
-    two graphs. find: find_fat_tk on 200 seeded branch sets of 3-4
-    vertices with m = 2-3 on the random graph, digested as in
-    fattk_text.
+    400-vertex graph and its relabelled copy. separator and blocking:
+    min_separator on 100 seeded pairs of disjoint, non-adjacent sides of
+    1-3 vertices, and min_blocking_set on 100 pairs of sides of 1-12
+    vertices, on the same three graphs. find: find_fat_tk on 200 seeded
+    branch sets of 3-4 vertices with m = 2-3 on the random graph,
+    digested as in fattk_text.
     """
     graphs = scale_graphs()
     lines = []
@@ -385,7 +392,16 @@ def scale_text() -> str:
         g = graphs[name]
         for r in roots:
             lines.append(f"{name} omega r={r} {_sha(dumps(trace_to_obj(omega_nst(g, r))))}")
-    for name in ("grid-r40", "chorded-400"):
+    g = graphs["grid-r28"]
+    rng = random.Random("scale sweeps grid-r28")
+    u = sorted(rng.sample(g.vertices, 5))
+    lines.append(f"grid-r28 local r=0 u={u} {_sha(dumps(trace_to_obj(local_normal_tree(g, u, 0))))}")
+    vs = list(g.vertices)
+    rng.shuffle(vs)
+    cover = DispersedCover(tuple(frozenset(vs[i::3]) for i in range(3)))
+    trace = nst_from_dispersed_cover(g, cover, 0)
+    lines.append(f"grid-r28 cover r=0 classes=3 {_sha(dumps(trace_to_obj(trace)))}")
+    for name in ("grid-r40", "chorded-400", "chorded-400-3x-50"):
         g = graphs[name]
         rng = random.Random(f"scale {name}")
         fams = []
