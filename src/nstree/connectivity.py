@@ -4,9 +4,10 @@ Everything here reduces to unit-vertex-capacity maximum flow in the
 split-vertex network, where a graph vertex becomes an in-node and an
 out-node joined by a through-arc whose capacity is 1 when the vertex
 may be consumed or cut, unbounded otherwise. The network is never
-built as arcs: with unit through-arcs, a vertex's residual arcs follow
-from its predecessor and successor on its path, so a flow is two links
-per vertex. Every family, connectivity and cut is one kind of flow,
+built as arcs: its edge arcs are the graph's neighbor tuples, by
+rank, and with unit through-arcs, a vertex's residual arcs follow from
+its predecessor and successor on its path, so a flow is two links per
+vertex. Every family, connectivity and cut is one kind of flow,
 from a start set to a sink set over unbounded edges, augmented by one
 breadth-first search over ascending vertex ranks. The search stops as
 soon as it queues an out-node next to a sink it may enter, which the
@@ -28,7 +29,7 @@ have computed on its graph, so sweeps on one graph share them.
 from __future__ import annotations
 
 import _thread
-from bisect import insort
+from bisect import bisect
 
 from ._record import Record, _set
 from .graph import Graph, _check_vertex
@@ -117,13 +118,16 @@ class FlowNetwork:
     ascending rank k has an in-node and an out-node joined by a
     through-arc, and every edge u-v gives the arcs out(u)->in(v) and
     out(v)->in(u). The network keeps the rank map and, for each rank,
-    the tuple of its neighbors' ranks with its own rank in its ascending
-    place (_nbrs). That tuple lists the arcs of the vertex's out-node
-    by ascending head, the tie-break of the breadth-first search: edge
-    arcs to the neighbors' in-nodes and, at its own rank, the reverse of
-    its through-arc. When the ids are 0..n-1 every id is its own rank,
-    and each tuple is the graph's own neighbor tuple with the rank
-    inserted; other ids are mapped to their ranks first.
+    the ascending tuple of its neighbors' ranks (_nbrs): the edge arcs
+    of the vertex's out-node by ascending head, the tie-break of the
+    breadth-first search. When the ids are 0..n-1 every id is its own
+    rank, and the tuples are the graph's own neighbor tuples, shared
+    and not copied; other ids are mapped to their ranks. The out-node's
+    one other arc, the reverse of its through-arc into its own in-node,
+    is in no tuple: the search can take it only while the vertex
+    carries flow and its in-node is not yet entered, and just then it
+    puts the vertex's own rank in its ascending place in the row it
+    scans (_search).
 
     Every query runs one kind of flow, found by one search (_search):
     from the out-nodes of a start set to the in-nodes of a sink set,
@@ -140,7 +144,7 @@ class FlowNetwork:
     out(v). So are the paths v-y-z-w the searches would find next, each
     unused y taking the first unused neighbor z of w in its own tuple.
 
-    The search ends when it queues a hot out-node, one whose tuple holds
+    The search ends when it queues a hot out-node, one with an arc into
     the in-node of a sink it may enter, and skips the out-nodes queued
     after it, most of the last breadth-first layer, with the same path.
     A flow keeps these marks (hot) beside its links: a pair flow marks
@@ -181,21 +185,12 @@ class FlowNetwork:
         rank = {v: k for k, v in enumerate(vs)}
         self._rank = rank
         # _adj lists the vertices in ascending order, each with its
-        # neighbours ascending, so their ranks come ascending too; the
-        # vertex's own rank is inserted in its place
-        nbrs = []
+        # neighbours ascending, so their ranks come ascending too
         if vs and vs[0] == 0 and vs[-1] == len(vs) - 1:
             # distinct sorted ints from 0 to n - 1: each id is its rank
-            for k, row in enumerate(g._adj.values()):
-                row = list(row)
-                insort(row, k)
-                nbrs.append(tuple(row))
+            self._nbrs = list(g._adj.values())
         else:
-            for k, row in enumerate(g._adj.values()):
-                row = list(map(rank.__getitem__, row))
-                insort(row, k)
-                nbrs.append(tuple(row))
-        self._nbrs = nbrs
+            self._nbrs = [tuple(map(rank.__getitem__, row)) for row in g._adj.values()]
         self._core: list[tuple[int, ...] | None] | None = None
         self._families: dict[tuple[int, int, int | None], tuple[tuple[int, ...], ...] | None] = {}
 
@@ -209,13 +204,14 @@ class FlowNetwork:
         trees, each of which hangs off one core vertex c, and without
         its tree components. A search for an unblocked flow between two
         core vertices enters a pendant tree only from out(c), once in(c)
-        is entered already (before out(c) when c is unused, by c's own
-        rank in its tuple otherwise), so the tree leads it back to no
-        node it has not reached, and it meets the core's nodes by the
-        same arcs without the tree.
+        is entered already (before out(c) when c is unused, by the
+        reverse of c's through-arc, which the search puts at c's place
+        in its tuple, otherwise), so the tree leads it back to no node it
+        has not reached, and it meets the core's nodes by the same arcs
+        without the tree.
         """
         nbrs = self._nbrs
-        deg = [len(row) - 1 for row in nbrs]  # a tuple holds its own rank
+        deg = list(map(len, nbrs))
         peeled = [k for k, d in enumerate(deg) if d < 2]
         for k in peeled:  # grows while it is read
             for y in nbrs[k]:
@@ -225,7 +221,7 @@ class FlowNetwork:
         # a core vertex keeps 2 or more core neighbors; a peeled one
         # had 1 at most when it was taken off
         return [
-            None if d < 2 else row if d == len(row) - 1 else tuple(y for y in row if deg[y] > 1)
+            None if d < 2 else row if d == len(row) else tuple(y for y in row if deg[y] > 1)
             for d, row in zip(deg, nbrs)
         ]
 
@@ -334,7 +330,7 @@ class FlowNetwork:
         nbrs = self._nbrs
         # every path leaves v and enters w by an edge of its own to an
         # unblocked neighbor, so a flow that many strong is maximum
-        # without a failing search (a tuple holds its own rank as well)
+        # without a failing search
         if blocked:
             for x in blocked:
                 k = rank[x]
@@ -351,14 +347,14 @@ class FlowNetwork:
                 core = self._core = self._core_rows()
             if core[kv] is not None and core[kw] is not None:
                 nbrs = core
-            bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
+            bound = min(len(nbrs[kv]), len(nbrs[kw]))
         # the out-nodes whose arc into in(w) ends the search: w's
         # neighbors, save v when the v-w edge is sliced out below (a
         # blocked neighbor's out-node is never reached)
         hot = [-1] * n
         for x in nbrs[kw]:
             hot[x] = kw
-        hot[kv] = hot[kw] = -1
+        hot[kv] = -1
         if limit is not None:
             bound = min(bound, limit)
         total = 0
@@ -386,7 +382,7 @@ class FlowNetwork:
         for y in nbrs[kv]:
             if total >= bound:
                 break
-            if pred[y] == -1 and y != kv:
+            if pred[y] == -1:
                 for z in nbrs[y]:
                     if hot[z] >= 0 and pred[z] == -1:
                         pred[y] = kv
@@ -507,9 +503,12 @@ class FlowNetwork:
                         ins.append(t)
             else:
                 y = ins.pop()
-                # into in(y): every edge, and the reverse of y's
-                # through-arc while y carries flow; an unused y's in-node
-                # is only reached from its out-node, which is here then
+                # into in(y): the reverse of y's through-arc while y
+                # carries flow, and every edge; an unused y's in-node is
+                # only reached from its out-node, which is here then
+                if not side_out[y]:
+                    side_out[y] = 1
+                    outs.append(y)
                 for x in nbrs[y]:
                     if not side_out[x]:
                         side_out[x] = 1
@@ -525,19 +524,23 @@ class FlowNetwork:
 
 
 def _mark_hot(nbrs: list[tuple[int, ...]], pred: list[int], sinks: list[int], hot: list[int]) -> None:
-    """Mark in hot, for _search, the out-nodes next to the sinks of a
-    cut: hot[x] is the least sink whose in-node x's tuple holds and the
-    search may enter, one that is unused, and -1 if there is none. A
-    sink that is also a start is used before the first search (_cut),
-    and a cut blocks no vertex, so every unused sink may be entered.
-    Only the marks of the sinks' neighbors (in ascending rank, sinks)
-    change.
+    """Mark in hot, for _search, the out-nodes with an arc into the
+    in-node of a sink of a cut: hot[x] is the least such sink the search
+    may enter, one that is unused, and -1 if there is none. The arcs are
+    the edges in the sinks' tuples and, from a sink's own out-node, the
+    reverse of its through-arc, which no tuple lists, so each sink marks
+    itself as well as its neighbors. A sink that is also a start is used
+    before the first search (_cut), and a cut blocks no vertex, so every
+    unused sink may be entered. Only the marks of the sinks and their
+    neighbors (in ascending rank, sinks) change.
     """
     for y in sinks:
+        hot[y] = -1
         for x in nbrs[y]:
             hot[x] = -1
-    for y in reversed(sinks):  # the least sink in a tuple marks it last
+    for y in reversed(sinks):  # the least sink next to x marks it last
         if pred[y] == -1:
+            hot[y] = y
             for x in nbrs[y]:
                 hot[x] = y
 
@@ -550,21 +553,25 @@ def _search(
     from a start's out-node to a sink's in-node; False when none is left.
 
     The search queues out-nodes by vertex rank and scans each one's
-    neighbor tuple as the split-vertex network lists that out-node's
-    arcs: edges, and at its own rank its own in-node, reached by the
-    reverse of its through-arc while it carries flow and entered already
-    otherwise. It enters an in-node at most once, never a start's or a
-    blocked one (marked in fresh), and leaves it at once by its one
-    residual arc: an unused vertex by its through-arc, to an out-node no
-    other arc reaches, and a used one back to pred[y] unless that is
-    reached already. A start's out-node starts the search while the
-    start has room, always when sides are not cuttable, and once
+    arcs as the split-vertex network lists them, by ascending head: the
+    edges to its neighbors' in-nodes, from its tuple, and at its own
+    rank the reverse of its through-arc. No tuple lists that arc. It
+    enters in(x) only when x carries flow and out(x) was reached from
+    in(succ[x]) before in(x) was entered (seen[x] == -1): an unused x's
+    out-node is reached from its in-node, and a start's in-node is never
+    entered. So only then does the search put x in its ascending place
+    in the row it scans. It enters an in-node at most once, never a
+    start's or a blocked one (marked in fresh), and leaves it at once by
+    its one residual arc: an unused vertex by its through-arc, to an
+    out-node no other arc reaches, and a used one back to pred[y] unless
+    that is reached already. A start's out-node starts the search while
+    the start has room, always when sides are not cuttable, and once
     otherwise.
 
-    The search ends when it queues a hot out-node x, one whose tuple
-    holds the in-node of a sink it may enter: unused, and neither a
-    start nor blocked. hot[x] is the least such sink, and -1 marks the
-    other out-nodes. No search looks for a path of one vertex, a start
+    The search ends when it queues a hot out-node x, one with an arc
+    into the in-node of a sink it may enter: unused, and neither a start
+    nor blocked. hot[x] is the least such sink, and -1 marks the other
+    out-nodes. No search looks for a path of one vertex, a start
     that is also a sink: _cut takes each of those before its first
     search. The search that scanned every out-node would end at the same
     place: the queue is first in, first out, so the first hot out-node
@@ -597,7 +604,12 @@ def _search(
                 return True
             queue.append(s)
     for x in queue:  # grows while it is read: a FIFO queue
-        for y in nbrs[x]:
+        row = nbrs[x]
+        if seen[x] == -1:
+            # in(x), entered by the reverse of x's through-arc, at its place
+            i = bisect(row, x)
+            row = row[:i] + (x,) + row[i:]
+        for y in row:
             if seen[y] == -1:
                 seen[y] = x
                 p = pred[y]

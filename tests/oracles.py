@@ -584,10 +584,12 @@ def _ref_bfs(
 
 
 # The augmenting search on per-vertex path links as FlowNetwork ran it
-# before it stopped on queueing an out-node next to a sink, kept
-# verbatim as the reference for the differential tests of that stop:
-# it ends only when it scans such an out-node and enters the sink, and
-# takes the sinks as a list of 0/1 marks.
+# before it stopped on queueing an out-node next to a sink, kept as the
+# reference for the differential tests of that stop: it ends only when
+# it scans such an out-node and enters the sink, and takes the sinks as
+# a list of 0/1 marks. It scans every out-node's arcs in the plain
+# order of the split-vertex network, its own in-node in its ascending
+# place among the neighbours', which the network's rows leave out.
 
 
 def ref_search(
@@ -607,7 +609,7 @@ def ref_search(
                 return True
             queue.append(s)
     for x in queue:  # grows while it is read: a FIFO queue
-        for y in nbrs[x]:
+        for y in sorted((x, *nbrs[x])):
             if seen[y] == -1:
                 seen[y] = x
                 p = pred[y]
@@ -673,11 +675,11 @@ def ref_pair_flow(
             core = net._core = net._core_rows()
         if core[kv] is not None and core[kw] is not None:
             nbrs = core
-        bound = min(len(nbrs[kv]), len(nbrs[kw])) - 1
+        bound = min(len(nbrs[kv]), len(nbrs[kw]))
     hot = [-1] * n
     for x in nbrs[kw]:
         hot[x] = kw
-    hot[kv] = hot[kw] = -1
+    hot[kv] = -1
     if limit is not None:
         bound = min(bound, limit)
     total = 0

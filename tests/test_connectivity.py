@@ -457,6 +457,29 @@ def test_search_frees_a_vertex_it_passes_back_through():
     assert _full(FlowNetwork(g), 9, 1) == ((9, 3, 7, 12, 1), (9, 11, 0, 10, 1))
 
 
+# no path of two or three edges joins 5 and 9, so after the direct edge
+# each of their other paths takes a search
+OWN_IN_NODE = Graph(range(15), [(0, 1), (0, 4), (0, 11), (1, 2), (1, 6), (1, 9), (2, 3), (2, 4), (2, 11),
+                                (2, 13), (4, 5), (5, 7), (5, 8), (5, 9), (6, 10), (7, 12), (8, 10), (8, 12),
+                                (9, 13), (12, 14)])
+
+
+def test_a_used_vertex_enters_its_own_in_node_at_its_place(monkeypatch):
+    """The first search from 5 to 9 takes 5-4-0-1-9. The second reaches
+    out(0) back from in(1) before in(0) is entered, and scans out(0)'s
+    arcs by ascending head: the reverse of 0's through-arc, into in(0),
+    comes before the edges into in(4) and in(11). So in(0) queues out(4)
+    before in(11) is entered, out(4) enters in(2) ahead of out(11), and
+    the paths are 5-4-2-13-9 and 5-8-10-6-1-9. A search that entered
+    in(0) after in(11), or never, would take 5-4-0-11-2-13-9."""
+    _search_matches_reference(OWN_IN_NODE, 5, 9, frozenset())
+    sink, counts = _search_against_reference(monkeypatch)
+    net = FlowNetwork(OWN_IN_NODE)
+    sink[0] = _sink_marks(net, {9})
+    assert _full(net, 5, 9) == ((5, 4, 2, 13, 9), (5, 8, 10, 6, 1, 9), (5, 9))
+    assert counts == {True: 2, False: 0}
+
+
 def _search_against_reference(monkeypatch) -> tuple[list[list[int]], dict[bool, int]]:
     """Patch the augmenting search to run ref_search first, the search
     that stops only when it scans an out-node next to a sink, on a copy
@@ -902,7 +925,7 @@ def test_core_rows_give_the_flows_of_the_full_rows(seed):
         rows = net._core
         assert [k for k, row in enumerate(rows) if row is not None] == sorted(rank[x] for x in core)
         for x in core:
-            want = tuple(sorted(rank[y] for y in (x, *g.neighbors(x)) if y in core))
+            want = tuple(sorted(rank[y] for y in g.neighbors(x) if y in core))
             assert rows[rank[x]] == want
             if want == net._nbrs[rank[x]]:
                 assert rows[rank[x]] is net._nbrs[rank[x]]
@@ -922,7 +945,7 @@ def test_only_an_unblocked_pair_flow_peels_the_network():
     assert min_blocking_set(g, {1, 2}, {2, 3}).s == {2, 3}
     assert _network(g) is net and net._core is None
     assert kappa(g, 1, 9) == 1
-    assert net._core[net._rank[9]] is None and len(net._core[net._rank[7]]) == 7
+    assert net._core[net._rank[9]] is None and len(net._core[net._rank[7]]) == 6
 
 
 def _with_pendant_trees(rng: random.Random) -> tuple[Graph, Graph]:

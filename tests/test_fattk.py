@@ -638,10 +638,9 @@ def test_verify_matches_the_reference_on_found_and_edited_certificates():
 
 
 def _ref_nbrs(g: Graph) -> list[tuple[int, ...]]:
-    # the neighbour-rank tuples as FlowNetwork built them with a sort
+    # the neighbour-rank rows FlowNetwork builds, found by a sort
     rank = {v: k for k, v in enumerate(g.vertices)}
-    return [tuple(sorted([k, *map(rank.__getitem__, g.neighbors(v))]))
-            for k, v in enumerate(g.vertices)]
+    return [tuple(sorted(map(rank.__getitem__, g.neighbors(v)))) for v in g.vertices]
 
 
 def test_network_tuples_match_the_sorted_reference():
@@ -661,7 +660,11 @@ def test_network_tuples_match_the_sorted_reference():
         graphs.append(g)
         graphs.append(Graph(ids, [(label[u], label[v]) for u, v in g.edges]))
     for g in graphs:
-        assert FlowNetwork(g)._nbrs == _ref_nbrs(g)
+        net = FlowNetwork(g)
+        assert net._nbrs == _ref_nbrs(g)
+        if g.vertices == tuple(range(len(g))):
+            # ids 0..n-1 are their own ranks: the rows are the graph's own tuples
+            assert all(net._nbrs[k] is g._adj[v] for k, v in enumerate(g.vertices))
 
 
 def _flow_events(monkeypatch) -> list[str]:

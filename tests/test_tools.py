@@ -42,11 +42,21 @@ def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
     assert count(path) == (8, 20)
 
 
-def test_work_counts_reads_the_fattk_figures():
+def _work_counts(workload: str) -> dict[str, int]:
     out = subprocess.run(
-        [sys.executable, str(TOOLS / "work_counts.py"), "--workload", "fattk", "--seed", "7"],
+        [sys.executable, str(TOOLS / "work_counts.py"), "--workload", workload, "--seed", "7"],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    counts = json.loads(out)
+    return json.loads(out)
+
+
+def test_work_counts_reads_the_fattk_figures():
+    counts = _work_counts("fattk")
     assert (counts["networks"], counts["pair_flows"]) == (124, 854)
-    assert (counts["searches_found"], counts["paths"]) == (691, 2767)
+    assert (counts["searches_found"], counts["searches_failed"], counts["paths"]) == (691, 103, 2767)
+
+
+def test_work_counts_reads_the_sweep_figures():
+    counts = _work_counts("sweep")
+    assert (counts["networks"], counts["pair_flows"]) == (282, 5289)
+    assert (counts["searches_found"], counts["searches_failed"], counts["paths"]) == (8662, 446, 17287)
