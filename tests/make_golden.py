@@ -374,8 +374,8 @@ def scale_text() -> str:
     """One line per output at the scale the engines target: its
     parameters and the sha256 of the output.
 
-    omega: the omega_nst trace JSON on grid r=28 from three roots and on
-    ray k=1000 from 0. local and cover: local_normal_tree to 5 seeded
+    omega: the omega_nst trace JSON on grid r=28 from three roots, on
+    grid r=40 from 0 and on ray k=1000 from 0. local and cover: local_normal_tree to 5 seeded
     targets and nst_from_dispersed_cover on a seeded cover of 3 classes,
     on grid r=28 from 0. families: the family_text lines of 1000 seeded
     pairs, a tenth of them adjacent, on grid r=40 and on the random
@@ -383,12 +383,14 @@ def scale_text() -> str:
     min_separator on 100 seeded pairs of disjoint, non-adjacent sides of
     1-3 vertices, and min_blocking_set on 100 pairs of sides of 1-12
     vertices, on the same three graphs. find: find_fat_tk on 200 seeded
-    branch sets of 3-4 vertices with m = 2-3 on the random graph,
-    digested as in fattk_text.
+    branch sets of 3-4 vertices with m = 2-3 on the random graph, and on
+    fat-tk-gen(4,3) and fat-tk-gen(5,2) truncated at radii 4 and 5 with
+    the generator's own branch set and 50 seeded ones, digested as in
+    fattk_text.
     """
     graphs = scale_graphs()
     lines = []
-    for name, roots in (("grid-r28", (0, 217, 434)), ("ray-k1000", (0,))):
+    for name, roots in (("grid-r28", (0, 217, 434)), ("grid-r40", (0,)), ("ray-k1000", (0,))):
         g = graphs[name]
         for r in roots:
             lines.append(f"{name} omega r={r} {_sha(dumps(trace_to_obj(omega_nst(g, r))))}")
@@ -430,6 +432,14 @@ def scale_text() -> str:
         branch, m = tuple(rng.sample(g.vertices, rng.randint(3, 4))), rng.randint(2, 3)
         found.append(f"{branch} {m} {_fattk_repr(find_fat_tk(g, branch, m))}")
     lines.append("chorded-400 find branches=200 " + _sha("\n".join(found)))
+    for n, m in ((4, 3), (5, 2)):
+        for r in (4, 5):
+            g = truncate(make_generator("fat-tk-gen", n, m), r)
+            rng = random.Random(f"scale find fat-tk-gen({n},{m}) r={r}")
+            branches = [tuple(range(n))] + [tuple(rng.sample(g.vertices, n)) for _ in range(50)]
+            found = [f"{b} {_fattk_repr(find_fat_tk(g, b, m))}" for b in branches]
+            lines.append(f"fat-tk-gen({n},{m}) r={r} find m={m} branches=51 "
+                         + _sha("\n".join(found)))
     return "\n".join(lines) + "\n"
 
 
