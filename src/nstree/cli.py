@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from . import io
@@ -28,8 +27,6 @@ from .fattk import FatTKFailure, find_fat_tk, is_dispersed, verify_fat_tk
 from .generators import BUILTIN_GENERATORS, make_generator, truncate
 from .graph import Graph
 from .tree import is_normal
-
-_GEN_WITH_ARGS = re.compile(r"fat-tk-gen\(([^,]*),([^,]*)\)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,18 +154,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.gen:
         if args.radius is None:
             raise ValueError("--gen requires --radius")
-        m = _GEN_WITH_ARGS.fullmatch(args.gen)
-        if m:
-            try:
-                n, k = io.parse_id(m.group(1)), io.parse_id(m.group(2))
-            except ValueError:
-                raise ValueError(
-                    f"--gen expects fat-tk-gen(N,M) with decimal N and M, got {args.gen!r}"
-                ) from None
-            gen = make_generator("fat-tk-gen", n, k)
-        else:
-            gen = make_generator(args.gen)
-        return truncate(gen, args.radius)
+        return truncate(make_generator(args.gen), args.radius)
     raise ValueError("no graph given; use --input or --gen with --radius")
 
 

@@ -729,11 +729,18 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
     return PathFamily(v, w, tuple(map(Path, net._decompose(v, w, *net._pair_flow(v, w, None)))))
 
 
-def _check_sides(g: Graph, a: frozenset[int], b: frozenset[int]) -> None:
+def _check_sides(
+    g: Graph, a: frozenset[int] | set[int], b: frozenset[int] | set[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Both sides as frozensets, once their ids are ints and both are
+    nonempty sets of vertices of g."""
+    a = frozenset(map(_check_vertex, a))
+    b = frozenset(map(_check_vertex, b))
     if not a or not b:
         raise ValueError("both sides must be nonempty")
     if not a <= g.vertex_set or not b <= g.vertex_set:
         raise ValueError("sides must be subsets of the graph")
+    return a, b
 
 
 def min_separator(
@@ -745,9 +752,7 @@ def min_separator(
     interiors outside a ∪ b. Raises InseparableError when an edge joins
     a directly to b, since then no separator avoiding both sides exists.
     """
-    a = frozenset(map(_check_vertex, a))
-    b = frozenset(map(_check_vertex, b))
-    _check_sides(g, a, b)
+    a, b = _check_sides(g, a, b)
     if a & b:
         raise ValueError(f"sides overlap on {sorted(a & b)}")
     for u in sorted(a):
@@ -769,7 +774,5 @@ def min_blocking_set(
     blocking sets the right notion for separating a probe set from a
     structure it touches.
     """
-    a = frozenset(map(_check_vertex, a))
-    b = frozenset(map(_check_vertex, b))
-    _check_sides(g, a, b)
+    a, b = _check_sides(g, a, b)
     return Separator(_network(g)._cut(a, b, sides_cuttable=True), a, b)

@@ -24,7 +24,7 @@ from itertools import chain, combinations
 
 from ._record import Record
 from .connectivity import _network
-from .graph import Graph, _check_int, _check_vertex
+from .graph import Graph, _check_int, _check_vertex, _vertex_set
 from .tree import RootedTree
 
 SPANNING = "spanning"
@@ -209,10 +209,7 @@ def local_normal_tree(
     uncovered u-vertex of its component. Ends target-covered once
     u is inside the tree (spanning when that coincides with all of g).
     """
-    u = frozenset(map(_check_vertex, u))
-    if not u <= g.vertex_set:
-        raise ValueError(f"target vertices not in graph: {sorted(u - g.vertex_set)}")
-    return _run(g, r, step_budget, kappa_small, (u,))
+    return _run(g, r, step_budget, kappa_small, (_vertex_set(g, u, "target"),))
 
 
 def nst_from_dispersed_cover(

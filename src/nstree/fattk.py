@@ -16,7 +16,7 @@ from itertools import combinations
 
 from ._record import Record
 from .connectivity import FlowNetwork, _network
-from .graph import Graph, _check_int, _check_vertex
+from .graph import Graph, _check_int, _check_vertex, _vertex_set
 
 
 class FatTKCertificate:
@@ -243,9 +243,7 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     would have spared.
     """
     branch = _branch(u, m)
-    missing = [v for v in branch if v not in g]
-    if missing:
-        raise ValueError(f"branch vertices not in graph: {missing}")
+    _vertex_set(g, branch, "branch")
     return _route(_network(g), branch, m)
 
 
@@ -287,7 +285,7 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
         if v not in g:
             raise ValueError(f"vertex {v} not in graph")
     net = _network(g)
-    return all(net._pair_flow(a, b, None)[0] >= m for a, b in combinations(branch, 2))
+    return all(net._pair_flow(a, b, m)[0] >= m for a, b in combinations(branch, 2))
 
 
 def is_dispersed(
@@ -329,9 +327,7 @@ def is_dispersed(
     candidate routes or none passes the degree test. It does not say
     which of these happened.
     """
-    probe = frozenset(map(_check_vertex, probe))
-    if not probe <= g.vertex_set:
-        raise ValueError(f"probe vertices not in graph: {sorted(probe - g.vertex_set)}")
+    probe = _vertex_set(g, probe, "probe")
     for name, value in (("n", n), ("multiplicity", m), ("s", s), ("search budget", search_budget)):
         _check_int(name, value)
     if n < 2 or m < 1 or s < 0:

@@ -3,7 +3,9 @@
 A generator describes a possibly infinite graph by a root vertex and a
 pure function mapping each vertex to its neighbors. The only way to get
 a concrete Graph out of one is truncate(), which explores the ball of a
-given radius around the root.
+given radius around the root. make_generator() builds a built-in
+generator from the name it carries, "fat-tk-gen(3,2)" included, for
+the CLI's --gen and for library callers alike.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections.abc import Callable
 from math import isqrt
 
 from ._record import Record
-from .graph import Graph, _check_int
+from .graph import Graph, _check_int, parse_id
 
 
 class GraphGenerator(Record):
@@ -169,7 +171,16 @@ BUILTIN_GENERATORS: dict[str, Callable[..., GraphGenerator]] = {
 
 
 def make_generator(name: str, n: int | None = None, m: int | None = None) -> GraphGenerator:
-    """Look up a built-in generator by CLI name."""
+    """The built-in generator that carries this name, such as "grid" or
+    "fat-tk-gen(3,2)", so that make_generator(gen.name) rebuilds gen.
+    fat-tk-gen's N and M are canonical decimals (parse_id); the bare
+    name "fat-tk-gen" takes them as the arguments n and m instead."""
+    if isinstance(name, str) and name.startswith("fat-tk-gen(") and name.endswith(")"):
+        try:
+            n, m = map(parse_id, name[len("fat-tk-gen("):-1].split(","))
+        except ValueError:
+            raise ValueError(f"fat-tk-gen(N,M) expects decimal N and M, got {name!r}") from None
+        name = "fat-tk-gen"
     if name == "fat-tk-gen":
         if n is None or m is None:
             raise ValueError(

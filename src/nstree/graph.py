@@ -1,4 +1,10 @@
-"""Finite simple undirected graphs with integer vertex ids."""
+"""Finite simple undirected graphs with integer vertex ids.
+
+The rules for reading ids live here, one owner each: _check_vertex
+refuses a non-int id, parse_id reads an id written as text, and
+_vertex_set reads a vertex-set argument, naming the ids it finds
+outside the graph.
+"""
 
 from __future__ import annotations
 
@@ -119,6 +125,25 @@ def _check_vertex(v: int) -> int:
     return v
 
 
+def _vertex_set(g: Graph, xs: Iterable[int], what: str) -> frozenset[int]:
+    """The ids of xs, once every one is an int and a vertex of g; the
+    strays are named as "<what> vertices not in graph"."""
+    xs = frozenset(map(_check_vertex, xs))
+    if not xs <= g.vertex_set:
+        raise ValueError(f"{what} vertices not in graph: {sorted(xs - g.vertex_set)}")
+    return xs
+
+
+def parse_id(text: str) -> int:
+    """A vertex id written as text (a JSON object key, an edge-list field,
+    a CLI list item, a generator parameter), in canonical decimal only:
+    "01", " 3 ", "+3" and "1_0" raise rather than read as 1, 3, 3 and 10."""
+    v = int(text)
+    if str(v) != text:
+        raise ValueError(f"non-canonical id {text!r}")
+    return v
+
+
 def _check_int(name: str, value: object) -> int:
     # an exact int: bool is an int subclass but True is no count, nor is 2.0
     if type(value) is not int:
@@ -132,10 +157,7 @@ def components(g: Graph, removed: frozenset[int] | set[int] = frozenset()) -> li
     Returns the component vertex sets sorted by their smallest member.
     The removed set must be a subset of the graph's vertices.
     """
-    removed = frozenset(map(_check_vertex, removed))
-    if not removed <= g.vertex_set:
-        extra = sorted(removed - g.vertex_set)
-        raise ValueError(f"removed vertices not in graph: {extra}")
+    removed = _vertex_set(g, removed, "removed")
     seen: set[int] = set(removed)
     out: list[frozenset[int]] = []
     for start in g.vertices:

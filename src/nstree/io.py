@@ -3,7 +3,8 @@
 All JSON emitted here is deterministic: containers are sorted and dumps
 use sorted keys, so identical inputs give byte-identical output. Ids
 read from JSON must be exact ints (type(x) is int): true and false load
-as bool, an int subclass, and are refused.
+as bool, an int subclass, and are refused. Ids written as text are read
+by parse_id, which lives in graph and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any
 
 from .construct import DispersedCover, RunTrace
 from .fattk import DispersednessVerdict, FatTKCertificate, FatTKFailure
-from .graph import Graph
+from .graph import Graph, parse_id
 from .tree import RootedTree
 
 
@@ -50,14 +51,9 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def parse_id(text: str) -> int:
-    """A vertex id written as text (a JSON object key, an edge-list field,
-    a CLI list item), in canonical decimal only: "01", " 3 ", "+3" and
-    "1_0" raise rather than read as 1, 3, 3 and 10."""
-    v = int(text)
-    if str(v) != text:
-        raise ValueError(f"non-canonical id {text!r}")
-    return v
+def _id_list(x: Any) -> bool:
+    """Is x a JSON list of exact-int ids?"""
+    return isinstance(x, list) and all(type(v) is int for v in x)
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:
@@ -72,13 +68,13 @@ def graph_from_obj(obj: Any) -> Graph:
         raise ValueError('graph JSON must be an object with "vertices" and "edges"')
     vertices = obj["vertices"]
     edges = obj["edges"]
-    if not isinstance(vertices, list) or not all(type(v) is int for v in vertices):
+    if not _id_list(vertices):
         raise ValueError("graph vertices must be a list of integers")
     if not isinstance(edges, list):
         raise ValueError("graph edges must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not (_id_list(e) and len(e) == 2):
             raise ValueError(f"bad edge entry {e!r}; expected [u, v]")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
@@ -222,7 +218,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
         raise ValueError('certificate JSON needs "branch", "m" and "paths"')
     branch = obj["branch"]
     m = obj["m"]
-    if not isinstance(branch, list) or not all(type(v) is int for v in branch):
+    if not _id_list(branch):
         raise ValueError("certificate branch must be a list of integers")
     if type(m) is not int:
         raise ValueError("certificate m must be an integer")
@@ -234,9 +230,7 @@ def cert_from_obj(obj: Any) -> FatTKCertificate:
             a, b = (parse_id(x) for x in key.split(","))
         except ValueError:
             raise ValueError(f'bad pair key {key!r}; expected "a,b"') from None
-        if not isinstance(plist, list) or not all(
-            isinstance(p, list) and all(type(x) is int for x in p) for p in plist
-        ):
+        if not isinstance(plist, list) or not all(map(_id_list, plist)):
             raise ValueError(f"paths for {key} must be lists of integer lists")
         # "1,2" and "2,1" name one pair; the certificate would keep the last
         if (a, b) in paths or (b, a) in paths:
@@ -274,9 +268,7 @@ def cover_from_obj(obj: Any) -> DispersedCover:
     {"levels": [...]} that cover_to_obj writes."""
     if isinstance(obj, dict):
         obj = obj.get("cover", obj.get("levels"))
-    if not isinstance(obj, list) or not all(
-        isinstance(s, list) and all(type(v) is int for v in s) for s in obj
-    ):
+    if not isinstance(obj, list) or not all(map(_id_list, obj)):
         raise ValueError("cover must be a list of integer lists")
     return DispersedCover(tuple(frozenset(s) for s in obj))
 

@@ -395,6 +395,33 @@ def test_kappa_necessary_check_reads_its_branch_as_find_fat_tk_does(g, u, error,
         kappa_necessary_check(g, u, 2)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kappa_necessary_check_stops_each_flow_at_m(seed, monkeypatch):
+    """The check agrees with kappa on every pair, though none of its
+    pair flows goes past m paths."""
+    values: list[int] = []
+    real = FlowNetwork._pair_flow
+
+    def pair_flow(self, v, w, limit, blocked=frozenset()):
+        out = real(self, v, w, limit, blocked)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(FlowNetwork, "_pair_flow", pair_flow)
+    rng = random.Random(4400 + seed)
+    above = 0
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(6, 16), rng.choice([0.2, 0.4, 0.6]))
+        u = rng.sample(g.vertices, rng.randint(2, 4))
+        m = rng.randint(1, 4)
+        kappas = [kappa(g, a, b) for a, b in combinations(u, 2)]
+        above += sum(k > m for k in kappas)
+        values.clear()
+        assert kappa_necessary_check(g, u, m) == all(k >= m for k in kappas)
+        assert values and max(values) <= m
+    assert above > 10
+
+
 def test_brute_confirms_dst_multiplicities():
     assert brute_fat_tk_exists(DST, (1, 2, 3), 2)
     assert not brute_fat_tk_exists(DST, (1, 2, 3), 3)

@@ -119,6 +119,38 @@ def test_fat_tk_parameters_that_are_not_ints_rejected(name, build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [ray(), double_ray(), binary_tree(), grid(), fat_tk(3, 2), fat_tk(4, 3)],
+    ids=lambda gen: gen.name,
+)
+def test_make_generator_rebuilds_each_generator_from_its_name(gen):
+    rebuilt = make_generator(gen.name)
+    assert rebuilt.name == gen.name and rebuilt == gen
+    assert truncate(rebuilt, 3) == truncate(gen, 3)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # parameters are canonical decimals, as parse_id reads ids
+        ("fat-tk-gen(03,2)", "fat-tk-gen(N,M) expects decimal N and M, got 'fat-tk-gen(03,2)'"),
+        ("fat-tk-gen(3,\u0662)",
+         "fat-tk-gen(N,M) expects decimal N and M, got 'fat-tk-gen(3,\u0662)'"),
+        ("fat-tk-gen(3,2,1)", "fat-tk-gen(N,M) expects decimal N and M, got 'fat-tk-gen(3,2,1)'"),
+        ("fat-tk-gen(3,2)\n",
+         "unknown generator 'fat-tk-gen(3,2)\\n' (known: binary-tree, double-ray, fat-tk-gen, "
+         "grid, ray)"),
+        # a parameter read in full is fat_tk's to check
+        ("fat-tk-gen(1,2)", "need n >= 2 branch vertices and m >= 1 paths, got n=1, m=2"),
+    ],
+    ids=["leading zero", "arabic-indic digit", "three parameters", "newline", "n=1"],
+)
+def test_make_generator_refuses_a_malformed_name(name, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_generator(name)
+
+
 def test_make_generator():
     assert make_generator("ray").name == "ray"
     assert make_generator("fat-tk-gen", 3, 2).name == "fat-tk-gen(3,2)"

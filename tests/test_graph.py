@@ -212,3 +212,25 @@ def test_neighborhood_names_the_overlap():
     g = Graph(edges=[(1, 2), (2, 3), (3, 4)])
     with pytest.raises(ValueError, match=r"^sets overlap on \[2, 3\]$"):
         neighborhood(g, {1, 2, 3}, {2, 3, 4})
+
+
+_K4 = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (lambda xs: components(_K4, xs), "removed"),
+        (lambda xs: local_normal_tree(_K4, xs, 0), "target"),
+        (lambda xs: is_dispersed(_K4, xs, 2, 1, 0), "probe"),
+        (lambda xs: find_fat_tk(_K4, xs, 1), "branch"),
+    ],
+    ids=["components", "local_normal_tree", "is_dispersed", "find_fat_tk"],
+)
+def test_vertex_set_arguments_are_read_by_one_rule(read, what):
+    # the stray 99 comes first, and the non-int id still wins
+    for bad, kind in ((1.0, "float"), (True, "bool"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^vertex ids must be integers, got {kind}$"):
+            read([99, 0, bad])
+    with pytest.raises(ValueError, match=f"^{what} vertices not in graph: \\[7, 99\\]$"):
+        read([99, 0, 7, 1])
