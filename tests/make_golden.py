@@ -357,7 +357,10 @@ def scale_graphs() -> dict[str, Graph]:
     ray truncated at 1000, and a seeded random 400-vertex graph (a
     spanning tree plus 1200 chords), also with each id x relabelled
     3x - 50, so that its ids are not 0..n-1 and a network maps them to
-    ranks."""
+    ranks. A second seeded 400-vertex graph has only 200 chords: 84 of
+    its vertices lie outside the 2-core and 58 of its rows are trimmed
+    to it, where the first graph has 1 of each, so its flows run on
+    rows that _core_rows changes."""
     grid = make_generator("grid")
     chorded = chorded_graph(random.Random(9000), 400, 1200)
     return {
@@ -367,6 +370,7 @@ def scale_graphs() -> dict[str, Graph]:
         "chorded-400": chorded,
         "chorded-400-3x-50": Graph([3 * x - 50 for x in chorded.vertices],
                                    [(3 * u - 50, 3 * v - 50) for u, v in chorded.edges]),
+        "chorded-400-200": chorded_graph(random.Random(9001), 400, 200),
     }
 
 
@@ -375,22 +379,25 @@ def scale_text() -> str:
     parameters and the sha256 of the output.
 
     omega: the omega_nst trace JSON on grid r=28 from three roots, on
-    grid r=40 from 0 and on ray k=1000 from 0. local and cover: local_normal_tree to 5 seeded
+    grid r=40 from 0, on ray k=1000 from 0 and on the random graph with
+    200 chords from 0. local and cover: local_normal_tree to 5 seeded
     targets and nst_from_dispersed_cover on a seeded cover of 3 classes,
     on grid r=28 from 0. families: the family_text lines of 1000 seeded
-    pairs, a tenth of them adjacent, on grid r=40 and on the random
-    400-vertex graph and its relabelled copy. separator and blocking:
+    pairs, a tenth of them adjacent, on grid r=40, on the random
+    400-vertex graph and its relabelled copy, and on the random graph
+    with 200 chords. separator and blocking:
     min_separator on 100 seeded pairs of disjoint, non-adjacent sides of
     1-3 vertices, and min_blocking_set on 100 pairs of sides of 1-12
-    vertices, on the same three graphs. find: find_fat_tk on 200 seeded
-    branch sets of 3-4 vertices with m = 2-3 on the random graph, and on
-    fat-tk-gen(4,3) and fat-tk-gen(5,2) truncated at radii 4 and 5 with
-    the generator's own branch set and 50 seeded ones, digested as in
-    fattk_text.
+    vertices, on the same four graphs. find: find_fat_tk on 200 seeded
+    branch sets of 3-4 vertices with m = 2-3 on the graph with 1200
+    chords, and on fat-tk-gen(4,3) and fat-tk-gen(5,2) truncated at
+    radii 4 and 5 with the generator's own branch set and 50 seeded
+    ones, digested as in fattk_text.
     """
     graphs = scale_graphs()
     lines = []
-    for name, roots in (("grid-r28", (0, 217, 434)), ("grid-r40", (0,)), ("ray-k1000", (0,))):
+    for name, roots in (("grid-r28", (0, 217, 434)), ("grid-r40", (0,)), ("ray-k1000", (0,)),
+                        ("chorded-400-200", (0,))):
         g = graphs[name]
         for r in roots:
             lines.append(f"{name} omega r={r} {_sha(dumps(trace_to_obj(omega_nst(g, r))))}")
@@ -403,7 +410,7 @@ def scale_text() -> str:
     cover = DispersedCover(tuple(frozenset(vs[i::3]) for i in range(3)))
     trace = nst_from_dispersed_cover(g, cover, 0)
     lines.append(f"grid-r28 cover r=0 classes=3 {_sha(dumps(trace_to_obj(trace)))}")
-    for name in ("grid-r40", "chorded-400", "chorded-400-3x-50"):
+    for name in ("grid-r40", "chorded-400", "chorded-400-3x-50", "chorded-400-200"):
         g = graphs[name]
         rng = random.Random(f"scale {name}")
         fams = []
