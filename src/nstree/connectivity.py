@@ -32,7 +32,7 @@ import _thread
 from bisect import bisect
 
 from ._record import Record, _set
-from .graph import Graph, _check_vertex
+from .graph import Graph, _check_vertex, _vertex_set
 
 class Path(Record):
     __slots__ = ("vertices",)
@@ -732,14 +732,11 @@ def max_independent_paths(g: Graph, v: int, w: int) -> PathFamily:
 def _check_sides(
     g: Graph, a: frozenset[int] | set[int], b: frozenset[int] | set[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Both sides as frozensets, once their ids are ints and both are
-    nonempty sets of vertices of g."""
-    a = frozenset(map(_check_vertex, a))
-    b = frozenset(map(_check_vertex, b))
+    """Both sides as read by _vertex_set, once both are nonempty."""
+    a = _vertex_set(g, a, "side")
+    b = _vertex_set(g, b, "side")
     if not a or not b:
         raise ValueError("both sides must be nonempty")
-    if not a <= g.vertex_set or not b <= g.vertex_set:
-        raise ValueError("sides must be subsets of the graph")
     return a, b
 
 

@@ -224,15 +224,11 @@ def nst_from_dispersed_cover(
     Each extension into a component D additionally targets the least
     vertex of D ∩ V_i for the first cover class V_i meeting D.
     """
-    for v in chain.from_iterable(cover.sets):
-        _check_vertex(v)
-    stray = [sorted(s - g.vertex_set) for s in cover.sets if not s <= g.vertex_set]
-    if stray:
-        raise ValueError(f"cover contains vertices outside the graph: {stray[0]}")
-    union = frozenset().union(*cover.sets)
+    classes = tuple(_vertex_set(g, s, "cover") for s in cover.sets)
+    union = frozenset().union(*classes)
     if union != g.vertex_set:
         raise ValueError(f"cover misses vertices: {sorted(g.vertex_set - union)}")
-    return _run(g, r, step_budget, kappa_small, cover.sets)
+    return _run(g, r, step_budget, kappa_small, classes)
 
 
 def levels_of(t: RootedTree) -> DispersedCover:

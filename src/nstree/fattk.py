@@ -220,14 +220,16 @@ def verify_fat_tk(g: Graph, cert: FatTKCertificate) -> CertificateReport:
     return CertificateReport(True)
 
 
-def _branch(u: Iterable[int], m: int) -> tuple[int, ...]:
+def _branch(g: Graph, u: Iterable[int], m: int) -> tuple[int, ...]:
     """The distinct ids of u in ascending order, once u and the
-    multiplicity m pass the checks both branch searches open with."""
+    multiplicity m pass the checks both branch searches open with, the
+    vertex-set rule last."""
     branch = tuple(sorted(set(map(_check_vertex, u))))
     if len(branch) < 2:
         raise ValueError(f"need at least 2 branch vertices, got {len(branch)}")
     if _check_int("multiplicity", m) < 1:
         raise ValueError(f"multiplicity must be at least 1, got {m}")
+    _vertex_set(g, branch, "branch")
     return branch
 
 
@@ -242,9 +244,7 @@ def find_fat_tk(g: Graph, u: Iterable[int], m: int) -> FatTKCertificate | FatTKF
     an earlier pair may have consumed vertices a cleverer assignment
     would have spared.
     """
-    branch = _branch(u, m)
-    _vertex_set(g, branch, "branch")
-    return _route(_network(g), branch, m)
+    return _route(_network(g), _branch(g, u, m), m)
 
 
 def _route(net: FlowNetwork, branch: tuple[int, ...], m: int) -> FatTKCertificate | FatTKFailure:
@@ -280,10 +280,7 @@ def kappa_necessary_check(g: Graph, u: Iterable[int], m: int) -> bool:
     False proves no such certificate exists; true proves nothing beyond
     the pairwise bound (necessary, not sufficient).
     """
-    branch = _branch(u, m)
-    for v in branch:
-        if v not in g:
-            raise ValueError(f"vertex {v} not in graph")
+    branch = _branch(g, u, m)
     net = _network(g)
     return all(net._pair_flow(a, b, m)[0] >= m for a, b in combinations(branch, 2))
 

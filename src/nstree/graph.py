@@ -3,7 +3,13 @@
 The rules for reading ids live here, one owner each: _check_vertex
 refuses a non-int id, parse_id reads an id written as text, and
 _vertex_set reads a vertex-set argument, naming the ids it finds
-outside the graph.
+outside the graph as "<what> vertices not in graph: [...]". Every
+vertex-set argument of the package is read by _vertex_set, with two
+exceptions: is_normal names its tree's strays in the same words but
+skips the int test, since RootedTree has made it already, and is_chain
+reads its members unchecked. Single vertices are read where they are
+taken, one at a time: Graph.neighbors and the pair queries of
+connectivity name a stray as "vertex x not in graph".
 """
 
 from __future__ import annotations
@@ -184,10 +190,8 @@ def neighborhood(
 
     The two sets must be disjoint subsets of the graph's vertices.
     """
-    d = frozenset(map(_check_vertex, d))
-    inside = frozenset(map(_check_vertex, inside))
-    if not d <= g.vertex_set or not inside <= g.vertex_set:
-        raise ValueError("neighborhood arguments must be subsets of the graph")
+    d = _vertex_set(g, d, "neighborhood")
+    inside = _vertex_set(g, inside, "neighborhood")
     if d & inside:
         raise ValueError(f"sets overlap on {sorted(d & inside)}")
     hit: set[int] = set()
@@ -200,9 +204,7 @@ def neighborhood(
 
 def induced_subgraph(g: Graph, s: frozenset[int] | set[int]) -> Graph:
     """Subgraph on the vertex set s with every g-edge inside s, ids preserved."""
-    s = frozenset(s)
-    if not s <= g.vertex_set:
-        raise ValueError("induced_subgraph vertex set must be a subset of the graph")
+    s = _vertex_set(g, s, "subgraph")
     return Graph(s, ((u, v) for u, v in g.edges if u in s and v in s))
 
 

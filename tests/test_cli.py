@@ -263,6 +263,11 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_separator_names_a_side_vertex_outside_the_graph(capsys):
+    code = main(["separator", "--gen", "grid", "--radius", "2", "--a", "0", "--b", "99,5"])
+    assert (code, capsys.readouterr().err) == (2, "error: side vertices not in graph: [99]\n")
+
+
 _K3 = '{"vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]]}'
 _DEEP = "[" * 100_000 + "]" * 100_000
 # "0,1" and "1,0" name one pair, once read as whichever came last:

@@ -346,7 +346,7 @@ def test_kappa_necessary_check_dst():
 
 
 _KAPPA_CHECK_ERRORS = [
-    ({1, 9}, 1, "vertex 9 not in graph"),
+    ({1, 9}, 1, "branch vertices not in graph: [9]"),
     ({1}, 1, "need at least 2 branch vertices, got 1"),
     # the multiplicity is checked as find_fat_tk checks it, before any flow
     ({1, 2, 3}, True, "multiplicity must be an integer, got True"),
@@ -381,7 +381,8 @@ def test_kappa_necessary_check_argument_errors(u, m, message, monkeypatch):
         (K4, [1, 1.0, 2], TypeError, "vertex ids must be integers, got float"),
         (K4, [1, True, 2], TypeError, "vertex ids must be integers, got bool"),
         # κ(1, 2) = 1 < m once answered False before 9 was looked at
-        (Graph(edges=[(1, 2), (2, 3)]), {1, 2, 9}, ValueError, "vertex 9 not in graph"),
+        (Graph(edges=[(1, 2), (2, 3)]), {1, 2, 9}, ValueError,
+         "branch vertices not in graph: [9]"),
     ],
     ids=["1.0", "True", "missing vertex"],
 )

@@ -16,6 +16,7 @@ from nstree import (
     induced_subgraph,
     is_connected,
     is_dispersed,
+    kappa_necessary_check,
     local_normal_tree,
     min_blocking_set,
     min_separator,
@@ -224,8 +225,20 @@ _K4 = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         (lambda xs: local_normal_tree(_K4, xs, 0), "target"),
         (lambda xs: is_dispersed(_K4, xs, 2, 1, 0), "probe"),
         (lambda xs: find_fat_tk(_K4, xs, 1), "branch"),
+        (lambda xs: kappa_necessary_check(_K4, xs, 1), "branch"),
+        (lambda xs: min_separator(_K4, xs, {2}), "side"),
+        (lambda xs: min_separator(_K4, {0}, xs), "side"),
+        (lambda xs: min_blocking_set(_K4, xs, {2}), "side"),
+        (lambda xs: min_blocking_set(_K4, {0}, xs), "side"),
+        (lambda xs: neighborhood(_K4, xs, {2}), "neighborhood"),
+        (lambda xs: neighborhood(_K4, {3}, xs), "neighborhood"),
+        (lambda xs: induced_subgraph(_K4, xs), "subgraph"),
+        (lambda xs: nst_from_dispersed_cover(_K4, DispersedCover(([2, 3], xs)), 0), "cover"),
     ],
-    ids=["components", "local_normal_tree", "is_dispersed", "find_fat_tk"],
+    ids=["components", "local_normal_tree", "is_dispersed", "find_fat_tk",
+         "kappa_necessary_check", "min_separator a", "min_separator b", "min_blocking_set a",
+         "min_blocking_set b", "neighborhood d", "neighborhood inside", "induced_subgraph",
+         "nst_from_dispersed_cover"],
 )
 def test_vertex_set_arguments_are_read_by_one_rule(read, what):
     # the stray 99 comes first, and the non-int id still wins
@@ -234,3 +247,15 @@ def test_vertex_set_arguments_are_read_by_one_rule(read, what):
             read([99, 0, bad])
     with pytest.raises(ValueError, match=f"^{what} vertices not in graph: \\[7, 99\\]$"):
         read([99, 0, 7, 1])
+
+
+def test_a_non_int_id_outside_the_graph_is_refused_as_a_non_int():
+    # 99.0 is neither an int nor a vertex; the type is named first
+    with pytest.raises(TypeError, match="^vertex ids must be integers, got float$"):
+        induced_subgraph(_K4, {99.0})
+
+
+def test_cover_classes_may_be_lists():
+    sets = (frozenset({0, 1}), frozenset({2, 3}))
+    want = nst_from_dispersed_cover(_K4, DispersedCover(sets), 0)
+    assert nst_from_dispersed_cover(_K4, DispersedCover(([0, 1], [2, 3])), 0) == want
