@@ -10,9 +10,22 @@ import sys
 import pytest
 
 from helpers import bfs_tree, random_connected_graph, random_subtree
-from nstree import FatTKCertificate, Graph, RootedTree, find_fat_tk, is_dispersed, is_normal
+from nstree import (
+    DispersedCover,
+    FatTKCertificate,
+    Graph,
+    RootedTree,
+    find_fat_tk,
+    is_dispersed,
+    is_normal,
+    local_normal_tree,
+    make_generator,
+    nst_from_dispersed_cover,
+    omega_nst,
+    truncate,
+)
 from nstree.cli import main
-from nstree.io import cert_to_obj, dumps, graph_to_obj, tree_to_obj
+from nstree.io import cert_to_obj, dumps, graph_to_obj, tree_to_dot, tree_to_obj
 
 DST_EDGES = "\n".join(
     f"{u} {v}"
@@ -57,6 +70,23 @@ def test_nst_dot(capsys, k4_file):
     assert code == 0
     assert out.startswith("graph {")
     assert '"1" [shape=doublecircle];' in out
+
+
+@pytest.mark.parametrize("command", ["omega", "local", "cover-nst"])
+def test_trace_commands_write_the_final_tree_as_dot(capsys, tmp_path, command):
+    g = truncate(make_generator("grid"), 3)
+    vs = g.vertices
+    classes = (frozenset(vs[::2]), frozenset(vs[1::2]))
+    cover = tmp_path / "cover.json"
+    cover.write_text(dumps([sorted(c) for c in classes]))
+    trace, extra = {
+        "omega": (omega_nst(g, 0), []),
+        "local": (local_normal_tree(g, [5, 9], 0), ["--targets", "5,9"]),
+        "cover-nst": (nst_from_dispersed_cover(g, DispersedCover(classes), 0),
+                      ["--cover", str(cover)]),
+    }[command]
+    argv = [command, "--gen", "grid", "--radius", "3", "--root", "0", "--format", "dot", *extra]
+    assert run(capsys, argv) == (0, tree_to_dot(trace.tree, g))
 
 
 def test_omega_from_generator(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from helpers import connected_graphs_st
 from nstree import (
     DispersedCover,
+    FatTKCertificate,
     Graph,
     RootedTree,
     components,
@@ -97,6 +98,22 @@ def test_vertex_arguments_equal_to_an_id_but_not_ints_are_refused(call, bad):
         Graph([bad])
     with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
         call(bad)
+
+
+def test_a_graph_iterates_and_prints_its_size():
+    g = Graph([7], [(3, 1), (1, 2)])
+    assert list(g) == [1, 2, 3, 7]
+    assert repr(g) == "Graph(4 vertices, 2 edges)"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Graph([1]), RootedTree(1), FatTKCertificate((0, 1), 1, {(0, 1): ((0, 1),)})],
+    ids=["Graph", "RootedTree", "FatTKCertificate"],
+)
+def test_equality_with_another_type_is_left_to_it(x):
+    assert x.__eq__((1,)) is NotImplemented
+    assert x != (1,) and (1,) != x
 
 
 def test_parallel_edges_collapse():

@@ -9,6 +9,11 @@ up to 200 vertices and on a grid truncation. f(x) = 3x - 50 keeps the
 order, spreads the ids apart and makes some of them negative; the
 source graphs have ids 0..n-1 and their images do not, so both ways a
 flow network numbers its vertices meet on every graph.
+
+Under any bijection, order-free answers stay: κ, cut sizes, normality
+verdicts and verify_fat_tk's acceptance. A random bijection that is not
+monotone puts the ids in a new order, so every search runs another way;
+this weaker check still holds.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from nstree import (
     find_fat_tk,
     is_dispersed,
     is_normal,
+    kappa,
     local_normal_tree,
     max_independent_paths,
     min_blocking_set,
@@ -183,3 +189,72 @@ def test_relabelling_relabels_every_fat_tk_output():
         assert _image(verdict) == verdict_image, len(g)
         seen["blockers"] += len(verdict.examined)
     assert min(seen.values()) >= 100, seen
+
+
+def _bijection(rng: random.Random, g: Graph) -> dict[int, int]:
+    """A random map of g's ids onto distinct ids of -3n..3n, in an
+    order that is neither kept nor reversed, some of them negative."""
+    n = len(g)
+    images = rng.sample(range(-3 * n, 3 * n), n)
+    assert min(images) < 0 and images != sorted(images) and images != sorted(images, reverse=True)
+    return dict(zip(g.vertices, images))
+
+
+def _cut_size(query, g: Graph, a, b):
+    try:
+        return len(query(g, a, b).s)
+    except InseparableError:
+        return "inseparable"
+
+
+def test_any_bijection_keeps_the_order_free_answers():
+    """κ, min_separator and min_blocking_set sizes, is_normal verdicts on
+    DFS trees, BFS trees and subtrees, and verify_fat_tk's verdicts on
+    found and tampered certificates agree on 40 seeded graphs of 5-200
+    vertices and grid r=8 and their images under a random bijection.
+    None of these flows frees a vertex it passes back through, so a
+    fault in that branch of _augment passes this check."""
+    rng = random.Random(3217)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(5, 200)
+        graphs.append(random_connected_graph(rng, n, rng.choice([0.0, 1.0, 2.5, 5.0, 10.0]) / n))
+    graphs.append(truncate(grid(), 8))
+    seen = {"normal": 0, "not normal": 0, "certificates": 0}
+    for g in graphs:
+        p = _bijection(rng, g)
+        h = Graph(p.values(), [(p[u], p[v]) for u, v in g.edges])
+
+        def tree_image(t: RootedTree) -> RootedTree:
+            return RootedTree(p[t.root], {p[x]: p[y] for x, y in t.parent_map.items()})
+
+        vs = g.vertices
+        for _ in range(4):
+            v, w = rng.sample(vs, 2)
+            assert kappa(g, v, w) == kappa(h, p[v], p[w]), len(g)
+            a = rng.sample(vs, rng.randint(1, 3))
+            b = rng.sample(vs, rng.randint(1, 3))
+            for query in (min_separator, min_blocking_set):
+                if query is min_separator and set(a) & set(b):
+                    continue
+                want = _cut_size(query, g, set(a), set(b))
+                assert _cut_size(query, h, {p[x] for x in a}, {p[x] for x in b}) == want
+        r = rng.choice(vs)
+        for t in (dfs_nst(g, r), bfs_tree(g, r), random_subtree(rng, g, r)):
+            verdict = is_normal(g, t).normal
+            assert is_normal(h, tree_image(t)).normal == verdict, len(g)
+            seen["normal" if verdict else "not normal"] += 1
+        for _ in range(3):
+            found = find_fat_tk(g, rng.sample(vs, 3), 2)
+            if isinstance(found, FatTKCertificate):
+                branch = tuple(map(p.get, found.branch))
+                paths = {(p[x], p[y]): tuple(tuple(map(p.get, seq)) for seq in found.paths_for(x, y))
+                         for x, y in found.pair_keys()}
+                assert verify_fat_tk(h, FatTKCertificate(branch, 2, paths)).ok
+                # the first pair's last path replaced by its first: a shared
+                # interior vertex, or a bare edge used twice
+                key = next(iter(paths))
+                paths[key] = paths[key][:1] * 2
+                assert not verify_fat_tk(h, FatTKCertificate(branch, 2, paths)).ok
+                seen["certificates"] += 1
+    assert min(seen.values()) >= 10, seen

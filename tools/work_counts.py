@@ -11,8 +11,12 @@ minus searches_found is the number of paths taken without a search),
 the augmenting searches that found a path and those that failed, the
 decompositions of pair flows into paths, the hits and misses of the
 sweeps' family memo, the flows run for a cut and the cuts read from
-pair flows. The counters wrap FlowNetwork's methods and
-connectivity._search from outside, so the library runs unchanged.
+pair flows. A third round drops the held flow network
+(connectivity._last = None) before each operation, so that each one
+builds its network and fills its family memo as the first call on its
+graph does; its counts are printed as the object `first_touch`. The
+counters wrap FlowNetwork's methods and connectivity._search from
+outside, so the library runs unchanged.
 
 DIR is the checkout whose src/ and perfbench/ are used (default: this
 one); give an unpacked copy of another commit, for example
@@ -104,7 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         _install(connectivity, counts)
         for op in wl.ops:
             op.call()
-    print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
+        warm = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        for op in wl.ops:
+            connectivity._last = None
+            op.call()
+    print(json.dumps({"workload": args.workload, "seed": args.seed, **warm, "first_touch": counts}))
     return 0
 
 
