@@ -7,6 +7,8 @@ fat-TK certificates, with bounded exploration of generator-defined
 infinite graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .connectivity import (
     InseparableError,
     Path,
@@ -54,47 +56,5 @@ from .tree import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "GraphGenerator",
-    "RootedTree",
-    "NormalityReport",
-    "Path",
-    "PathFamily",
-    "Separator",
-    "InseparableError",
-    "ExtensionStep",
-    "RunTrace",
-    "DispersedCover",
-    "SPANNING",
-    "BUDGET_EXHAUSTED",
-    "TARGET_COVERED",
-    "FatTKCertificate",
-    "CertificateReport",
-    "FatTKFailure",
-    "DispersednessVerdict",
-    "components",
-    "neighborhood",
-    "induced_subgraph",
-    "is_connected",
-    "truncate",
-    "make_generator",
-    "tree_leq",
-    "down_closure",
-    "is_chain",
-    "is_normal",
-    "separates_incomparable",
-    "kappa",
-    "max_independent_paths",
-    "min_separator",
-    "min_blocking_set",
-    "dfs_nst",
-    "omega_nst",
-    "local_normal_tree",
-    "nst_from_dispersed_cover",
-    "levels_of",
-    "verify_fat_tk",
-    "find_fat_tk",
-    "kappa_necessary_check",
-    "is_dispersed",
-]
+# every public name bound above, less the layer modules the imports bind
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]
