@@ -5,9 +5,9 @@ refuses a non-int id, parse_id reads an id written as text, and
 _vertex_set reads a vertex-set argument, naming the ids it finds
 outside the graph as "<what> vertices not in graph: [...]". Every
 vertex-set argument of the package is read by _vertex_set, with two
-exceptions: is_normal names its tree's strays in the same words but
-skips the int test, since RootedTree has made it already, and is_chain
-reads its members unchecked. Single vertices are read where they are
+exceptions: is_normal and separates_incomparable name their tree's
+strays in the same words but skip the int test, since RootedTree has
+made it already, and is_chain reads its members unchecked. Single vertices are read where they are
 taken, one at a time: Graph.neighbors and the pair queries of
 connectivity name a stray as "vertex x not in graph".
 """

@@ -253,6 +253,12 @@ def is_chain(t: RootedTree, s: Iterable[int]) -> bool:
     return True
 
 
+def _check_in_graph(g: Graph, t: RootedTree) -> None:
+    # RootedTree has made the int test already, so it is skipped here
+    if not g.vertex_set.issuperset(t._index):
+        raise ValueError(f"tree vertices not in graph: {sorted(t._index.keys() - g.vertex_set)}")
+
+
 def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
     """Check whether t is a normal tree of g.
 
@@ -272,9 +278,8 @@ def is_normal(g: Graph, t: RootedTree) -> NormalityReport:
     outside passes. A spanning tree leaves no component, so (b) is
     skipped for it.
     """
+    _check_in_graph(g, t)
     index, end = t._index, t._end
-    if not g.vertex_set.issuperset(index):
-        raise ValueError(f"tree vertices not in graph: {sorted(index.keys() - g.vertex_set)}")
     adj = g._adj
     # every child is in its parent's neighbour tuple
     for v, p in t._parent.items():
@@ -348,6 +353,7 @@ def separates_incomparable(g: Graph, t: RootedTree, u: int, v: int) -> bool:
     """
     if tree_leq(t, u, v) or tree_leq(t, v, u):
         raise ValueError(f"vertices {u} and {v} are comparable")
+    _check_in_graph(g, t)
     sep = down_closure(t, u) & down_closure(t, v)
     for comp in components(g, removed=frozenset(sep)):
         if u in comp and v in comp:

@@ -444,6 +444,30 @@ def test_is_normal_refuses_tree_vertices_outside_the_graph():
         is_normal(g, RootedTree(0, {1: 0, 9: 1, 7: 0}))
 
 
+@pytest.mark.parametrize(
+    "t, strays",
+    [
+        (RootedTree(0, {6: 0, 7: 0}), r"\[6, 7\]"),
+        # the root is a stray too, named with the rest
+        (RootedTree(5, {6: 5, 7: 5}), r"\[5, 6, 7\]"),
+    ],
+    ids=["leaves", "root-and-leaves"],
+)
+def test_separates_incomparable_refuses_tree_vertices_outside_the_graph(t, strays):
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=rf"^tree vertices not in graph: {strays}$"):
+        separates_incomparable(g, t, 6, 7)
+
+
+def test_separates_incomparable_checks_its_vertices_before_the_tree():
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    t = RootedTree(5, {6: 5, 7: 6})
+    with pytest.raises(ValueError, match=r"^vertex 9 not in tree$"):
+        separates_incomparable(g, t, 9, 7)
+    with pytest.raises(ValueError, match=r"^vertices 6 and 7 are comparable$"):
+        separates_incomparable(g, t, 6, 7)
+
+
 def test_separates_incomparable_fails_on_a_non_normal_tree():
     # the triangle's star from 0 is not normal: the chord 1-2 joins two
     # incomparable vertices, whose common down-closure {0} leaves it
