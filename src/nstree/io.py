@@ -104,8 +104,7 @@ def graph_from_edge_list(text: str) -> Graph:
 
 def graph_to_edge_list(g: Graph) -> str:
     lines = [f"{u} {v}" for u, v in g.edges]
-    covered = {x for e in g.edges for x in e}
-    lines.extend(str(v) for v in g.vertices if v not in covered)
+    lines.extend(str(v) for v, row in g._adj.items() if not row)
     return "\n".join(lines) + "\n"
 
 
@@ -119,9 +118,8 @@ def loads_graph(text: str) -> Graph:
 
 def graph_to_dot(g: Graph) -> str:
     lines = ["graph {"]
-    covered = {x for e in g.edges for x in e}
-    for v in g.vertices:
-        if v not in covered:
+    for v, row in g._adj.items():
+        if not row:
             lines.append(f'  "{v}";')
     for u, v in g.edges:
         lines.append(f'  "{u}" -- "{v}";')
