@@ -7,9 +7,10 @@ outside the graph as "<what> vertices not in graph: [...]". Every
 vertex-set argument of the package is read by _vertex_set, with two
 exceptions: is_normal and separates_incomparable name their tree's
 strays in the same words but skip the int test, since RootedTree has
-made it already, and is_chain reads its members unchecked. Single vertices are read where they are
-taken, one at a time: Graph.neighbors and the pair queries of
-connectivity name a stray as "vertex x not in graph".
+made it already, and is_chain reads its members unchecked. Single
+vertices are read where they are taken, one at a time: Graph.neighbors
+and the pair queries of connectivity name a stray as "vertex x not in
+graph".
 """
 
 from __future__ import annotations
